@@ -35,7 +35,6 @@ from .scaling import ScalingFit, fit_linear, fit_power_law, local_exponents
 from .solver import (
     ConvergenceError,
     GroundState,
-    dense_oracle_eigenpair,
     ground_eigenpair,
     lmg_ground_state,
 )
@@ -74,7 +73,6 @@ __all__ = [
     "cat_state_metrics",
     "classify_phase",
     "critical_scaling_prediction",
-    "dense_oracle_eigenpair",
     "dicke_metrics",
     "extremal_transverse_variance",
     "fit_linear",

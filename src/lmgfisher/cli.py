@@ -56,10 +56,12 @@ class SweepConfig:
             raise UsageError("every N must be >= 1")
         if not self.h_values:
             raise UsageError("empty h list")
-        if any(h < 0.0 for h in self.h_values):
-            raise UsageError("every h must be >= 0")
+        if not all(math.isfinite(h) and h >= 0.0 for h in self.h_values):
+            raise UsageError("every h must be finite and >= 0")
         if not 0.0 <= self.gamma <= 1.0:
             raise UsageError("gamma must lie in [0, 1]")
+        if self.mode == "isotropic" and self.gamma != 1.0:
+            raise UsageError("isotropic mode requires gamma = 1")
         if self.jobs < 1:
             raise UsageError("jobs must be >= 1")
         if not self.output_path:
@@ -132,16 +134,12 @@ def _execute(config: SweepConfig):
 
 def run_field_sweep(config: SweepConfig) -> tuple[list[str], list[str]]:
     """Solve a (N, h) grid at fixed gamma; rows only, no summary block."""
-    if config.mode != "field-sweep":
-        raise UsageError("run_field_sweep requires mode=field-sweep")
     _, results = _execute(config)
     return [line for line, _, _ in results], []
 
 
 def run_size_scaling(config: SweepConfig) -> tuple[list[str], list[str]]:
     """Solve one fixed h across sizes; append power-law and linear fits of chi^2."""
-    if config.mode != "size-scaling":
-        raise UsageError("run_size_scaling requires mode=size-scaling")
     if config.h_fixed is None:
         raise UsageError("size-scaling requires a single fixed h (--h)")
     tasks, results = _execute(config)
@@ -168,10 +166,6 @@ def run_size_scaling(config: SweepConfig) -> tuple[list[str], list[str]]:
 def run_isotropic(config: SweepConfig) -> tuple[list[str], list[str]]:
     """Solve the gamma = 1 model; closed forms fill the tl columns, the
     summary block lists level crossings and per-point (M0, E) closed forms."""
-    if config.mode != "isotropic":
-        raise UsageError("run_isotropic requires mode=isotropic")
-    if config.gamma != 1.0:
-        raise UsageError("isotropic mode requires gamma = 1")
     tasks, results = _execute(config)
     rows = [line for line, _, _ in results]
     summary = ["# summary"]
@@ -189,8 +183,6 @@ def run_isotropic(config: SweepConfig) -> tuple[list[str], list[str]]:
 
 def run_analytic_only(config: SweepConfig) -> tuple[list[str], list[str]]:
     """Thermodynamic-limit predictions only; no eigensolves."""
-    if config.mode != "analytic-only":
-        raise UsageError("run_analytic_only requires mode=analytic-only")
     _, results = _execute(config)
     return [line for line, _, _ in results], []
 
@@ -251,6 +243,8 @@ def _floats_from(text: str, what: str) -> list[float]:
 
 
 def _expand_range(start: float, stop: float, step: float) -> list[float]:
+    if not all(math.isfinite(v) for v in (start, stop, step)):
+        raise UsageError("h-start, h-stop and h-step must be finite")
     if step <= 0.0:
         raise UsageError("h-step must be > 0")
     if stop < start:
@@ -287,11 +281,8 @@ def build_config(args) -> SweepConfig:
         raise UsageError("at least one --n is required")
 
     gamma = pick(args.gamma, "gamma", float)
-    if mode == "isotropic":
-        if gamma is None:
-            gamma = 1.0
-        elif gamma != 1.0:
-            raise UsageError("isotropic mode requires gamma = 1")
+    if mode == "isotropic" and gamma is None:
+        gamma = 1.0
     if gamma is None:
         raise UsageError("--gamma is required")
 

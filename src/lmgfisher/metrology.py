@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .solver import GroundState
-from .spincore import spin_flip_count
+from .spincore import double_raising_element, spin_flip_count
 
 MEAN_SPIN_FLOOR = 1e-12  # |<S_z>| below this reports xi2^2 = inf
 _NORM_TOL = 1e-12
@@ -66,9 +66,7 @@ def transverse_moments(gs: GroundState) -> ObservableSet:
     sz_mean = float(np.sum(weights * m))
     sz2 = float(np.sum(weights * m * m))
     diag_part = 0.5 * float(np.sum(weights * (casimir - m * m)))
-    lower = m[1:]
-    b = np.sqrt((casimir - lower * (lower + 1.0)) * (casimir - (lower + 1.0) * (lower + 2.0)))
-    coupling = 0.5 * float(np.sum(c[:-1] * c[1:] * b))
+    coupling = 0.5 * float(np.sum(c[:-1] * c[1:] * double_raising_element(s, m[1:])))
     return ObservableSet(
         sz_mean=sz_mean,
         sz2=sz2,

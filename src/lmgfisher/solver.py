@@ -1,16 +1,15 @@
 """Ground-state eigensolvers for real symmetric tridiagonal matrices.
 
 ground_eigenpair brackets the smallest eigenvalue with Sturm-sequence
-bisection, then polishes the eigenvector by shifted inverse iteration.
-dense_oracle_eigenpair is an independent cyclic-Jacobi routine kept for
-cross-validation.  lmg_ground_state solves both parity blocks of one
-model instance and returns the lower one (even wins exact ties, so the
+bisection, then takes the eigenvector from two twisted-factorization
+solves.  lmg_ground_state solves both parity blocks of one model
+instance and returns the lower one (even wins exact ties, so the
 reported state keeps <S_x> = <S_y> = 0).
 """
 
 from __future__ import annotations
 
-import math
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,14 +25,12 @@ from .spincore import (
 
 _SAFE_MIN = float(np.finfo(float).tiny)
 _BISECTION_RELTOL = 1e-13
-_MAX_INVERSE_ITERATIONS = 50
 _RESIDUAL_FACTOR = 1e-10
 _DEGENERACY_RELTOL = 1e-12
-_RESEED = 1905
 
 
 class ConvergenceError(RuntimeError):
-    """Inverse iteration failed to reach the residual target."""
+    """The eigenvector failed the residual gate."""
 
     def __init__(self, message: str, residual: float):
         super().__init__(f"{message} (last residual {residual:.3e})")
@@ -82,7 +79,7 @@ def _count_below(diagonal, off_squared, x, pivmin):
     return count
 
 
-def _bisect_smallest(t: TridiagonalMatrix) -> float:
+def _bisect_smallest(t: TridiagonalMatrix, off_squared, pivmin) -> float:
     """Bracket the minimal eigenvalue to relative width 1e-13 (Gershgorin start)."""
     d = t.diagonal
     e = t.offdiagonal
@@ -92,75 +89,59 @@ def _bisect_smallest(t: TridiagonalMatrix) -> float:
         radius[1:] += np.abs(e)
     lo = float(np.min(d - radius))
     hi = float(np.max(d + radius))
-    pivmin = _pivot_floor(e)
-    off2 = e * e
-    dlist = d.tolist()
-    o2list = off2.tolist()
+    diagonal = d.tolist()
     while hi - lo > _BISECTION_RELTOL * max(1.0, abs(lo), abs(hi)):
         mid = 0.5 * (lo + hi)
         if mid <= lo or mid >= hi:  # interval no longer splits in floats
             break
-        if _count_below(dlist, o2list, mid, pivmin) >= 1:
+        if _count_below(diagonal, off_squared, mid, pivmin) >= 1:
             hi = mid
         else:
             lo = mid
     return 0.5 * (lo + hi)
 
 
-def _solve_shifted(d, e, shift, rhs, pivmin):
-    """Solve (T - shift I) x = rhs by tridiagonal LU with partial pivoting.
+def _pivots(diagonal, off_squared, shift, pivmin) -> np.ndarray:
+    """Top-down pivots of T - shift I, with the Sturm count's recurrence and clamp."""
+    n = len(diagonal)
+    out = array("d", bytes(8 * n))
+    q = diagonal[0] - shift
+    if abs(q) < pivmin:
+        q = -pivmin
+    out[0] = q
+    for i in range(1, n):
+        q = (diagonal[i] - shift) - off_squared[i - 1] / q
+        if abs(q) < pivmin:
+            q = -pivmin
+        out[i] = q
+    return np.frombuffer(out)
 
-    Near-singular pivots are clamped to +-pivmin; the resulting growth is
-    exactly what inverse iteration wants.
+
+def _twisted_vector(t: TridiagonalMatrix, diagonal, off_squared, shift, pivmin) -> np.ndarray:
+    """Unit eigenvector for the eigenvalue nearest `shift`, by one twisted solve.
+
+    With top-down pivots q and bottom-up pivots p of T - shift I, the twist
+    index r minimizes |q_r + p_r - (d_r - shift)|.  Setting z_r = 1, the
+    two bidiagonal factors give z_i = -(e_i / q_i) z_(i+1) above r and
+    z_(i+1) = -(e_i / p_(i+1)) z_i below it (Parlett & Dhillon, "Fernando's
+    solution to Wilkinson's problem", LAA 267, 1997).
     """
-    n = d.size
-    diag = d - shift
-    sup1 = np.zeros(n)
-    sup1[: n - 1] = e
-    sup2 = np.zeros(n)
-    b = np.array(rhs, dtype=float)
-    for i in range(n - 1):
-        sub = e[i]
-        if abs(diag[i]) >= abs(sub):
-            piv = diag[i]
-            if abs(piv) < pivmin:
-                piv = pivmin if piv >= 0.0 else -pivmin
-                diag[i] = piv
-            m = sub / piv
-            diag[i + 1] -= m * sup1[i]
-            sup1[i + 1] -= m * sup2[i]
-            b[i + 1] -= m * b[i]
-        else:
-            # swap rows i and i+1; pivot is the subdiagonal entry
-            e_next = e[i + 1] if i + 1 < n - 1 else 0.0
-            m = diag[i] / sub
-            new_diag = sup1[i] - m * diag[i + 1]
-            new_sup1 = sup2[i] - m * e_next
-            diag[i] = sub
-            sup1[i] = diag[i + 1]
-            sup2[i] = e_next
-            diag[i + 1] = new_diag
-            sup1[i + 1] = new_sup1
-            b[i], b[i + 1] = b[i + 1], b[i] - m * b[i + 1]
-    x = np.empty(n)
-    for i in range(n - 1, -1, -1):
-        piv = diag[i]
-        if abs(piv) < pivmin:
-            piv = pivmin if piv >= 0.0 else -pivmin
-        acc = b[i]
-        if i + 1 < n:
-            acc -= sup1[i] * x[i + 1]
-        if i + 2 < n:
-            acc -= sup2[i] * x[i + 2]
-        x[i] = acc / piv
-    return x
+    e = t.offdiagonal
+    q = _pivots(diagonal, off_squared, shift, pivmin)
+    p = _pivots(diagonal[::-1], off_squared[::-1], shift, pivmin)[::-1]
+    r = int(np.argmin(np.abs(q + p - (t.diagonal - shift))))
+    z = np.empty(t.dimension)
+    z[r] = 1.0
+    z[:r] = np.cumprod((-e[:r] / q[:r])[::-1])[::-1]
+    z[r + 1:] = np.cumprod(-e[r:] / p[r + 1:])
+    return z / np.linalg.norm(z)
 
 
 def _fix_sign(v: np.ndarray) -> np.ndarray:
     """Make the first significant component (storage order) positive.
 
-    Components below 1e-6 of the peak are treated as zero: inverse
-    iteration leaves noise well under that level, genuine amplitudes at
+    Components below 1e-6 of the peak are treated as zero: the twisted
+    solve leaves noise well under that level, genuine amplitudes at
     the pivot are well above it.
     """
     threshold = 1e-6 * float(np.max(np.abs(v)))
@@ -169,118 +150,38 @@ def _fix_sign(v: np.ndarray) -> np.ndarray:
     return -v if v[pivot] < 0.0 else v
 
 
-def ground_eigenpair(
-    t: TridiagonalMatrix, max_iterations: int = _MAX_INVERSE_ITERATIONS
-) -> tuple[float, np.ndarray]:
+def ground_eigenpair(t: TridiagonalMatrix) -> tuple[float, np.ndarray]:
     """Smallest eigenvalue and normalized eigenvector of a symmetric tridiagonal matrix.
 
     The eigenvalue is bracketed by Sturm bisection to relative tolerance
-    1e-13; inverse iteration then refines the vector until
+    1e-13.  A twisted solve at that shift gives a vector whose Rayleigh
+    quotient shifts a second, final solve; rounding leaves nothing for a
+    third.  The result must satisfy
 
         || T v - E v ||_2 <= 1e-10 max(1, ||diag||_inf + 2 ||off||_inf),
 
-    re-randomizing the start vector once on stagnation.  Raises
-    ConvergenceError (carrying the last residual) after `max_iterations`.
+    otherwise ConvergenceError carries the residual.
     """
-    d = t.diagonal
     e = t.offdiagonal
-    n = t.dimension
-    if n == 1:
-        return float(d[0]), np.ones(1)
-    shift = _bisect_smallest(t)
+    if t.dimension == 1:
+        return float(t.diagonal[0]), np.ones(1)
+    off_squared = (e * e).tolist()
     pivmin = _pivot_floor(e)
-    tol = _residual_tolerance(t)
-
-    v = np.ones(n)
-    v[1::2] = -1.0  # alternating start, unlikely to be orthogonal to the target
-    v /= np.linalg.norm(v)
-    hv = t.matvec(v)
-    energy = float(v @ hv)
-    residual = float(np.linalg.norm(hv - energy * v))
-
-    best = math.inf
-    stalled = 0
-    reseeded = False
-    polished = False
-    for _ in range(max_iterations):
-        x = _solve_shifted(d, e, shift, v, pivmin)
-        x = x / np.max(np.abs(x))
-        v = x / np.linalg.norm(x)
-        hv = t.matvec(v)
-        energy = float(v @ hv)
-        residual = float(np.linalg.norm(hv - energy * v))
-        if residual <= tol:
-            # one extra pass once the target is met drives the remaining
-            # eigenvector noise down to the machine floor
-            if polished or max_iterations == 1:
-                return energy, _fix_sign(v)
-            polished = True
-            continue
-        if residual >= 0.9 * best:
-            stalled += 1
-            if stalled >= 2 and not reseeded:
-                rng = np.random.default_rng(_RESEED)
-                v = rng.standard_normal(n)
-                v /= np.linalg.norm(v)
-                reseeded = True
-                stalled = 0
-        else:
-            stalled = 0
-        best = min(best, residual)
-    raise ConvergenceError("inverse iteration did not converge", residual)
-
-
-def dense_oracle_eigenpair(t: TridiagonalMatrix) -> tuple[float, np.ndarray]:
-    """Smallest eigenpair via cyclic Jacobi rotations on the densified matrix.
-
-    Independent O(d^3)-per-sweep cross-check; restricted to d <= 64.
-    Sweeps continue until the off-diagonal Frobenius norm drops below
-    1e-14 ||T||_F.
-    """
-    n = t.dimension
-    if n > 64:
-        raise ValueError(f"dense oracle limited to dimension <= 64, got {n}")
-    a = t.to_dense()
-    vecs = np.eye(n)
-    norm = float(np.linalg.norm(a))
-    target = 1e-14 * norm
-    off_mask = ~np.eye(n, dtype=bool)
-    for _sweep in range(60):
-        off = float(np.linalg.norm(a[off_mask]))
-        if off <= target:
-            break
-        skip = target / (10.0 * n)  # too small to ever keep `off` above target
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if abs(apq) <= skip:
-                    continue
-                tau = (a[q, q] - a[p, p]) / (2.0 * apq)
-                tt = (1.0 if tau >= 0.0 else -1.0) / (abs(tau) + math.hypot(1.0, tau))
-                c = 1.0 / math.sqrt(1.0 + tt * tt)
-                s = tt * c
-                app = a[p, p]
-                aqq = a[q, q]
-                col_p = a[:, p].copy()
-                col_q = a[:, q].copy()
-                a[:, p] = c * col_p - s * col_q
-                a[:, q] = s * col_p + c * col_q
-                row_p = a[p, :].copy()
-                row_q = a[q, :].copy()
-                a[p, :] = c * row_p - s * row_q
-                a[q, :] = s * row_p + c * row_q
-                a[p, p] = app - tt * apq
-                a[q, q] = aqq + tt * apq
-                a[p, q] = 0.0
-                a[q, p] = 0.0
-                vcol_p = vecs[:, p].copy()
-                vcol_q = vecs[:, q].copy()
-                vecs[:, p] = c * vcol_p - s * vcol_q
-                vecs[:, q] = s * vcol_p + c * vcol_q
-    else:
-        raise RuntimeError("Jacobi sweep limit exceeded")
-    idx = int(np.argmin(np.diag(a)))
-    return float(a[idx, idx]), _fix_sign(vecs[:, idx].copy())
+    shift = _bisect_smallest(t, off_squared, pivmin)
+    # Both solves work on T - shift I.  Near the ground state its diagonal
+    # is small and exact, so the Rayleigh quotient on it keeps the low
+    # digits that T's own (its diagonal is O(N)) would round away.
+    shifted = TridiagonalMatrix(t.diagonal - shift, e)
+    diagonal = shifted.diagonal.tolist()
+    delta = 0.0
+    for _ in range(2):
+        v = _twisted_vector(shifted, diagonal, off_squared, delta, pivmin)
+        sv = shifted.matvec(v)
+        delta = float(v @ sv)
+    residual = float(np.linalg.norm(sv - delta * v))
+    if not residual <= _residual_tolerance(t):
+        raise ConvergenceError("twisted solve missed the residual target", residual)
+    return shift + delta, _fix_sign(v)
 
 
 def lmg_ground_state(params: ModelParams) -> GroundState:

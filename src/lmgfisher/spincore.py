@@ -16,6 +16,7 @@ M values are stored strictly descending, so the field-polarized state
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,12 +35,12 @@ class ModelParams:
     h: float
 
     def __post_init__(self):
-        if self.n_spins < 1:
-            raise ValueError(f"n_spins must be >= 1, got {self.n_spins}")
+        if not isinstance(self.n_spins, numbers.Integral) or self.n_spins < 1:
+            raise ValueError(f"n_spins must be an integer >= 1, got {self.n_spins!r}")
         if not 0.0 <= self.gamma <= 1.0:
             raise ValueError(f"gamma must lie in [0, 1], got {self.gamma}")
-        if self.h < 0.0:
-            raise ValueError(f"h must be >= 0, got {self.h}")
+        if not (math.isfinite(self.h) and self.h >= 0.0):
+            raise ValueError(f"h must be finite and >= 0, got {self.h}")
 
     @property
     def total_spin(self) -> float:
@@ -112,6 +113,12 @@ def ladder_coefficient(total_spin: float, m: float) -> float:
     return math.sqrt(max(value, 0.0))
 
 
+def double_raising_element(total_spin: float, m: np.ndarray) -> np.ndarray:
+    """<S,M+2| S+^2 |S,M> = sqrt((S(S+1) - M(M+1)) (S(S+1) - (M+1)(M+2))), elementwise in M."""
+    casimir = total_spin * (total_spin + 1.0)
+    return np.sqrt((casimir - m * (m + 1.0)) * (casimir - (m + 1.0) * (m + 2.0)))
+
+
 def parity_of(total_spin: float, m: float) -> str:
     """Spin-flip parity (-1)^(S-M) of the Dicke state |S,M>."""
     return EVEN if spin_flip_count(total_spin, m) % 2 == 0 else ODD
@@ -144,7 +151,6 @@ def build_sector_matrix(params: ModelParams, sector: DickeSector) -> Tridiagonal
     m = sector.m_values
     casimir = s * (s + 1.0)
     diagonal = -((1.0 + params.gamma) / (2.0 * n)) * (casimir - m * m) - params.h * m
-    lower = m[1:]  # smaller M of each coupled pair (M, M+2)
-    b = np.sqrt((casimir - lower * (lower + 1.0)) * (casimir - (lower + 1.0) * (lower + 2.0)))
+    b = double_raising_element(s, m[1:])  # m[1:] is the smaller M of each pair (M, M+2)
     offdiagonal = -((1.0 - params.gamma) / (4.0 * n)) * b
     return TridiagonalMatrix(diagonal=diagonal, offdiagonal=offdiagonal)

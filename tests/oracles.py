@@ -1,13 +1,14 @@
 """Brute-force constructions used only as independent test oracles.
 
-Two routes that never touch the package's tridiagonal code path:
+Three routes that never touch the package's eigensolver:
 
 * full 2^N Pauli sums projected onto the maximal-spin Dicke block
   (exhaustive, N <= 8);
 * dense (N+1)-dimensional spin matrices built from ladder elements and
-  diagonalized with numpy.linalg.eigh (N <= a few hundred).
+  diagonalized with numpy.linalg.eigh (N <= a few hundred);
+* numpy.linalg.eigh on a densified tridiagonal matrix.
 
-Both order the Dicke basis by descending M, like the package.
+The first two order the Dicke basis by descending M, like the package.
 """
 
 import numpy as np
@@ -80,6 +81,12 @@ def dense_block_hamiltonian(n, gamma, h):
     m, sx, sy, sz = spin_matrices(n)
     ham = -((sx @ sx).real + gamma * (sy @ sy).real) / n - h * sz
     return m, ham
+
+
+def tridiagonal_ground(t):
+    """Smallest eigenpair of a TridiagonalMatrix via numpy.linalg.eigh on t.to_dense()."""
+    w, v = np.linalg.eigh(t.to_dense())
+    return float(w[0]), v[:, 0]
 
 
 def dense_ground(n, gamma, h):

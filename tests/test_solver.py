@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 
 import oracles
+from lmgfisher import solver
 from lmgfisher.solver import (
     ConvergenceError,
     GroundState,
     TridiagonalMatrix,
-    dense_oracle_eigenpair,
     ground_eigenpair,
     lmg_ground_state,
 )
@@ -52,25 +52,10 @@ def test_ground_eigenpair_matches_dense_oracle_d12():
     rng = np.random.default_rng(7)
     t = random_tridiagonal(rng, 12)
     e1, v1 = ground_eigenpair(t)
-    e2, v2 = dense_oracle_eigenpair(t)
+    e2, v2 = oracles.tridiagonal_ground(t)
     assert e1 == pytest.approx(e2, abs=1e-10)
     overlap = abs(float(v1 @ v2))
     assert overlap == pytest.approx(1.0, abs=1e-8)
-
-
-def test_dense_oracle_1x1_and_2x2():
-    e, v = dense_oracle_eigenpair(TridiagonalMatrix(np.array([3.5]), np.array([])))
-    assert e == 3.5
-    np.testing.assert_array_equal(v, [1.0])
-    t = TridiagonalMatrix(np.array([-4.25, 3.75]), np.array([-0.25]))
-    e, _ = dense_oracle_eigenpair(t)
-    assert e == pytest.approx(-0.25 - math.sqrt(16.0625), rel=1e-14)
-
-
-def test_dense_oracle_dimension_guard():
-    t = TridiagonalMatrix(np.zeros(65), np.zeros(64))
-    with pytest.raises(ValueError):
-        dense_oracle_eigenpair(t)
 
 
 def test_solver_oracle_agreement_random_sweep():
@@ -79,15 +64,17 @@ def test_solver_oracle_agreement_random_sweep():
         dim = int(rng.integers(1, 33))
         t = random_tridiagonal(rng, dim)
         e1, v1 = ground_eigenpair(t)
-        e2, v2 = dense_oracle_eigenpair(t)
+        e2, v2 = oracles.tridiagonal_ground(t)
         assert e1 == pytest.approx(e2, abs=1e-10 * max(1.0, abs(e2)))
         assert abs(float(v1 @ v2)) == pytest.approx(1.0, abs=1e-8)
 
 
-def test_convergence_error_carries_residual():
+def test_convergence_error_carries_residual(monkeypatch):
+    # a zero tolerance makes the residual gate fail on any rounding
+    monkeypatch.setattr(solver, "_RESIDUAL_FACTOR", 0.0)
     t = TridiagonalMatrix(np.array([1.0, -2.0, 0.5]), np.array([0.3, -0.4]))
     with pytest.raises(ConvergenceError) as err:
-        ground_eigenpair(t, max_iterations=0)
+        ground_eigenpair(t)
     assert math.isfinite(err.value.residual)
 
 

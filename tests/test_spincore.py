@@ -27,6 +27,18 @@ def test_model_params_validation():
         ModelParams(4, 0.5, -0.5)
 
 
+def test_model_params_rejects_non_integer_n():
+    with pytest.raises(ValueError):
+        ModelParams(10.5, 0.5, 1.0)
+    assert ModelParams(np.int64(10), 0.5, 1.0).total_spin == 5.0
+
+
+@pytest.mark.parametrize("h", [math.nan, math.inf])
+def test_model_params_rejects_non_finite_h(h):
+    with pytest.raises(ValueError):
+        ModelParams(4, 0.5, h)
+
+
 def test_ladder_coefficient_values():
     assert ladder_coefficient(1, 1) == 0.0
     assert ladder_coefficient(1, 0) == pytest.approx(math.sqrt(2.0), abs=0.0)
