@@ -10,14 +10,18 @@ printed with 17 significant digits, infinities as 'inf', unavailable
 fields empty.  A trailing comment block of '# ' lines carries
 mode-specific summaries (scaling fits, level crossings, closed forms).
 
-Exit codes: 0 success, 1 usage error (no file written), 2 when any grid
-point failed to converge (recorded in its row's status field).
+Exit codes: 0 success, 1 usage error (no file written; this includes an
+output directory that is missing or not writable, checked before any
+solve), 2 when any grid point failed to converge (recorded in its row's
+status field).  The CSV is renamed into place from a temporary file in
+the same directory.
 """
 
 from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -329,18 +333,46 @@ def build_config(args) -> SweepConfig:
     )
 
 
+def _check_output_path(path: str) -> None:
+    """Usage error unless `path` names a file in an existing, writable directory."""
+    directory = os.path.dirname(os.path.abspath(path))
+    if os.path.isdir(path):
+        raise UsageError(f"output path {path} is a directory")
+    if not os.path.isdir(directory):
+        raise UsageError(f"output directory {directory} does not exist")
+    if not os.access(directory, os.W_OK | os.X_OK):
+        raise UsageError(f"output directory {directory} is not writable")
+
+
+def _write_atomically(path: str, text: str) -> None:
+    """Write a temporary file beside `path`, then rename it over `path`.
+
+    Readers see either the old file or the complete new one, and a
+    write that fails leaves no partial CSV behind.
+    """
+    temporary = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(temporary, "x", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+        os.replace(temporary, path)
+    except BaseException:
+        if os.path.exists(temporary):
+            os.remove(temporary)
+        raise
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
         config = build_config(args)
+        _check_output_path(config.output_path)
         rows, summary = _RUNNERS[config.mode](config)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     lines = [CSV_HEADER, *rows, *summary]
-    with open(config.output_path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write_atomically(config.output_path, "\n".join(lines) + "\n")
     failed = any(line.rsplit(",", 1)[-1] == STATUS_CONVERGENCE for line in rows)
     return 2 if failed else 0
 

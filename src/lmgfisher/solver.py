@@ -4,7 +4,9 @@ ground_eigenpair brackets the smallest eigenvalue with Sturm-sequence
 bisection, then takes the eigenvector from two twisted-factorization
 solves.  lmg_ground_state solves both parity blocks of one model
 instance and returns the lower one (even wins exact ties, so the
-reported state keeps <S_x> = <S_y> = 0).
+reported state keeps <S_x> = <S_y> = 0).  Each block is solved on a
+window of rows around the mean-field magnetization, widened until the
+zero-padded result is certified as the ground state of the whole block.
 """
 
 from __future__ import annotations
@@ -27,6 +29,8 @@ _SAFE_MIN = float(np.finfo(float).tiny)
 _BISECTION_RELTOL = 1e-13
 _RESIDUAL_FACTOR = 1e-10
 _DEGENERACY_RELTOL = 1e-12
+_WINDOW_HALF_WIDTH = 16  # first window: 33 rows
+_WINDOW_EDGE_RELTOL = 1e-17
 
 
 class ConvergenceError(RuntimeError):
@@ -184,13 +188,56 @@ def ground_eigenpair(t: TridiagonalMatrix) -> tuple[float, np.ndarray]:
     return shift + delta, _fix_sign(v)
 
 
+def _window_eigenpair(t: TridiagonalMatrix, centre: int) -> tuple[float, np.ndarray]:
+    """Ground eigenpair of t, solved on a window of rows around row `centre`.
+
+    The window is the 2w + 1 rows centred on `centre`, shifted inward
+    where the block ends, with w = 16 at first.  Its pair, zero-padded
+    to the whole block, is accepted when
+    (a) each window edge inside the block has |amplitude| <= 1e-17 of
+    the peak, (b) the padded vector meets the residual gate of the whole
+    block, and (c) a Sturm count of the whole block finds no eigenvalue
+    below E - tol, tol being that gate.  Cauchy interlacing gives E >= the
+    block's minimum, so (c) rules out a lower eigenvalue.  Otherwise the
+    window recentres on its largest amplitude, w doubles, and the solve
+    repeats.  A window of more than half the block would save less than
+    a failed certification costs, so the whole block, solved exactly as
+    without a window, takes its place and ends the widening.  A window
+    solve that misses its own residual gate raises ConvergenceError.
+    """
+    d, e = t.dimension, t.offdiagonal
+    tol = _residual_tolerance(t)
+    half = _WINDOW_HALF_WIDTH
+    while True:
+        size = 2 * half + 1
+        if 2 * size > d:
+            return ground_eigenpair(t)
+        lo = min(max(0, centre - half), d - size)
+        hi = lo + size
+        energy, v = ground_eigenpair(TridiagonalMatrix(t.diagonal[lo:hi], e[lo:hi - 1]))
+        vec = np.zeros(d)
+        vec[lo:hi] = v
+        edge = _WINDOW_EDGE_RELTOL * float(np.max(np.abs(v)))
+        if (
+            (lo == 0 or abs(v[0]) <= edge)
+            and (hi == d or abs(v[-1]) <= edge)
+            and np.linalg.norm(t.matvec(vec) - energy * vec) <= tol
+            and _count_below(t.diagonal.tolist(), (e * e).tolist(), energy - tol, _pivot_floor(e)) == 0
+        ):
+            return energy, vec
+        centre = lo + int(np.argmax(np.abs(v)))
+        half *= 2
+
+
 def lmg_ground_state(params: ModelParams) -> GroundState:
     """Ground state over both parity blocks; exact ties resolve to even parity."""
+    m0 = params.total_spin * min(params.h, 1.0)  # mean-field <S_z> = S cos(theta0)
     solved = {}
     for parity in (EVEN, ODD):
         sector = build_sector(params, parity)
         block = build_sector_matrix(params, sector)
-        solved[parity] = ground_eigenpair(block)
+        centre = int(np.argmin(np.abs(sector.m_values - m0)))
+        solved[parity] = _window_eigenpair(block, centre)
     e_even, v_even = solved[EVEN]
     e_odd, v_odd = solved[ODD]
     tie = _DEGENERACY_RELTOL * max(1.0, abs(e_even), abs(e_odd))
@@ -198,5 +245,4 @@ def lmg_ground_state(params: ModelParams) -> GroundState:
         parity, energy, vec = ODD, e_odd, v_odd
     else:
         parity, energy, vec = EVEN, e_even, v_even
-    vec = _fix_sign(vec / np.linalg.norm(vec))
     return GroundState(params=params, parity=parity, energy=energy, amplitudes=vec)

@@ -144,6 +144,39 @@ def test_non_finite_inputs_are_usage_errors(tmp_path, argv):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("target", ["missing/x.csv", "."])
+def test_unwritable_out_is_usage_error_before_solving(tmp_path, monkeypatch, target):
+    def never(params):
+        raise AssertionError("solved before the output path was checked")
+
+    monkeypatch.setattr(cli.solver, "lmg_ground_state", never)
+    out = tmp_path / target
+    assert cli.main(["--mode", "field-sweep", "--n", "10", "--gamma", "0.5",
+                     "--h", "0.5", "--out", str(out)]) == 1
+    assert sorted(p.name for p in tmp_path.iterdir()) == []
+
+
+def test_csv_replaced_atomically(tmp_path, monkeypatch):
+    out = tmp_path / "sweep.csv"
+    out.write_text("old\n")
+    renames = []
+    replace = os.replace
+
+    def recording(src, dst):
+        assert Path(src).read_text().startswith(HEADER)  # complete before the rename
+        assert out.read_text() == "old\n"
+        renames.append((Path(src), Path(dst)))
+        replace(src, dst)
+
+    monkeypatch.setattr(cli.os, "replace", recording)
+    assert cli.main(["--mode", "field-sweep", "--n", "10", "--gamma", "0.5",
+                     "--h", "0.5", "--out", str(out)]) == 0
+    [(src, dst)] = renames
+    assert src.parent == tmp_path and dst == out
+    assert read_lines(out)[0] == HEADER
+    assert [p.name for p in tmp_path.iterdir()] == ["sweep.csv"]
+
+
 def test_cli_import_leaves_scipy_unloaded():
     # The solver needs numpy only.  Importing scipy.linalg with
     # lmgfisher.cli took 0.46-0.56 s against 0.20-0.24 s without it, and

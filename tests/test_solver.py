@@ -175,3 +175,80 @@ def test_ground_state_sector_roundtrip():
     assert sector.parity == gs.parity
     assert sector.m_values.size == gs.amplitudes.size
     assert isinstance(gs, GroundState)
+
+
+def record_block_rows(monkeypatch):
+    """Wrap solver.ground_eigenpair; the returned list collects each solved dimension."""
+    rows = []
+    solve = solver.ground_eigenpair
+
+    def recording(t):
+        rows.append(t.dimension)
+        return solve(t)
+
+    monkeypatch.setattr(solver, "ground_eigenpair", recording)
+    return rows
+
+
+@pytest.mark.parametrize("gamma", [0.0, 0.5, 0.99, 1.0])
+@pytest.mark.parametrize("h", [0.0, 0.3, 1.0, 1.5, 3.0])
+def test_window_path_matches_dense_oracle(gamma, h):
+    for n in (40, 161, 600):
+        gs = lmg_ground_state(ModelParams(n, gamma, h))
+        m, energy, vec = oracles.dense_ground(n, gamma, h)
+        assert gs.energy == pytest.approx(energy, abs=1e-10 * max(1.0, abs(energy)))
+        full = np.zeros(n + 1)
+        full[np.isin(m, gs.sector().m_values)] = gs.amplitudes
+        np.testing.assert_allclose(np.abs(full), np.abs(vec), atol=1e-8)
+        parity_sign = np.where(np.round(n / 2.0 - m).astype(int) % 2 == 0, 1.0, -1.0)
+        oracle_parity = EVEN if float(vec @ (parity_sign * vec)) > 0.0 else ODD
+        assert gs.parity == oracle_parity
+
+
+def test_symmetric_phase_solves_a_strict_sub_block(monkeypatch):
+    rows = record_block_rows(monkeypatch)
+    gs = lmg_ground_state(ModelParams(600, 0.5, 1.5))
+    assert rows and max(rows) < 301  # each parity block has 301 or 300 rows
+    assert gs.amplitudes.size == 301
+
+
+def test_misplaced_window_widens_to_the_ground_state():
+    # h = 0.3: the block's ground state sits mid-block, far from row 0, so
+    # the first windows fail certification and must widen, not return a
+    # window-local state.
+    params = ModelParams(600, 0.5, 0.3)
+    block = build_sector_matrix(params, build_sector(params, EVEN))
+    energy, vec = solver._window_eigenpair(block, centre=0)
+    e_ref, v_ref = oracles.tridiagonal_ground(block)
+    assert energy == pytest.approx(e_ref, abs=1e-10 * abs(e_ref))
+    assert abs(float(vec @ v_ref)) == pytest.approx(1.0, abs=1e-8)
+
+
+@pytest.mark.parametrize("n,gamma,h", [(600, 0.9, 1.0), (1000, 0.99, 0.8), (2000, 0.5, 0.3)])
+def test_window_drops_only_negligible_amplitudes(n, gamma, h):
+    # A window whose edges held more than 1e-17 of the peak could still pass
+    # the residual gate; these points moved by up to 2e-8 when it did.
+    gs = lmg_ground_state(ModelParams(n, gamma, h))
+    energy, whole = ground_eigenpair(build_sector_matrix(gs.params, gs.sector()))
+    assert gs.energy == pytest.approx(energy, rel=1e-15)
+    np.testing.assert_allclose(gs.amplitudes, whole, rtol=0.0, atol=1e-13)
+
+
+def test_window_on_a_local_well_is_not_certified():
+    # Two wells: a window around the shallow one at row 50 holds a state
+    # that decays below 1e-17 at both edges and meets the residual gate,
+    # but the Sturm count sees the deeper well at row 200.
+    rows = np.arange(301.0)
+    t = TridiagonalMatrix(np.minimum((rows - 50.0) ** 2, (rows - 200.0) ** 2 - 5.0),
+                          np.full(300, -0.5))
+    energy, vec = solver._window_eigenpair(t, centre=50)
+    e_ref, v_ref = oracles.tridiagonal_ground(t)
+    assert energy == pytest.approx(e_ref, abs=1e-10 * abs(e_ref))
+    assert abs(float(vec @ v_ref)) == pytest.approx(1.0, abs=1e-8)
+
+
+def test_critical_point_work_stays_sublinear(monkeypatch):
+    # Whole-block solves would hand 50001 + 50001 rows to the eigensolver.
+    rows = record_block_rows(monkeypatch)
+    lmg_ground_state(ModelParams(100001, 0.5, 1.0))
+    assert sum(rows) < 5000
