@@ -25,11 +25,9 @@ from .metrology import (
     ObservableSet,
     cat_state_metrics,
     dicke_metrics,
-    extremal_transverse_variance,
     qfi,
     report,
     transverse_moments,
-    transverse_variance,
 )
 from .scaling import ScalingFit, fit_linear, fit_power_law, local_exponents
 from .solver import (
@@ -74,7 +72,6 @@ __all__ = [
     "classify_phase",
     "critical_scaling_prediction",
     "dicke_metrics",
-    "extremal_transverse_variance",
     "fit_linear",
     "fit_power_law",
     "ground_eigenpair",
@@ -92,5 +89,4 @@ __all__ = [
     "squeezing_boundary",
     "tl_prediction",
     "transverse_moments",
-    "transverse_variance",
 ]

@@ -48,7 +48,6 @@ class SweepConfig:
     gamma: float
     h_values: list[float]
     output_path: str
-    h_fixed: float | None = None
     jobs: int = 1
 
     def __post_init__(self):
@@ -60,8 +59,11 @@ class SweepConfig:
             raise UsageError("every N must be >= 1")
         if not self.h_values:
             raise UsageError("empty h list")
-        if not all(math.isfinite(h) and h >= 0.0 for h in self.h_values):
-            raise UsageError("every h must be finite and >= 0")
+        n_max = max(int(n) for n in self.n_list)
+        if not all(h >= 0.0 and math.isfinite(h * n_max) for h in self.h_values):
+            raise UsageError("every h must be >= 0 with h N finite")
+        if self.mode == "size-scaling" and len(self.h_values) != 1:
+            raise UsageError("size-scaling requires exactly one field value")
         if not 0.0 <= self.gamma <= 1.0:
             raise UsageError("gamma must lie in [0, 1]")
         if self.mode == "isotropic" and self.gamma != 1.0:
@@ -136,18 +138,8 @@ def _execute(config: SweepConfig):
         return tasks, list(pool.map(_row_task, tasks))
 
 
-def run_field_sweep(config: SweepConfig) -> tuple[list[str], list[str]]:
-    """Solve a (N, h) grid at fixed gamma; rows only, no summary block."""
-    _, results = _execute(config)
-    return [line for line, _, _ in results], []
-
-
-def run_size_scaling(config: SweepConfig) -> tuple[list[str], list[str]]:
-    """Solve one fixed h across sizes; append power-law and linear fits of chi^2."""
-    if config.h_fixed is None:
-        raise UsageError("size-scaling requires a single fixed h (--h)")
-    tasks, results = _execute(config)
-    rows = [line for line, _, _ in results]
+def _size_scaling_summary(tasks, results) -> list[str]:
+    """Power-law and linear fits of chi^2 across sizes at the one fixed h."""
     points = [(task[1], chi2) for task, (_, status, chi2) in zip(tasks, results)
               if status == STATUS_OK and chi2 is not None and chi2 > 0.0]
     summary = ["# summary"]
@@ -164,16 +156,13 @@ def run_size_scaling(config: SweepConfig) -> tuple[list[str], list[str]]:
             "# linear_fit,quantity=inverse_chi2"
             f",slope={_fmt(slope)},intercept={_fmt(intercept)},r_squared={_fmt(r_squared)}"
         )
-    return rows, summary
+    return summary
 
 
-def run_isotropic(config: SweepConfig) -> tuple[list[str], list[str]]:
-    """Solve the gamma = 1 model; closed forms fill the tl columns, the
-    summary block lists level crossings and per-point (M0, E) closed forms."""
-    tasks, results = _execute(config)
-    rows = [line for line, _, _ in results]
+def _isotropic_summary(tasks, results) -> list[str]:
+    """Level crossings per N, then the per-point (M0, E) closed forms."""
     summary = ["# summary"]
-    for n in sorted(set(int(n) for n in config.n_list)):
+    for n in dict.fromkeys(task[1] for task in tasks):
         if n < 2:
             continue
         for j, hj in enumerate(analytic.isotropic_level_crossings(n)):
@@ -182,20 +171,13 @@ def run_isotropic(config: SweepConfig) -> tuple[list[str], list[str]]:
         m0 = analytic.isotropic_ground_m(n, h)
         e0 = analytic.isotropic_energy(n, m0, h)
         summary.append(f"# closed_form,N={n},h={_fmt(h)},M0={_fmt(m0)},E={_fmt(e0)}")
-    return rows, summary
+    return summary
 
 
-def run_analytic_only(config: SweepConfig) -> tuple[list[str], list[str]]:
-    """Thermodynamic-limit predictions only; no eigensolves."""
-    _, results = _execute(config)
-    return [line for line, _, _ in results], []
-
-
-_RUNNERS = {
-    "field-sweep": run_field_sweep,
-    "size-scaling": run_size_scaling,
-    "isotropic": run_isotropic,
-    "analytic-only": run_analytic_only,
+# Modes with a '# ' summary block after the rows; the others have none.
+_SUMMARIES = {
+    "size-scaling": _size_scaling_summary,
+    "isotropic": _isotropic_summary,
 }
 
 
@@ -311,12 +293,6 @@ def build_config(args) -> SweepConfig:
     else:
         raise UsageError("no field values given (--h or --h-start/--h-stop/--h-step)")
 
-    h_fixed = None
-    if mode == "size-scaling":
-        if len(h_values) != 1:
-            raise UsageError("size-scaling requires exactly one field value")
-        h_fixed = h_values[0]
-
     out = pick(args.out, "out", str)
     if not out:
         raise UsageError("--out is required")
@@ -328,7 +304,6 @@ def build_config(args) -> SweepConfig:
         gamma=float(gamma),
         h_values=h_values,
         output_path=out,
-        h_fixed=h_fixed,
         jobs=1 if jobs is None else int(jobs),
     )
 
@@ -367,13 +342,15 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         config = build_config(args)
         _check_output_path(config.output_path)
-        rows, summary = _RUNNERS[config.mode](config)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    lines = [CSV_HEADER, *rows, *summary]
+    tasks, results = _execute(config)
+    summarize = _SUMMARIES.get(config.mode)
+    summary = summarize(tasks, results) if summarize else []
+    lines = [CSV_HEADER, *(line for line, _, _ in results), *summary]
     _write_atomically(config.output_path, "\n".join(lines) + "\n")
-    failed = any(line.rsplit(",", 1)[-1] == STATUS_CONVERGENCE for line in rows)
+    failed = any(status == STATUS_CONVERGENCE for _, status, _ in results)
     return 2 if failed else 0
 
 

@@ -4,7 +4,9 @@ For a state with mean spin along z and <{S_x,S_y}> = 0, everything
 reduces to the transverse second moments: the quantum Fisher information
 is F = 4 max Var(S_perp), the entanglement witness is chi^2 = N/F, and
 the two spin-squeezing parameters are xi1^2 = 4 min Var(S_perp) / N and
-xi2^2 = N min Var(S_perp) / <S_z>^2.
+xi2^2 = N min Var(S_perp) / <S_z>^2.  Every spin-flip parity eigenstate
+has real amplitudes, so <{S_x,S_y}> vanishes and the extremal transverse
+variances are min and max of (<S_x^2>, <S_y^2>), along x and y.
 """
 
 from __future__ import annotations
@@ -23,13 +25,13 @@ _NORM_TOL = 1e-12
 
 @dataclass(frozen=True)
 class ObservableSet:
-    """Collective-spin moments of one state (first transverse moments vanish)."""
+    """Collective-spin moments of one state (first transverse moments and
+    <{S_x,S_y}> vanish)."""
 
     sz_mean: float
     sz2: float
     sx2: float
     sy2: float
-    cross: float  # <{S_x, S_y}>
 
 
 @dataclass(frozen=True)
@@ -45,7 +47,7 @@ class MetrologyReport:
 
 
 def transverse_moments(gs: GroundState) -> ObservableSet:
-    """<S_z>, <S_z^2>, <S_x^2>, <S_y^2> and <{S_x,S_y}> of a sector eigenstate.
+    """<S_z>, <S_z^2>, <S_x^2> and <S_y^2> of a sector eigenstate.
 
     S+S- + S-S+ contributes the diagonal part (S(S+1) - M^2)/2 to both
     transverse moments; S+^2 + S-^2 couples M to M+2 and splits them.
@@ -72,33 +74,7 @@ def transverse_moments(gs: GroundState) -> ObservableSet:
         sz2=sz2,
         sx2=diag_part + coupling,
         sy2=diag_part - coupling,
-        cross=0.0,
     )
-
-
-def transverse_variance(obs: ObservableSet, theta: float) -> float:
-    """Variance of S_perp(theta) = cos(theta) S_x + sin(theta) S_y."""
-    ct = math.cos(theta)
-    st = math.sin(theta)
-    return ct * ct * obs.sx2 + st * st * obs.sy2 + st * ct * obs.cross
-
-
-def extremal_transverse_variance(obs: ObservableSet) -> tuple[float, float, float, float]:
-    """(vmin, vmax, theta_min, theta_max) of the transverse variance profile.
-
-    v+- = (sx2 + sy2)/2 +- sqrt(((sx2 - sy2)/2)^2 + (cross/2)^2); angles
-    are reported in [0, pi).  An isotropic profile returns theta = 0 for
-    both extrema.
-    """
-    mean = 0.5 * (obs.sx2 + obs.sy2)
-    radius = math.hypot(0.5 * (obs.sx2 - obs.sy2), 0.5 * obs.cross)
-    vmin = mean - radius
-    vmax = mean + radius
-    if radius == 0.0:
-        return vmin, vmax, 0.0, 0.0
-    theta_max = 0.5 * math.atan2(obs.cross, obs.sx2 - obs.sy2)
-    theta_min = theta_max + 0.5 * math.pi
-    return vmin, vmax, theta_min % math.pi, theta_max % math.pi
 
 
 def _report_from_variances(n_spins: int, vmin: float, vmax: float, sz_mean: float) -> MetrologyReport:
@@ -119,23 +95,24 @@ def _report_from_variances(n_spins: int, vmin: float, vmax: float, sz_mean: floa
 
 def report(gs: GroundState) -> MetrologyReport:
     """Metrology report of a ground state; the generator lies along the
-    transverse direction of maximal variance."""
+    transverse axis (x or y) of larger variance."""
     obs = transverse_moments(gs)
-    vmin, vmax, _, _ = extremal_transverse_variance(obs)
+    vmin, vmax = sorted((obs.sx2, obs.sy2))
     return _report_from_variances(gs.params.n_spins, vmin, vmax, obs.sz_mean)
 
 
 def qfi(gs: GroundState, theta: float | None = None) -> float:
     """Pure-state quantum Fisher information 4 Var(S_perp(theta)).
 
-    With theta omitted, the optimal transverse direction is used (this is
-    the F entering the report).
+    With theta omitted, the optimal transverse axis is used (this is the
+    F entering the report).
     """
     obs = transverse_moments(gs)
     if theta is None:
-        _, vmax, _, _ = extremal_transverse_variance(obs)
-        return 4.0 * vmax
-    return 4.0 * transverse_variance(obs, theta)
+        return 4.0 * max(obs.sx2, obs.sy2)
+    ct = math.cos(theta)
+    st = math.sin(theta)
+    return 4.0 * (ct * ct * obs.sx2 + st * st * obs.sy2)
 
 
 def dicke_metrics(n_spins: int, m: float) -> MetrologyReport:

@@ -28,7 +28,8 @@ PARITIES = (EVEN, ODD)
 
 @dataclass(frozen=True)
 class ModelParams:
-    """One model instance: N spins, anisotropy 0 <= gamma <= 1, field h >= 0."""
+    """One model instance: N spins, anisotropy 0 <= gamma <= 1, field h >= 0
+    with h N finite."""
 
     n_spins: int
     gamma: float
@@ -39,8 +40,10 @@ class ModelParams:
             raise ValueError(f"n_spins must be an integer >= 1, got {self.n_spins!r}")
         if not 0.0 <= self.gamma <= 1.0:
             raise ValueError(f"gamma must lie in [0, 1], got {self.gamma}")
-        if not (math.isfinite(self.h) and self.h >= 0.0):
-            raise ValueError(f"h must be finite and >= 0, got {self.h}")
+        # The block diagonal spans about h N (-h M for M in [-S, S]); past
+        # the float range the solver's shifts overflow.
+        if not (self.h >= 0.0 and math.isfinite(self.h * float(self.n_spins))):
+            raise ValueError(f"h must be >= 0 with h N finite, got h = {self.h} at N = {self.n_spins}")
 
     @property
     def total_spin(self) -> float:

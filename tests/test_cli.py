@@ -137,6 +137,9 @@ def test_bad_mode_and_missing_out_are_usage_errors(tmp_path):
     ["--mode", "field-sweep", "--gamma", "inf", "--h", "0.5"],
     ["--mode", "field-sweep", "--gamma", "0.5", "--h-start", "0", "--h-stop", "inf", "--h-step", "0.1"],
     ["--mode", "field-sweep", "--gamma", "0.5", "--h-start", "0", "--h-stop", "1", "--h-step", "nan"],
+    ["--mode", "field-sweep", "--gamma", "0.5", "--h", "1e308"],
+    # h N is checked against the largest N: finite at N = 10, not at 1000
+    ["--mode", "field-sweep", "--gamma", "0.5", "--h", "1e306", "--n", "1000"],
 ])
 def test_non_finite_inputs_are_usage_errors(tmp_path, argv):
     out = tmp_path / "never.csv"

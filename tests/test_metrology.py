@@ -5,14 +5,11 @@ import pytest
 
 import oracles
 from lmgfisher.metrology import (
-    ObservableSet,
     cat_state_metrics,
     dicke_metrics,
-    extremal_transverse_variance,
     qfi,
     report,
     transverse_moments,
-    transverse_variance,
 )
 from lmgfisher.solver import GroundState, lmg_ground_state
 from lmgfisher.spincore import EVEN, ODD, ModelParams, build_sector, parity_of
@@ -34,7 +31,6 @@ def test_moments_of_top_dicke_state():
     assert obs.sy2 == pytest.approx(0.5, abs=0.0)
     assert obs.sz_mean == 1.0
     assert obs.sz2 == 1.0
-    assert obs.cross == 0.0
 
 
 @pytest.mark.parametrize("n,m", [(4, 0), (6, -2), (9, 2.5), (10, 5)])
@@ -66,34 +62,18 @@ def test_moments_reject_unnormalized_state():
         transverse_moments(bad)
 
 
-def test_extremal_variance_isotropic_profile():
-    vmin, vmax, tmin, tmax = extremal_transverse_variance(
-        ObservableSet(sz_mean=0.0, sz2=0.0, sx2=2.5, sy2=2.5, cross=0.0)
-    )
-    assert vmin == vmax == 2.5
-    assert tmin == tmax == 0.0
-
-
-def test_extremal_variance_axis_aligned():
-    vmin, vmax, tmin, tmax = extremal_transverse_variance(
-        ObservableSet(sz_mean=0.0, sz2=0.0, sx2=3.0, sy2=1.0, cross=0.0)
-    )
-    assert (vmin, vmax) == (1.0, 3.0)
-    assert tmax == 0.0
-    assert tmin == pytest.approx(math.pi / 2.0, rel=1e-15)
-
-
-def test_extremal_variance_with_cross_term():
-    obs = ObservableSet(sz_mean=0.0, sz2=0.0, sx2=2.0, sy2=2.0, cross=2.0)
-    vmin, vmax, tmin, tmax = extremal_transverse_variance(obs)
-    assert (vmin, vmax) == (1.0, 3.0)
-    assert tmax == pytest.approx(math.pi / 4.0, rel=1e-15)
-    assert tmin == pytest.approx(3.0 * math.pi / 4.0, rel=1e-15)
-    # brute scan of the variance profile
-    grid = np.linspace(0.0, math.pi, 10_000, endpoint=False)
-    values = [transverse_variance(obs, t) for t in grid]
-    assert min(values) == pytest.approx(vmin, abs=1e-6)
-    assert max(values) == pytest.approx(vmax, abs=1e-6)
+def test_report_takes_the_larger_transverse_moment():
+    # N = 4 even block (M = 2, 0, -2) with alternating signs: the S+^2
+    # coupling is negative, so sx2 = (5 - 2 sqrt6)/3 < sy2 = (5 + 2 sqrt6)/3
+    params = ModelParams(4, 1.0, 0.0)
+    gs = GroundState(params=params, parity=EVEN, energy=0.0,
+                     amplitudes=np.array([1.0, -1.0, 1.0]) / math.sqrt(3.0))
+    obs = transverse_moments(gs)
+    assert obs.sx2 == pytest.approx((5.0 - 2.0 * math.sqrt(6.0)) / 3.0, rel=1e-13)
+    assert obs.sy2 == pytest.approx((5.0 + 2.0 * math.sqrt(6.0)) / 3.0, rel=1e-14)
+    rep = report(gs)
+    assert rep.fisher == 4.0 * obs.sy2
+    assert rep.xi1_2 == 4.0 * obs.sx2 / 4
 
 
 @pytest.mark.parametrize("n", [2, 6, 12])
@@ -131,10 +111,9 @@ def test_qfi_direction_resolved():
     gs = lmg_ground_state(ModelParams(12, 0.0, 0.5))
     rep = report(gs)
     obs = transverse_moments(gs)
-    _, vmax, _, theta_max = extremal_transverse_variance(obs)
     assert qfi(gs) == pytest.approx(rep.fisher, abs=0.0)
-    assert qfi(gs, theta_max) == pytest.approx(4.0 * vmax, rel=1e-14)
     assert qfi(gs, 0.0) == pytest.approx(4.0 * obs.sx2, rel=1e-14)
+    assert qfi(gs, math.pi / 2.0) == pytest.approx(4.0 * obs.sy2, rel=1e-14)
 
 
 def test_dicke_metrics_values():
@@ -183,9 +162,25 @@ def test_cat_state_metrics():
 
 
 def test_cat_state_moment_identity():
-    # sx2 + sy2 + sz2 = S(S+1) with sz2 = S^2 and the N=2 coupling special case
-    s = 1.0
-    assert 1.0 + 0.0 + s * s == s * (s + 1.0)
+    # (|S,S> + |S,-S>)/sqrt2 lies in the even block for even N; S+^2
+    # couples its two components only at N = 2
+    for n in (2, 4, 10):
+        s = n / 2.0
+        params = ModelParams(n, 1.0, 0.0)
+        amps = np.zeros(build_sector(params, EVEN).dimension)
+        amps[[0, -1]] = 1.0 / math.sqrt(2.0)
+        gs = GroundState(params=params, parity=EVEN, energy=0.0, amplitudes=amps)
+        obs = transverse_moments(gs)
+        if n == 2:
+            assert obs.sx2 == pytest.approx(1.0, rel=1e-15)
+            assert obs.sy2 == pytest.approx(0.0, abs=1e-15)
+        else:
+            assert obs.sx2 == pytest.approx(s / 2.0, rel=1e-15)
+            assert obs.sy2 == pytest.approx(s / 2.0, rel=1e-15)
+        assert obs.sz2 == pytest.approx(s * s, rel=1e-15)
+        assert obs.sz_mean == pytest.approx(0.0, abs=1e-15)
+        xi1_2 = 4.0 * min(obs.sx2, obs.sy2) / n
+        assert xi1_2 == pytest.approx(cat_state_metrics(n).xi1_2, abs=1e-15)
 
 
 def test_parity_selection_rule_dense_cross_term():
@@ -202,7 +197,7 @@ def test_uncertainty_relation_and_sum_rule_on_ground_states():
             for h in (0.0, 0.5, 1.0, 1.5):
                 gs = lmg_ground_state(ModelParams(n, gamma, h))
                 obs = transverse_moments(gs)
-                vmin, vmax, _, _ = extremal_transverse_variance(obs)
+                vmin, vmax = sorted((obs.sx2, obs.sy2))
                 floor = 0.25 * obs.sz_mean**2
                 assert vmin * vmax >= floor * (1.0 - 1e-9) - 1e-15
                 total = obs.sx2 + obs.sy2 + obs.sz2

@@ -101,6 +101,19 @@ def test_lmg_ground_state_against_dense_block():
     assert gs.energy == pytest.approx(energy, abs=1e-10)
 
 
+# The twist search's q + p can overflow to inf this close to the float
+# range; the residual gate still passes.
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+@pytest.mark.parametrize("n", [3, 10, 201, 10001])
+def test_largest_accepted_field_solves(n):
+    # h N just inside the float range: the ground state is |S, S>, E = -h S
+    h = 1.7e308 / n
+    gs = lmg_ground_state(ModelParams(n, 0.5, h))
+    assert gs.parity == EVEN
+    assert gs.energy == pytest.approx(-h * n / 2.0, rel=1e-15)
+    assert gs.amplitudes[0] == 1.0
+
+
 @pytest.mark.parametrize("gamma", [0.0, 0.5, 1.0])
 @pytest.mark.parametrize("h", [0.0, 0.5, 1.0, 2.0])
 def test_oracle_equivalence_up_to_n16(gamma, h):

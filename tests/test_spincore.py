@@ -33,8 +33,10 @@ def test_model_params_rejects_non_integer_n():
     assert ModelParams(np.int64(10), 0.5, 1.0).total_spin == 5.0
 
 
-@pytest.mark.parametrize("h", [math.nan, math.inf])
+@pytest.mark.parametrize("h", [math.nan, math.inf, 1e308, 5e307])
 def test_model_params_rejects_non_finite_h(h):
+    # h N, the spread of the block diagonal, must stay finite (5e307: h N/2
+    # is finite, h N is not)
     with pytest.raises(ValueError):
         ModelParams(4, 0.5, h)
 
