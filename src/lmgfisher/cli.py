@@ -23,8 +23,7 @@ import argparse
 import math
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import analytic, metrology, scaling, solver
 from .spincore import ModelParams
@@ -51,27 +50,28 @@ class SweepConfig:
     jobs: int = 1
 
     def __post_init__(self):
-        if self.mode not in MODES:
-            raise UsageError(f"mode must be one of {', '.join(MODES)}")
         if not self.n_list:
             raise UsageError("empty N list")
-        if any(int(n) < 1 for n in self.n_list):
-            raise UsageError("every N must be >= 1")
         if not self.h_values:
             raise UsageError("empty h list")
-        n_max = max(int(n) for n in self.n_list)
-        if not all(h >= 0.0 and math.isfinite(h * n_max) for h in self.h_values):
-            raise UsageError("every h must be >= 0 with h N finite")
         if self.mode == "size-scaling" and len(self.h_values) != 1:
             raise UsageError("size-scaling requires exactly one field value")
-        if not 0.0 <= self.gamma <= 1.0:
-            raise UsageError("gamma must lie in [0, 1]")
         if self.mode == "isotropic" and self.gamma != 1.0:
             raise UsageError("isotropic mode requires gamma = 1")
         if self.jobs < 1:
             raise UsageError("jobs must be >= 1")
         if not self.output_path:
             raise UsageError("an output path is required")
+        # The model's domain is ModelParams's.  Each N is checked at h = 0
+        # and each h at the largest N, which bounds h N.
+        try:
+            for n in self.n_list:
+                ModelParams(n, self.gamma, 0.0)
+            n_max = max(self.n_list)
+            for h in self.h_values:
+                ModelParams(n_max, self.gamma, h)
+        except ValueError as exc:
+            raise UsageError(str(exc)) from exc
 
 
 def _fmt(value) -> str:
@@ -103,25 +103,24 @@ def _row_task(task) -> tuple[str, str, float | None]:
     """Compute one grid point; returns (csv_line, status, chi2 or None)."""
     mode, n, gamma, h = task
     if mode == "isotropic":
-        m0 = analytic.isotropic_ground_m(n, h)
-        closed = metrology.dicke_metrics(n, m0)
+        closed = metrology.dicke_metrics(n, analytic.isotropic_ground_m(n, h))
         tl_chi2, tl_xi1 = closed.chi2, closed.xi1_2
     else:
         tl_chi2, tl_xi1 = _tl_fields(h, gamma, n)
-    if mode == "analytic-only":
-        fields = [mode, n, gamma, h, "", None, None, None, None, None, None,
-                  tl_chi2, tl_xi1, _phase_name(h), STATUS_OK]
-        return ",".join(_fmt(f) for f in fields), STATUS_OK, None
-    try:
-        gs = solver.lmg_ground_state(ModelParams(n_spins=n, gamma=gamma, h=h))
-    except solver.ConvergenceError:
-        fields = [mode, n, gamma, h, "", None, None, None, None, None, None,
-                  tl_chi2, tl_xi1, _phase_name(h), STATUS_CONVERGENCE]
-        return ",".join(_fmt(f) for f in fields), STATUS_CONVERGENCE, None
-    rep = metrology.report(gs)
-    fields = [mode, n, gamma, h, gs.parity, gs.energy, rep.chi2, rep.xi1_2, rep.xi2_2,
-              rep.fisher, rep.qcr, tl_chi2, tl_xi1, _phase_name(h), STATUS_OK]
-    return ",".join(_fmt(f) for f in fields), STATUS_OK, rep.chi2
+    parity, status = "", STATUS_OK
+    energy = chi2 = xi1 = xi2 = fisher = qcr = None
+    if mode != "analytic-only":
+        try:
+            gs = solver.lmg_ground_state(ModelParams(n_spins=n, gamma=gamma, h=h))
+        except solver.ConvergenceError:
+            status = STATUS_CONVERGENCE
+        else:
+            rep = metrology.report(gs)
+            parity, energy = gs.parity, gs.energy
+            chi2, xi1, xi2, fisher, qcr = rep.chi2, rep.xi1_2, rep.xi2_2, rep.fisher, rep.qcr
+    fields = [mode, n, gamma, h, parity, energy, chi2, xi1, xi2, fisher, qcr,
+              tl_chi2, tl_xi1, _phase_name(h), status]
+    return ",".join(_fmt(f) for f in fields), status, chi2
 
 
 def _tasks(config: SweepConfig) -> list[tuple]:
@@ -134,6 +133,9 @@ def _execute(config: SweepConfig):
     tasks = _tasks(config)
     if config.jobs <= 1:
         return tasks, [_row_task(t) for t in tasks]
+    # Imported here: it costs serial runs ~20 ms of start-up and loads multiprocessing.
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=config.jobs) as pool:
         return tasks, list(pool.map(_row_task, tasks))
 
@@ -181,23 +183,29 @@ _SUMMARIES = {
 }
 
 
-def load_config_file(path: str) -> dict[str, str]:
-    """Plain key=value lines; blank lines and '#' comments are ignored."""
+def _config_argv(path: str) -> list[str]:
+    """The flags a config file stands for: `key=value` becomes `--key=value`.
+
+    Underscores in a key become dashes, and the values of `n` and `h` split
+    on commas and spaces into one flag each.  Blank lines and '#' comments
+    are ignored.
+    """
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
     except OSError as exc:
         raise UsageError(f"cannot read config file {path}: {exc}") from exc
-    values: dict[str, str] = {}
+    argv = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        if "=" not in line:
+        key, sep, value = (part.strip() for part in line.partition("="))
+        if not sep:
             raise UsageError(f"{path}:{lineno}: expected key=value, got {line!r}")
-        key, value = line.split("=", 1)
-        values[key.strip()] = value.strip()
-    return values
+        values = value.replace(",", " ").split() if key in ("n", "h") else [value]
+        argv += [f"--{key.replace('_', '-')}={v}" for v in values]
+    return argv
 
 
 class _Parser(argparse.ArgumentParser):
@@ -221,13 +229,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _floats_from(text: str, what: str) -> list[float]:
-    try:
-        return [float(tok) for tok in text.replace(",", " ").split()]
-    except ValueError as exc:
-        raise UsageError(f"bad {what} list: {text!r}") from exc
-
-
 def _expand_range(start: float, stop: float, step: float) -> list[float]:
     if not all(math.isfinite(v) for v in (start, stop, step)):
         raise UsageError("h-start, h-stop and h-step must be finite")
@@ -239,72 +240,55 @@ def _expand_range(start: float, stop: float, step: float) -> list[float]:
     return [start + k * step for k in range(count)]
 
 
+def _over_config_file(args) -> argparse.Namespace:
+    """`args` over the values of its --config file, which build_parser() reads as flags.
+
+    Every flag given overrides the file's value; a repeated flag's list
+    replaces the file's list.
+    """
+    argv = _config_argv(args.config)
+    try:
+        merged = build_parser().parse_args(argv)
+    except UsageError as exc:
+        raise UsageError(f"{args.config}: {exc}") from exc
+    for key, value in vars(args).items():
+        if value is not None:
+            setattr(merged, key, value)
+    return merged
+
+
 def build_config(args) -> SweepConfig:
-    """Merge command-line flags over an optional key=value config file."""
-    file_vals = load_config_file(args.config) if args.config else {}
-
-    def pick(flag_value, key: str, cast):
-        if flag_value is not None:
-            return flag_value
-        if key in file_vals:
-            try:
-                return cast(file_vals[key])
-            except ValueError as exc:
-                raise UsageError(f"bad config value for {key}: {file_vals[key]!r}") from exc
-        return None
-
-    mode = pick(args.mode, "mode", str)
-    if mode is None:
+    """The sweep that parsed flags ask for, over an optional --config file."""
+    if args.config is not None:
+        args = _over_config_file(args)
+    if args.mode is None:
         raise UsageError("--mode is required")
-    if mode not in MODES:
-        raise UsageError(f"mode must be one of {', '.join(MODES)}")
-
-    if args.n:
-        n_list = list(args.n)
-    elif "n" in file_vals:
-        n_list = [int(round(v)) for v in _floats_from(file_vals["n"], "n")]
-    else:
+    if not args.n:
         raise UsageError("at least one --n is required")
-
-    gamma = pick(args.gamma, "gamma", float)
-    if mode == "isotropic" and gamma is None:
-        gamma = 1.0
+    gamma = 1.0 if args.gamma is None and args.mode == "isotropic" else args.gamma
     if gamma is None:
         raise UsageError("--gamma is required")
-
-    if args.h is not None:
-        h_explicit = list(args.h)
-    elif "h" in file_vals:
-        h_explicit = _floats_from(file_vals["h"], "h")
-    else:
-        h_explicit = None
-    h_start = pick(args.h_start, "h_start", float)
-    h_stop = pick(args.h_stop, "h_stop", float)
-    h_step = pick(args.h_step, "h_step", float)
-    range_given = any(v is not None for v in (h_start, h_stop, h_step))
-    if h_explicit is not None and range_given:
+    range_flags = (args.h_start, args.h_stop, args.h_step)
+    range_given = any(v is not None for v in range_flags)
+    if args.h is not None and range_given:
         raise UsageError("give either --h or --h-start/--h-stop/--h-step, not both")
-    if h_explicit is not None:
-        h_values = h_explicit
+    if args.h is not None:
+        h_values = list(args.h)
     elif range_given:
-        if h_start is None or h_stop is None or h_step is None:
+        if None in range_flags:
             raise UsageError("an h range needs all of --h-start, --h-stop, --h-step")
-        h_values = _expand_range(h_start, h_stop, h_step)
+        h_values = _expand_range(*range_flags)
     else:
         raise UsageError("no field values given (--h or --h-start/--h-stop/--h-step)")
-
-    out = pick(args.out, "out", str)
-    if not out:
+    if not args.out:
         raise UsageError("--out is required")
-    jobs = pick(args.jobs, "jobs", int)
-
     return SweepConfig(
-        mode=mode,
-        n_list=n_list,
-        gamma=float(gamma),
+        mode=args.mode,
+        n_list=list(args.n),
+        gamma=gamma,
         h_values=h_values,
-        output_path=out,
-        jobs=1 if jobs is None else int(jobs),
+        output_path=args.out,
+        jobs=1 if args.jobs is None else args.jobs,
     )
 
 

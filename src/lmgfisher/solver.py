@@ -133,7 +133,8 @@ def _twisted_vector(t: TridiagonalMatrix, diagonal, off_squared, shift, pivmin) 
     e = t.offdiagonal
     q = _pivots(diagonal, off_squared, shift, pivmin)
     p = _pivots(diagonal[::-1], off_squared[::-1], shift, pivmin)[::-1]
-    r = int(np.argmin(np.abs(q + p - (t.diagonal - shift))))
+    # Halved terms: the same argmin, without overflow when |q| + |p| nears the float range.
+    r = int(np.argmin(np.abs(0.5 * q + 0.5 * p - 0.5 * (t.diagonal - shift))))
     z = np.empty(t.dimension)
     z[r] = 1.0
     z[:r] = np.cumprod((-e[:r] / q[:r])[::-1])[::-1]
@@ -195,15 +196,18 @@ def _window_eigenpair(t: TridiagonalMatrix, centre: int) -> tuple[float, np.ndar
     where the block ends, with w = 16 at first.  Its pair, zero-padded
     to the whole block, is accepted when
     (a) each window edge inside the block has |amplitude| <= 1e-17 of
-    the peak, (b) the padded vector meets the residual gate of the whole
-    block, and (c) a Sturm count of the whole block finds no eigenvalue
-    below E - tol, tol being that gate.  Cauchy interlacing gives E >= the
-    block's minimum, so (c) rules out a lower eigenvalue.  Otherwise the
-    window recentres on its largest amplitude, w doubles, and the solve
-    repeats.  A window of more than half the block would save less than
-    a failed certification costs, so the whole block, solved exactly as
-    without a window, takes its place and ends the widening.  A window
-    solve that misses its own residual gate raises ConvergenceError.
+    the peak, and (b) a Sturm count of the whole block finds no eigenvalue
+    below E - tol, tol being the whole block's residual gate.  Cauchy
+    interlacing gives E >= the block's minimum, so (b) rules out a lower
+    eigenvalue.  The padded vector's residual on the whole block is the
+    window's, which met its own (smaller) gate, plus the two edge couplings
+    that (a) holds below 1e-17 |e| of the peak; it is not checked again.
+    Otherwise the window recentres on its largest amplitude, w doubles,
+    and the solve repeats.  A window of more than half the block would
+    save less than a failed certification costs, so the whole block,
+    solved exactly as without a window, takes its place and ends the
+    widening.  A window solve that misses its own residual gate raises
+    ConvergenceError.
     """
     d, e = t.dimension, t.offdiagonal
     tol = _residual_tolerance(t)
@@ -215,15 +219,14 @@ def _window_eigenpair(t: TridiagonalMatrix, centre: int) -> tuple[float, np.ndar
         lo = min(max(0, centre - half), d - size)
         hi = lo + size
         energy, v = ground_eigenpair(TridiagonalMatrix(t.diagonal[lo:hi], e[lo:hi - 1]))
-        vec = np.zeros(d)
-        vec[lo:hi] = v
         edge = _WINDOW_EDGE_RELTOL * float(np.max(np.abs(v)))
         if (
             (lo == 0 or abs(v[0]) <= edge)
             and (hi == d or abs(v[-1]) <= edge)
-            and np.linalg.norm(t.matvec(vec) - energy * vec) <= tol
             and _count_below(t.diagonal.tolist(), (e * e).tolist(), energy - tol, _pivot_floor(e)) == 0
         ):
+            vec = np.zeros(d)
+            vec[lo:hi] = v
             return energy, vec
         centre = lo + int(np.argmax(np.abs(v)))
         half *= 2

@@ -184,10 +184,13 @@ def test_cli_import_leaves_scipy_unloaded():
     # The solver needs numpy only.  Importing scipy.linalg with
     # lmgfisher.cli took 0.46-0.56 s against 0.20-0.24 s without it, and
     # raised peak RSS from 30 MB to 56 MB (2-vCPU Xeon, Python 3.11.7,
-    # numpy 2.4.6); every CLI process would pay that.
+    # numpy 2.4.6); every CLI process would pay that.  The process pool
+    # is imported only for --jobs > 1: concurrent.futures and
+    # multiprocessing cost 17-23 ms of the import on the same host.
     src = str(Path(cli.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    probe = "import sys, lmgfisher.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    probe = ("import sys, lmgfisher.cli; print(sorted(m for m in sys.modules"
+             " if m.split('.')[0] in ('scipy', 'concurrent', 'multiprocessing')))")
     done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
     assert done.stdout.strip() == "[]"
 
@@ -297,12 +300,23 @@ def test_config_file_with_flag_override(tmp_path):
     rows = [row_fields(r) for r in data_rows(read_lines(out))]
     assert len(rows) == 4
     assert all(r["gamma"] == "0.25" for r in rows)  # flag overrides file
+    # a flag's list replaces the file's list
+    assert cli.main(["--config", str(cfg), "--out", str(out), "--n", "30"]) == 0
+    rows = [row_fields(r) for r in data_rows(read_lines(out))]
+    assert [r["N"] for r in rows] == ["30", "30"]
 
 
-def test_config_file_bad_line(tmp_path):
+@pytest.mark.parametrize("text", [
+    "mode field-sweep\n",
+    "mode=field-sweep\nn=10.6\ngamma=0.5\nh=0.5\n",  # N is parsed as by --n
+    "mode=field-sweep\nn=10\ngamma=0.5\nh=0.5\njbos=2\n",  # unknown keys are not dropped
+], ids=["no-equals", "non-integer-n", "unknown-key"])
+def test_config_file_bad_line(tmp_path, text):
     cfg = tmp_path / "bad.cfg"
-    cfg.write_text("mode field-sweep\n")
-    assert cli.main(["--config", str(cfg), "--out", str(tmp_path / "x.csv")]) == 1
+    cfg.write_text(text)
+    out = tmp_path / "x.csv"
+    assert cli.main(["--config", str(cfg), "--out", str(out)]) == 1
+    assert not out.exists()
 
 
 def test_convergence_failure_sets_status_and_exit_code(tmp_path, monkeypatch):

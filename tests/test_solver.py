@@ -101,9 +101,6 @@ def test_lmg_ground_state_against_dense_block():
     assert gs.energy == pytest.approx(energy, abs=1e-10)
 
 
-# The twist search's q + p can overflow to inf this close to the float
-# range; the residual gate still passes.
-@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
 @pytest.mark.parametrize("n", [3, 10, 201, 10001])
 def test_largest_accepted_field_solves(n):
     # h N just inside the float range: the ground state is |S, S>, E = -h S
@@ -210,6 +207,10 @@ def test_window_path_matches_dense_oracle(gamma, h):
         gs = lmg_ground_state(ModelParams(n, gamma, h))
         m, energy, vec = oracles.dense_ground(n, gamma, h)
         assert gs.energy == pytest.approx(energy, abs=1e-10 * max(1.0, abs(energy)))
+        # The padded window vector meets the whole block's residual gate.
+        block = build_sector_matrix(gs.params, gs.sector())
+        residual = np.linalg.norm(block.matvec(gs.amplitudes) - gs.energy * gs.amplitudes)
+        assert residual <= solver._residual_tolerance(block)
         full = np.zeros(n + 1)
         full[np.isin(m, gs.sector().m_values)] = gs.amplitudes
         np.testing.assert_allclose(np.abs(full), np.abs(vec), atol=1e-8)
