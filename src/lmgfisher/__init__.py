@@ -25,7 +25,6 @@ from .metrology import (
     ObservableSet,
     cat_state_metrics,
     dicke_metrics,
-    qfi,
     report,
     transverse_moments,
 )
@@ -84,7 +83,6 @@ __all__ = [
     "local_exponents",
     "mean_field_angle",
     "parity_of",
-    "qfi",
     "report",
     "squeezing_boundary",
     "tl_prediction",

@@ -31,10 +31,15 @@ class IsotropicBrokenError(ValueError):
     closed forms apply there instead."""
 
 
+def _check_field(h: float) -> None:
+    """The field domain of every closed form: h finite and >= 0."""
+    if not 0.0 <= h < math.inf:
+        raise ValueError(f"h must be finite and >= 0, got {h}")
+
+
 def classify_phase(h: float) -> Phase:
     """symmetric for h > 1, critical at h = 1, broken for 0 <= h < 1."""
-    if h < 0.0:
-        raise ValueError(f"h must be >= 0, got {h}")
+    _check_field(h)
     if h > 1.0:
         return Phase.SYMMETRIC
     if h == 1.0:
@@ -47,6 +52,7 @@ def isotropic_energy(n_spins: int, m: float, h: float) -> float:
 
         E(M, h) = (2/N) (M - hN/2)^2 - (N/2) (1 + h^2).
     """
+    _check_field(h)
     spin_flip_count(n_spins / 2.0, m)
     return (2.0 / n_spins) * (m - h * n_spins / 2.0) ** 2 - (n_spins / 2.0) * (1.0 + h * h)
 
@@ -57,8 +63,7 @@ def isotropic_ground_m(n_spins: int, h: float) -> float:
     M0 = N/2 for h >= 1 and N/2 - round(N(1-h)/2) below; exact half-way
     arguments (level crossings) round toward the larger M0.
     """
-    if h < 0.0:
-        raise ValueError(f"h must be >= 0, got {h}")
+    _check_field(h)
     s = n_spins / 2.0
     if h >= 1.0:
         return s
@@ -83,8 +88,7 @@ def isotropic_level_crossings(n_spins: int) -> list[float]:
 
 def mean_field_angle(h: float) -> float:
     """Tilt theta0 of the mean-field spin direction: 0 for h >= 1, arccos h below."""
-    if h < 0.0:
-        raise ValueError(f"h must be >= 0, got {h}")
+    _check_field(h)
     return 0.0 if h >= 1.0 else math.acos(h)
 
 
@@ -98,8 +102,7 @@ def hp_epsilon(h: float, gamma: float) -> float:
     """
     if not 0.0 <= gamma <= 1.0:
         raise ValueError(f"gamma must lie in [0, 1], got {gamma}")
-    if h < 0.0:
-        raise ValueError(f"h must be >= 0, got {h}")
+    _check_field(h)
     if gamma == 1.0 and h < 1.0:
         # epsilon = -1 identically: the expansion has a zero mode
         raise CriticalPointError(
@@ -116,19 +119,13 @@ def hp_epsilon(h: float, gamma: float) -> float:
 
 @dataclass(frozen=True)
 class TlPrediction:
-    """Thermodynamic-limit moments and parameters at one (h, gamma, N).
-
-    chi2 holds the per-phase closed form (in the broken phase the
-    1/((N+2)(1-h^2)) intermediate form); chi2_leading carries the cruder
-    broken-phase 1/N law and is None in the symmetric phase.
-    """
+    """Thermodynamic-limit moments and parameters at one (h, gamma, N);
+    in the broken phase chi2 is the 1/((N+2)(1-h^2)) form."""
 
     sx2: float
     sy2: float
     chi2: float
     xi1_2: float
-    phase: Phase
-    chi2_leading: float | None = None
 
 
 def tl_prediction(h: float, gamma: float, n_spins: int) -> TlPrediction:
@@ -148,8 +145,7 @@ def tl_prediction(h: float, gamma: float, n_spins: int) -> TlPrediction:
     """
     if not 0.0 <= gamma <= 1.0:
         raise ValueError(f"gamma must lie in [0, 1], got {gamma}")
-    if h < 0.0:
-        raise ValueError(f"h must be >= 0, got {h}")
+    _check_field(h)
     if n_spins < 1:
         raise ValueError(f"n_spins must be >= 1, got {n_spins}")
     if h == 1.0:
@@ -163,7 +159,6 @@ def tl_prediction(h: float, gamma: float, n_spins: int) -> TlPrediction:
             sy2=0.25 * n * value,
             chi2=value,
             xi1_2=value,
-            phase=Phase.SYMMETRIC,
         )
     if gamma == 1.0:
         raise IsotropicBrokenError(
@@ -177,8 +172,6 @@ def tl_prediction(h: float, gamma: float, n_spins: int) -> TlPrediction:
         sy2=0.25 * n * math.sqrt(one_h2 / one_g),
         chi2=1.0 / ((n + 2.0) * one_h2),
         xi1_2=math.sqrt(one_h2 / one_g),
-        phase=Phase.BROKEN,
-        chi2_leading=1.0 / n,
     )
 
 

@@ -23,7 +23,6 @@ import argparse
 import math
 import os
 import sys
-from dataclasses import dataclass
 
 from . import analytic, metrology, scaling, solver
 from .spincore import ModelParams
@@ -38,42 +37,6 @@ class UsageError(ValueError):
     """Bad flags or config file; exit code 1, no output file."""
 
 
-@dataclass
-class SweepConfig:
-    """One sweep: mode, sizes, anisotropy, field grid and output target."""
-
-    mode: str
-    n_list: list[int]
-    gamma: float
-    h_values: list[float]
-    output_path: str
-    jobs: int = 1
-
-    def __post_init__(self):
-        if not self.n_list:
-            raise UsageError("empty N list")
-        if not self.h_values:
-            raise UsageError("empty h list")
-        if self.mode == "size-scaling" and len(self.h_values) != 1:
-            raise UsageError("size-scaling requires exactly one field value")
-        if self.mode == "isotropic" and self.gamma != 1.0:
-            raise UsageError("isotropic mode requires gamma = 1")
-        if self.jobs < 1:
-            raise UsageError("jobs must be >= 1")
-        if not self.output_path:
-            raise UsageError("an output path is required")
-        # The model's domain is ModelParams's.  Each N is checked at h = 0
-        # and each h at the largest N, which bounds h N.
-        try:
-            for n in self.n_list:
-                ModelParams(n, self.gamma, 0.0)
-            n_max = max(self.n_list)
-            for h in self.h_values:
-                ModelParams(n_max, self.gamma, h)
-        except ValueError as exc:
-            raise UsageError(str(exc)) from exc
-
-
 def _fmt(value) -> str:
     if value is None:
         return ""
@@ -85,10 +48,6 @@ def _fmt(value) -> str:
     if math.isinf(value):
         return "inf" if value > 0 else "-inf"
     return format(value, ".17g")
-
-
-def _phase_name(h: float) -> str:
-    return analytic.classify_phase(h).value
 
 
 def _tl_fields(h: float, gamma: float, n: int):
@@ -119,25 +78,18 @@ def _row_task(task) -> tuple[str, str, float | None]:
             parity, energy = gs.parity, gs.energy
             chi2, xi1, xi2, fisher, qcr = rep.chi2, rep.xi1_2, rep.xi2_2, rep.fisher, rep.qcr
     fields = [mode, n, gamma, h, parity, energy, chi2, xi1, xi2, fisher, qcr,
-              tl_chi2, tl_xi1, _phase_name(h), status]
+              tl_chi2, tl_xi1, analytic.classify_phase(h).value, status]
     return ",".join(_fmt(f) for f in fields), status, chi2
 
 
-def _tasks(config: SweepConfig) -> list[tuple]:
-    ns = sorted(set(int(n) for n in config.n_list))
-    hs = sorted(set(float(h) for h in config.h_values))
-    return [(config.mode, n, config.gamma, h) for n in ns for h in hs]
-
-
-def _execute(config: SweepConfig):
-    tasks = _tasks(config)
-    if config.jobs <= 1:
-        return tasks, [_row_task(t) for t in tasks]
+def _execute(tasks: list[tuple], jobs: int):
+    if jobs <= 1:
+        return [_row_task(t) for t in tasks]
     # Imported here: it costs serial runs ~20 ms of start-up and loads multiprocessing.
     from concurrent.futures import ProcessPoolExecutor
 
-    with ProcessPoolExecutor(max_workers=config.jobs) as pool:
-        return tasks, list(pool.map(_row_task, tasks))
+    with ProcessPoolExecutor(max_workers=jobs) as pool:
+        return list(pool.map(_row_task, tasks))
 
 
 def _size_scaling_summary(tasks, results) -> list[str]:
@@ -257,8 +209,13 @@ def _over_config_file(args) -> argparse.Namespace:
     return merged
 
 
-def build_config(args) -> SweepConfig:
-    """The sweep that parsed flags ask for, over an optional --config file."""
+def build_config(args) -> tuple[str, list[tuple], int, str]:
+    """The sweep that parsed flags ask for, over an optional --config file.
+
+    Returns the mode, the grid's (mode, N, gamma, h) tasks in canonical
+    order (N ascending, then h ascending), the worker count and the
+    output path.
+    """
     if args.config is not None:
         args = _over_config_file(args)
     if args.mode is None:
@@ -282,14 +239,24 @@ def build_config(args) -> SweepConfig:
         raise UsageError("no field values given (--h or --h-start/--h-stop/--h-step)")
     if not args.out:
         raise UsageError("--out is required")
-    return SweepConfig(
-        mode=args.mode,
-        n_list=list(args.n),
-        gamma=gamma,
-        h_values=h_values,
-        output_path=args.out,
-        jobs=1 if args.jobs is None else args.jobs,
-    )
+    if args.mode == "size-scaling" and len(h_values) != 1:
+        raise UsageError("size-scaling requires exactly one field value")
+    if args.mode == "isotropic" and gamma != 1.0:
+        raise UsageError("isotropic mode requires gamma = 1")
+    jobs = 1 if args.jobs is None else args.jobs
+    if jobs < 1:
+        raise UsageError("jobs must be >= 1")
+    # The model's domain is ModelParams's.  Each N is checked at h = 0
+    # and each h at the largest N, which bounds h N.
+    ns, hs = sorted(set(args.n)), sorted(set(h_values))
+    try:
+        for n in ns:
+            ModelParams(n, gamma, 0.0)
+        for h in hs:
+            ModelParams(ns[-1], gamma, h)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
+    return args.mode, [(args.mode, n, gamma, h) for n in ns for h in hs], jobs, args.out
 
 
 def _check_output_path(path: str) -> None:
@@ -324,16 +291,16 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        config = build_config(args)
-        _check_output_path(config.output_path)
+        mode, tasks, jobs, out = build_config(args)
+        _check_output_path(out)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    tasks, results = _execute(config)
-    summarize = _SUMMARIES.get(config.mode)
+    results = _execute(tasks, jobs)
+    summarize = _SUMMARIES.get(mode)
     summary = summarize(tasks, results) if summarize else []
     lines = [CSV_HEADER, *(line for line, _, _ in results), *summary]
-    _write_atomically(config.output_path, "\n".join(lines) + "\n")
+    _write_atomically(out, "\n".join(lines) + "\n")
     failed = any(status == STATUS_CONVERGENCE for _, status, _ in results)
     return 2 if failed else 0
 

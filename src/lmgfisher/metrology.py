@@ -101,20 +101,6 @@ def report(gs: GroundState) -> MetrologyReport:
     return _report_from_variances(gs.params.n_spins, vmin, vmax, obs.sz_mean)
 
 
-def qfi(gs: GroundState, theta: float | None = None) -> float:
-    """Pure-state quantum Fisher information 4 Var(S_perp(theta)).
-
-    With theta omitted, the optimal transverse axis is used (this is the
-    F entering the report).
-    """
-    obs = transverse_moments(gs)
-    if theta is None:
-        return 4.0 * max(obs.sx2, obs.sy2)
-    ct = math.cos(theta)
-    st = math.sin(theta)
-    return 4.0 * (ct * ct * obs.sx2 + st * st * obs.sy2)
-
-
 def dicke_metrics(n_spins: int, m: float) -> MetrologyReport:
     """Closed-form report for the Dicke state |S = N/2, M>.
 

@@ -142,26 +142,16 @@ def _twisted_vector(t: TridiagonalMatrix, diagonal, off_squared, shift, pivmin) 
     return z / np.linalg.norm(z)
 
 
-def _fix_sign(v: np.ndarray) -> np.ndarray:
-    """Make the first significant component (storage order) positive.
-
-    Components below 1e-6 of the peak are treated as zero: the twisted
-    solve leaves noise well under that level, genuine amplitudes at
-    the pivot are well above it.
-    """
-    threshold = 1e-6 * float(np.max(np.abs(v)))
-    nz = np.nonzero(np.abs(v) > threshold)[0]
-    pivot = int(nz[0]) if nz.size else 0
-    return -v if v[pivot] < 0.0 else v
-
-
 def ground_eigenpair(t: TridiagonalMatrix) -> tuple[float, np.ndarray]:
     """Smallest eigenvalue and normalized eigenvector of a symmetric tridiagonal matrix.
 
     The eigenvalue is bracketed by Sturm bisection to relative tolerance
     1e-13.  A twisted solve at that shift gives a vector whose Rayleigh
     quotient shifts a second, final solve; rounding leaves nothing for a
-    third.  The result must satisfy
+    third.  The vector is positive at its twist row (z_r = 1 before
+    normalization), so with a non-positive off-diagonal, as in every LMG
+    block, all of its amplitudes are >= 0 (Perron-Frobenius).  The result
+    must satisfy
 
         || T v - E v ||_2 <= 1e-10 max(1, ||diag||_inf + 2 ||off||_inf),
 
@@ -186,7 +176,7 @@ def ground_eigenpair(t: TridiagonalMatrix) -> tuple[float, np.ndarray]:
     residual = float(np.linalg.norm(sv - delta * v))
     if not residual <= _residual_tolerance(t):
         raise ConvergenceError("twisted solve missed the residual target", residual)
-    return shift + delta, _fix_sign(v)
+    return shift + delta, v
 
 
 def _window_eigenpair(t: TridiagonalMatrix, centre: int) -> tuple[float, np.ndarray]:

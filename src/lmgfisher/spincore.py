@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,8 +37,10 @@ class ModelParams:
     h: float
 
     def __post_init__(self):
-        if not isinstance(self.n_spins, numbers.Integral) or self.n_spins < 1:
-            raise ValueError(f"n_spins must be an integer >= 1, got {self.n_spins!r}")
+        n = self.n_spins
+        # N must fit in a float: S = N/2 and h N are computed in floats.
+        if not isinstance(n, numbers.Integral) or not 1 <= n <= sys.float_info.max:
+            raise ValueError(f"n_spins must be an integer from 1 to the float maximum, got {n!r}")
         if not 0.0 <= self.gamma <= 1.0:
             raise ValueError(f"gamma must lie in [0, 1], got {self.gamma}")
         # The block diagonal spans about h N (-h M for M in [-S, S]); past
@@ -103,6 +106,8 @@ class TridiagonalMatrix:
 def spin_flip_count(total_spin: float, m: float) -> int:
     """Number of flipped spins S - M; validates the (S, M) pair."""
     k = total_spin - m
+    if not math.isfinite(k):
+        raise ValueError(f"invalid magnetic quantum number M={m} for S={total_spin}")
     ki = int(round(k))
     if abs(k - ki) > 1e-9 or ki < 0 or ki > int(round(2 * total_spin)):
         raise ValueError(f"invalid magnetic quantum number M={m} for S={total_spin}")

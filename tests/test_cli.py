@@ -140,6 +140,7 @@ def test_bad_mode_and_missing_out_are_usage_errors(tmp_path):
     ["--mode", "field-sweep", "--gamma", "0.5", "--h", "1e308"],
     # h N is checked against the largest N: finite at N = 10, not at 1000
     ["--mode", "field-sweep", "--gamma", "0.5", "--h", "1e306", "--n", "1000"],
+    ["--mode", "field-sweep", "--gamma", "0.5", "--h", "0.5", "--n", "1" + "0" * 400],  # N past a float
 ])
 def test_non_finite_inputs_are_usage_errors(tmp_path, argv):
     out = tmp_path / "never.csv"
@@ -304,6 +305,19 @@ def test_config_file_with_flag_override(tmp_path):
     assert cli.main(["--config", str(cfg), "--out", str(out), "--n", "30"]) == 0
     rows = [row_fields(r) for r in data_rows(read_lines(out))]
     assert [r["N"] for r in rows] == ["30", "30"]
+
+
+@pytest.mark.parametrize("flag_out", [False, True], ids=["file-out", "flag-out"])
+def test_config_file_out(tmp_path, flag_out):
+    cfg = tmp_path / "sweep.cfg"
+    from_file = tmp_path / "from_file.csv"
+    from_flag = tmp_path / "from_flag.csv"
+    cfg.write_text(f"mode=field-sweep\nn=10\ngamma=0.5\nh=0.5\nout={from_file}\n")
+    argv = ["--config", str(cfg)] + (["--out", str(from_flag)] if flag_out else [])
+    assert cli.main(argv) == 0
+    written = from_flag if flag_out else from_file  # the flag wins over the file
+    assert len(data_rows(read_lines(written))) == 1
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(["sweep.cfg", written.name])
 
 
 @pytest.mark.parametrize("text", [

@@ -7,7 +7,6 @@ import oracles
 from lmgfisher.metrology import (
     cat_state_metrics,
     dicke_metrics,
-    qfi,
     report,
     transverse_moments,
 )
@@ -105,15 +104,6 @@ def test_report_matches_dense_oracle():
     assert rep.xi2_2 == pytest.approx(n * vmin / dense["sz_mean"] ** 2, abs=1e-10)
     assert rep.fisher == pytest.approx(4.0 * vmax, abs=1e-10)
     assert rep.qcr == pytest.approx(1.0 / math.sqrt(4.0 * vmax), abs=1e-10)
-
-
-def test_qfi_direction_resolved():
-    gs = lmg_ground_state(ModelParams(12, 0.0, 0.5))
-    rep = report(gs)
-    obs = transverse_moments(gs)
-    assert qfi(gs) == pytest.approx(rep.fisher, abs=0.0)
-    assert qfi(gs, 0.0) == pytest.approx(4.0 * obs.sx2, rel=1e-14)
-    assert qfi(gs, math.pi / 2.0) == pytest.approx(4.0 * obs.sy2, rel=1e-14)
 
 
 def test_dicke_metrics_values():

@@ -30,6 +30,8 @@ def test_model_params_validation():
 def test_model_params_rejects_non_integer_n():
     with pytest.raises(ValueError):
         ModelParams(10.5, 0.5, 1.0)
+    with pytest.raises(ValueError):
+        ModelParams(10**400, 0.5, 0.0)  # past the float range
     assert ModelParams(np.int64(10), 0.5, 1.0).total_spin == 5.0
 
 
