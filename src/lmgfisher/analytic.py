@@ -13,7 +13,7 @@ import enum
 import math
 from dataclasses import dataclass
 
-from .spincore import spin_flip_count
+from .spincore import check_n_spins, spin_flip_count
 
 
 class Phase(enum.Enum):
@@ -53,6 +53,7 @@ def isotropic_energy(n_spins: int, m: float, h: float) -> float:
         E(M, h) = (2/N) (M - hN/2)^2 - (N/2) (1 + h^2).
     """
     _check_field(h)
+    check_n_spins(n_spins)
     spin_flip_count(n_spins / 2.0, m)
     return (2.0 / n_spins) * (m - h * n_spins / 2.0) ** 2 - (n_spins / 2.0) * (1.0 + h * h)
 
@@ -64,6 +65,7 @@ def isotropic_ground_m(n_spins: int, h: float) -> float:
     arguments (level crossings) round toward the larger M0.
     """
     _check_field(h)
+    check_n_spins(n_spins)
     s = n_spins / 2.0
     if h >= 1.0:
         return s
@@ -73,6 +75,7 @@ def isotropic_ground_m(n_spins: int, h: float) -> float:
 
 def isotropic_level_crossings(n_spins: int) -> list[float]:
     """Fields h_j = 1 - (2j+1)/N > 0 where |S, S-j> and |S, S-j-1> cross."""
+    check_n_spins(n_spins)
     if n_spins < 2:
         raise ValueError(f"n_spins must be >= 2, got {n_spins}")
     crossings = []
@@ -146,8 +149,7 @@ def tl_prediction(h: float, gamma: float, n_spins: int) -> TlPrediction:
     if not 0.0 <= gamma <= 1.0:
         raise ValueError(f"gamma must lie in [0, 1], got {gamma}")
     _check_field(h)
-    if n_spins < 1:
-        raise ValueError(f"n_spins must be >= 1, got {n_spins}")
+    check_n_spins(n_spins)
     if h == 1.0:
         raise CriticalPointError("thermodynamic-limit moments diverge at h = 1")
     n = float(n_spins)

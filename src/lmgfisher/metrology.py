@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .solver import GroundState
-from .spincore import double_raising_element, spin_flip_count
+from .spincore import check_n_spins, double_raising_element, spin_flip_count
 
 MEAN_SPIN_FLOOR = 1e-12  # |<S_z>| below this reports xi2^2 = inf
 _NORM_TOL = 1e-12
@@ -111,8 +111,7 @@ def dicke_metrics(n_spins: int, m: float) -> MetrologyReport:
     with equality chi2 = 1 exactly at M = +-S.  xi2^2 is infinite at
     M = 0 (no mean spin).
     """
-    if n_spins < 1:
-        raise ValueError(f"n_spins must be >= 1, got {n_spins}")
+    check_n_spins(n_spins)
     s = n_spins / 2.0
     spin_flip_count(s, m)
     variance = 0.5 * (s * s + s - m * m)
@@ -126,8 +125,7 @@ def cat_state_metrics(n_spins: int) -> MetrologyReport:
     S^2, giving chi2 = 1/N and a phase uncertainty of exactly 1/N; with
     no mean spin, xi2^2 is reported infinite.
     """
-    if n_spins < 1:
-        raise ValueError(f"n_spins must be >= 1, got {n_spins}")
+    check_n_spins(n_spins)
     s = n_spins / 2.0
     vmax = s * s
     transverse = 0.5 * s

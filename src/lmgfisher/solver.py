@@ -84,7 +84,12 @@ def _count_below(diagonal, off_squared, x, pivmin):
 
 
 def _bisect_smallest(t: TridiagonalMatrix, off_squared, pivmin) -> float:
-    """Bracket the minimal eigenvalue to relative width 1e-13 (Gershgorin start)."""
+    """Bracket the minimal eigenvalue to relative width 1e-13.
+
+    The start is [min(d - radius), min(d)]: Gershgorin's lower end, and
+    the smallest diagonal entry, which is a Rayleigh quotient and so not
+    below the minimal eigenvalue.
+    """
     d = t.diagonal
     e = t.offdiagonal
     radius = np.zeros(d.size)
@@ -92,7 +97,7 @@ def _bisect_smallest(t: TridiagonalMatrix, off_squared, pivmin) -> float:
         radius[:-1] += np.abs(e)
         radius[1:] += np.abs(e)
     lo = float(np.min(d - radius))
-    hi = float(np.max(d + radius))
+    hi = float(np.min(d))
     diagonal = d.tolist()
     while hi - lo > _BISECTION_RELTOL * max(1.0, abs(lo), abs(hi)):
         mid = 0.5 * (lo + hi)
@@ -139,6 +144,7 @@ def _twisted_vector(t: TridiagonalMatrix, diagonal, off_squared, shift, pivmin) 
     z[r] = 1.0
     z[:r] = np.cumprod((-e[:r] / q[:r])[::-1])[::-1]
     z[r + 1:] = np.cumprod(-e[r:] / p[r + 1:])
+    z /= np.max(np.abs(z))  # the norm of z itself can overflow
     return z / np.linalg.norm(z)
 
 
@@ -179,6 +185,40 @@ def ground_eigenpair(t: TridiagonalMatrix) -> tuple[float, np.ndarray]:
     return shift + delta, v
 
 
+def _window_certified(t: TridiagonalMatrix, lo: int, hi: int, x: float) -> bool:
+    """True when a count on rows lo:hi proves t has no eigenvalue below x.
+
+    R, the rows where T - xI is not strictly diagonally dominant
+    (d_i - x <= |e_(i-1)| + |e_i|), is found by one vectorized test.  If
+    R lies inside the window, the rows outside it form a positive-definite
+    matrix C, and by Haynsworth inertia additivity t's count below x is
+    that of the Schur complement W - B C^-1 B^T of the window W.  That
+    complement lowers only the window's edge diagonals next to C, each by
+    e_link^2 / q_j, where q_j > d_j - x - |e_inner| > |e_link| is the
+    pivot of C's row j next to the window, eliminated from the block's
+    end; e_inner couples row j to C's next row.  The count can only rise
+    as a diagonal falls, so the bound e_link^2 / (d_j - x - |e_inner|) in
+    place of e_link^2 / q_j keeps the proof.
+    """
+    d, e = t.diagonal, t.offdiagonal
+    ae = np.abs(e)
+    slack = d - x
+    slack[:-1] -= ae
+    slack[1:] -= ae
+    # R, the rows with slack <= 0, must lie inside the window.
+    if min(slack[:lo].min(initial=np.inf), slack[hi:].min(initial=np.inf)) <= 0.0:
+        return False
+    diagonal = d[lo:hi].tolist()
+    if lo > 0:  # C's row j = lo - 1 sits above the window
+        inner = float(ae[lo - 2]) if lo > 1 else 0.0
+        diagonal[0] -= float(ae[lo - 1]) ** 2 / (float(d[lo - 1]) - x - inner)
+    if hi < d.size:  # C's row j = hi sits below it
+        inner = float(ae[hi]) if hi < e.size else 0.0
+        diagonal[-1] -= float(ae[hi - 1]) ** 2 / (float(d[hi]) - x - inner)
+    w = e[lo:hi - 1]
+    return _count_below(diagonal, (w * w).tolist(), x, _pivot_floor(w)) == 0
+
+
 def _window_eigenpair(t: TridiagonalMatrix, centre: int) -> tuple[float, np.ndarray]:
     """Ground eigenpair of t, solved on a window of rows around row `centre`.
 
@@ -186,18 +226,20 @@ def _window_eigenpair(t: TridiagonalMatrix, centre: int) -> tuple[float, np.ndar
     where the block ends, with w = 16 at first.  Its pair, zero-padded
     to the whole block, is accepted when
     (a) each window edge inside the block has |amplitude| <= 1e-17 of
-    the peak, and (b) a Sturm count of the whole block finds no eigenvalue
-    below E - tol, tol being the whole block's residual gate.  Cauchy
-    interlacing gives E >= the block's minimum, so (b) rules out a lower
-    eigenvalue.  The padded vector's residual on the whole block is the
-    window's, which met its own (smaller) gate, plus the two edge couplings
-    that (a) holds below 1e-17 |e| of the peak; it is not checked again.
+    the peak, and (b) `_window_certified` proves, from a count on the
+    window rows alone, that the block has no eigenvalue below E - tol,
+    tol being the whole block's residual gate.  Cauchy interlacing gives
+    E >= the block's minimum, so (b) rules out a lower eigenvalue.  The
+    padded vector's residual on the whole block is the window's, which
+    met its own (smaller) gate, plus the two edge couplings that (a)
+    holds below 1e-17 |e| of the peak; it is not checked again.
     Otherwise the window recentres on its largest amplitude, w doubles,
-    and the solve repeats.  A window of more than half the block would
-    save less than a failed certification costs, so the whole block,
-    solved exactly as without a window, takes its place and ends the
-    widening.  A window solve that misses its own residual gate raises
-    ConvergenceError.
+    and the solve repeats, as it does when (b) fails because rows that
+    are not diagonally dominant lie outside the window.  A window of more
+    than half the block would save little over the whole block and could
+    fail again, so the whole block, solved exactly as without a window,
+    takes its place and ends the widening.  A window solve that misses
+    its own residual gate raises ConvergenceError.
     """
     d, e = t.dimension, t.offdiagonal
     tol = _residual_tolerance(t)
@@ -213,7 +255,7 @@ def _window_eigenpair(t: TridiagonalMatrix, centre: int) -> tuple[float, np.ndar
         if (
             (lo == 0 or abs(v[0]) <= edge)
             and (hi == d or abs(v[-1]) <= edge)
-            and _count_below(t.diagonal.tolist(), (e * e).tolist(), energy - tol, _pivot_floor(e)) == 0
+            and _window_certified(t, lo, hi, energy - tol)
         ):
             vec = np.zeros(d)
             vec[lo:hi] = v

@@ -27,6 +27,13 @@ ODD = "odd"
 PARITIES = (EVEN, ODD)
 
 
+def check_n_spins(n_spins) -> None:
+    """The domain of N for the model and its closed forms: an integer from 1
+    to the float maximum, since S = N/2 and h N are computed in floats."""
+    if not isinstance(n_spins, numbers.Integral) or not 1 <= n_spins <= sys.float_info.max:
+        raise ValueError(f"n_spins must be an integer from 1 to the float maximum, got {n_spins!r}")
+
+
 @dataclass(frozen=True)
 class ModelParams:
     """One model instance: N spins, anisotropy 0 <= gamma <= 1, field h >= 0
@@ -37,10 +44,7 @@ class ModelParams:
     h: float
 
     def __post_init__(self):
-        n = self.n_spins
-        # N must fit in a float: S = N/2 and h N are computed in floats.
-        if not isinstance(n, numbers.Integral) or not 1 <= n <= sys.float_info.max:
-            raise ValueError(f"n_spins must be an integer from 1 to the float maximum, got {n!r}")
+        check_n_spins(self.n_spins)
         if not 0.0 <= self.gamma <= 1.0:
             raise ValueError(f"gamma must lie in [0, 1], got {self.gamma}")
         # The block diagonal spans about h N (-h M for M in [-S, S]); past

@@ -17,7 +17,7 @@ from lmgfisher.analytic import (
     squeezing_boundary,
     tl_prediction,
 )
-from lmgfisher.metrology import dicke_metrics, report
+from lmgfisher.metrology import cat_state_metrics, dicke_metrics, report
 from lmgfisher.solver import lmg_ground_state
 from lmgfisher.spincore import ModelParams, spin_flip_count
 
@@ -46,6 +46,23 @@ def test_phase_classification():
         "ground-m-nan", "energy-h-nan", "energy-m-inf", "flips-inf", "dicke-inf"])
 def test_closed_forms_reject_non_finite_input(call):
     # a plain ValueError: not a diverging closed form, and not a nan result
+    with pytest.raises(ValueError) as caught:
+        call()
+    assert type(caught.value) is ValueError
+
+
+@pytest.mark.parametrize("call", [
+    lambda: tl_prediction(2.0, 0.5, 10**400),
+    lambda: tl_prediction(2.0, 0.5, 10.5),
+    lambda: dicke_metrics(10**400, 0),
+    lambda: cat_state_metrics(10**400),
+    lambda: isotropic_ground_m(10**400, 0.5),
+    lambda: isotropic_energy(10**400, 0, 0.5),
+    lambda: isotropic_level_crossings(10**400),
+], ids=["tl-huge", "tl-fraction", "dicke-huge", "cat-huge", "ground-m-huge", "energy-huge",
+        "crossings-huge"])
+def test_closed_forms_take_the_model_n_rule(call):
+    # the N domain of ModelParams: an integer from 1 to the float maximum
     with pytest.raises(ValueError) as caught:
         call()
     assert type(caught.value) is ValueError

@@ -1,10 +1,11 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 import oracles
-from lmgfisher import solver
+from lmgfisher import metrology, solver
 from lmgfisher.solver import (
     ConvergenceError,
     GroundState,
@@ -259,8 +260,70 @@ def test_window_on_a_local_well_is_not_certified():
     assert abs(float(vec @ v_ref)) == pytest.approx(1.0, abs=1e-8)
 
 
+@pytest.mark.parametrize("mirrored", [False, True])
+def test_window_edge_coupling_hides_a_lower_eigenvalue(mirrored):
+    # Rows 33 and 34 hold the pair [[0.5, -5], [-5, 10]], whose lower
+    # eigenvalue (about -1.65) lies below the well at row 50.  The first
+    # window, rows 34..66, holds row 34 but not row 33.  Its state decays
+    # below 1e-17 at both edges, and on its own rows nothing lies below
+    # its energy; only the Schur term of the coupling to row 33 shows the
+    # pair, so the window must widen.  Mirrored, the pair sits below the
+    # window's last row.
+    d = np.full(301, 100.0)
+    d[[33, 34, 50]] = [10.0, 0.5, 0.0]
+    e = np.full(300, -0.5)
+    e[33] = -5.0
+    if mirrored:
+        d, e = d[::-1].copy(), e[::-1].copy()
+    t = TridiagonalMatrix(d, e)
+    energy, vec = solver._window_eigenpair(t, centre=250 if mirrored else 50)
+    e_ref, v_ref = oracles.tridiagonal_ground(t)
+    assert energy == pytest.approx(e_ref, abs=1e-10 * abs(e_ref))
+    assert abs(float(vec @ v_ref)) == pytest.approx(1.0, abs=1e-8)
+
+
 def test_critical_point_work_stays_sublinear(monkeypatch):
-    # Whole-block solves would hand 50001 + 50001 rows to the eigensolver.
+    # Whole-block solves would hand 50001 + 50001 rows to the eigensolver,
+    # and a whole-block certificate would count 50001 rows.
     rows = record_block_rows(monkeypatch)
+    counted = []
+    count_below = solver._count_below
+
+    def recording(diagonal, off_squared, x, pivmin):
+        counted.append(len(diagonal))
+        return count_below(diagonal, off_squared, x, pivmin)
+
+    monkeypatch.setattr(solver, "_count_below", recording)
     lmg_ground_state(ModelParams(100001, 0.5, 1.0))
     assert sum(rows) < 5000
+    assert max(counted) <= max(rows)
+
+
+def test_random_points_match_the_dense_blocks(monkeypatch):
+    # Seeded draws over N in [130, 800], where blocks have 65 to 401 rows
+    # and the solver tries windows first, checked against eigh on both
+    # whole blocks.
+    rows = record_block_rows(monkeypatch)
+    rng = np.random.default_rng(20261018)
+    windowed = 0
+    for _ in range(16):
+        params = ModelParams(int(rng.integers(130, 801)), float(rng.uniform(0.0, 1.0)),
+                             float(rng.uniform(0.0, 3.0)))
+        rows.clear()
+        gs = lmg_ground_state(params)
+        windowed += max(rows) < params.n_spins // 2
+        ref = {p: oracles.tridiagonal_ground(build_sector_matrix(params, build_sector(params, p)))[0]
+               for p in (EVEN, ODD)}
+        scale = max(1.0, abs(ref[EVEN]), abs(ref[ODD]))
+        assert gs.energy == pytest.approx(min(ref.values()), abs=1e-10 * scale)
+        assert gs.energy == pytest.approx(ref[gs.parity], abs=1e-10 * scale)
+        # The tie rule: odd only when lower by more than 1e-12 |E|.  Gaps
+        # within rounding of that threshold could go either way.
+        tie = solver._DEGENERACY_RELTOL * scale
+        gap = ref[ODD] - ref[EVEN]
+        if abs(gap + tie) > 1e-13 * scale:
+            assert gs.parity == (ODD if gap < -tie else EVEN)
+        assert np.all(gs.amplitudes >= 0.0)
+        rep = metrology.report(gs)
+        assert all(math.isfinite(getattr(rep, f.name)) for f in dataclasses.fields(rep))
+    assert windowed >= 1
