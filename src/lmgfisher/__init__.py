@@ -37,6 +37,7 @@ from .solver import (
 )
 from .spincore import (
     EVEN,
+    MAX_N_SPINS,
     ODD,
     DickeSector,
     ModelParams,
@@ -45,6 +46,8 @@ from .spincore import (
     build_sector_matrix,
     ladder_coefficient,
     parity_of,
+    sector_dimension,
+    sector_row,
 )
 
 __version__ = "0.1.0"
@@ -57,6 +60,7 @@ __all__ = [
     "EVEN",
     "GroundState",
     "IsotropicBrokenError",
+    "MAX_N_SPINS",
     "MetrologyReport",
     "ModelParams",
     "ODD",
@@ -84,6 +88,8 @@ __all__ = [
     "mean_field_angle",
     "parity_of",
     "report",
+    "sector_dimension",
+    "sector_row",
     "squeezing_boundary",
     "tl_prediction",
     "transverse_moments",

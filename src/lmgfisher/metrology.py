@@ -52,7 +52,9 @@ def transverse_moments(gs: GroundState) -> ObservableSet:
     S+S- + S-S+ contributes the diagonal part (S(S+1) - M^2)/2 to both
     transverse moments; S+^2 + S-^2 couples M to M+2 and splits them.
     Within one parity block the amplitudes are real and <{S_x,S_y}>,
-    proportional to Im<S+^2>, vanishes identically.
+    proportional to Im<S+^2>, vanishes identically.  The sums run over the
+    state's support, whose k-th amplitude sits at M = top - 2 (offset + k);
+    every other row of the block contributes 0.
     """
     c = np.asarray(gs.amplitudes, dtype=float)
     norm = float(np.linalg.norm(c))

@@ -7,10 +7,13 @@ instance and returns the lower one (even wins exact ties, so the
 reported state keeps <S_x> = <S_y> = 0).  Each block is solved on a
 window of rows around the mean-field magnetization, widened until the
 zero-padded result is certified as the ground state of the whole block.
+Only the rows of a window and a few rows beside it are ever built, so a
+ground state's memory follows the state, not N.
 """
 
 from __future__ import annotations
 
+import math
 from array import array
 from dataclasses import dataclass
 
@@ -23,6 +26,8 @@ from .spincore import (
     TridiagonalMatrix,
     build_sector,
     build_sector_matrix,
+    sector_dimension,
+    sector_row,
 )
 
 _SAFE_MIN = float(np.finfo(float).tiny)
@@ -31,6 +36,8 @@ _RESIDUAL_FACTOR = 1e-10
 _DEGENERACY_RELTOL = 1e-12
 _WINDOW_HALF_WIDTH = 16  # first window: 33 rows
 _WINDOW_EDGE_RELTOL = 1e-17
+_SLACK_MARGIN = 0.1  # of the residual gate; see _window_certified
+_EPS = float(np.finfo(float).eps)
 
 
 class ConvergenceError(RuntimeError):
@@ -43,15 +50,28 @@ class ConvergenceError(RuntimeError):
 
 @dataclass(frozen=True)
 class GroundState:
-    """Lowest eigenstate of one model instance, over its sector's descending M values."""
+    """Lowest eigenstate of one model instance.
+
+    `amplitudes` covers the state's support: rows offset, offset + 1, ...
+    of its parity block (the accepted window, or the whole block).  Every
+    other row of the block has amplitude 0.
+    """
 
     params: ModelParams
     parity: str
     energy: float
     amplitudes: np.ndarray
+    offset: int = 0
 
     def sector(self):
-        return build_sector(self.params, self.parity)
+        """The support's rows of the parity block, one M per amplitude."""
+        return build_sector(self.params, self.parity, self.offset, self.offset + self.amplitudes.size)
+
+    def block_amplitudes(self) -> np.ndarray:
+        """Amplitudes over the whole parity block, zero outside the support."""
+        vec = np.zeros(sector_dimension(self.params, self.parity))
+        vec[self.offset:self.offset + self.amplitudes.size] = self.amplitudes
+        return vec
 
 
 def _residual_tolerance(t: TridiagonalMatrix) -> float:
@@ -185,81 +205,196 @@ def ground_eigenpair(t: TridiagonalMatrix) -> tuple[float, np.ndarray]:
     return shift + delta, v
 
 
-def _window_certified(t: TridiagonalMatrix, lo: int, hi: int, x: float) -> bool:
-    """True when a count on rows lo:hi proves t has no eigenvalue below x.
+class _Block:
+    """One parity block of a model, built a row range at a time.
 
-    R, the rows where T - xI is not strictly diagonally dominant
-    (d_i - x <= |e_(i-1)| + |e_i|), is found by one vectorized test.  If
-    R lies inside the window, the rows outside it form a positive-definite
-    matrix C, and by Haynsworth inertia additivity t's count below x is
-    that of the Schur complement W - B C^-1 B^T of the window W.  That
-    complement lowers only the window's edge diagonals next to C, each by
-    e_link^2 / q_j, where q_j > d_j - x - |e_inner| > |e_link| is the
-    pivot of C's row j next to the window, eliminated from the block's
-    end; e_inner couples row j to C's next row.  The count can only rise
-    as a diagonal falls, so the bound e_link^2 / (d_j - x - |e_inner|) in
-    place of e_link^2 / q_j keeps the proof.
+    `_window_eigenpair` reads a block only through `dimension`,
+    `rows(lo, hi)` and `tolerance()`.
     """
-    d, e = t.diagonal, t.offdiagonal
-    ae = np.abs(e)
-    slack = d - x
+
+    def __init__(self, params: ModelParams, parity: str):
+        self.params = params
+        self.parity = parity
+        self.dimension = sector_dimension(params, parity)
+
+    def rows(self, lo: int, hi: int) -> TridiagonalMatrix:
+        """Rows [lo, hi) of the block, bit-identical to the whole block's."""
+        return build_sector_matrix(self.params, build_sector(self.params, self.parity, lo, hi))
+
+    def tolerance(self) -> float:
+        """`_residual_tolerance` of the whole block, read from the few rows
+        that can hold its largest entries.
+
+        d(M) = ((1+gamma)/(2N)) M^2 - h M - const is convex in M, so max d
+        lies at an end row and min d at the row nearest the vertex
+        M = h N / (1+gamma), with d falling from each end toward it.  |e| is
+        (1-gamma)/(4N) b, where b^2 = u (u-1) v (v+1) with u = S - M',
+        v = S + M' + 1 for the pair (M' + 2, M').  b is concave in M' on
+        every pair of the block (4 b'' b^3 = 2 P P'' - P'^2 with P = b^2 is
+        a cubic in c = (S + 1/2)^2 - (M' + 1)^2 whose largest value is
+        -4 (S + 1/2)^2 (2S)^2 < 0), so max |e| lies near M' = -1.  Rounding
+        can put the largest entry a few rows from these places, so each
+        search grows a run of rows until both its ends fall below the
+        run's best by a margin of at least twice an entry's rounding error.
+        A diagonal entry rounds by at most 2 eps (1 + h) S; near its
+        maximum, |e| <= (1-gamma)(S+2)/8 carries a relative error below
+        5 eps.
+        """
+        n = self.dimension
+        p = self.params
+        s = p.total_spin
+        vertex = sector_row(p, self.parity, p.h * p.n_spins / (1.0 + p.gamma))
+        margin = 16.0 * _EPS * ((1.0 + p.h) * s + 1.0)
+        scale = max(
+            _run_peak(self, lambda t: t.diagonal, 0, 0, vertex, margin),
+            _run_peak(self, lambda t: t.diagonal, n - 1, vertex, n - 1, margin),
+            _run_peak(self, lambda t: -t.diagonal, vertex, 0, n - 1, margin),
+        )
+        if n > 1 and p.gamma < 1.0:  # at gamma = 1 every coupling is 0
+            pair = max(sector_row(p, self.parity, -1.0) - 1, 0)  # the pair (1, -1), or the nearest
+            margin = 4.0 * _EPS * (1.0 - p.gamma) * (s + 1.0)
+            scale += 2.0 * _run_peak(self, lambda t: np.abs(t.offdiagonal), pair, 0, n - 1, margin)
+        return _RESIDUAL_FACTOR * max(1.0, scale)
+
+
+def _run_peak(block, pick, row, first, last, margin) -> float:
+    """Largest value of pick(block.rows(lo, hi)) over rows first..last.
+
+    pick returns one value per row or per adjacent pair of the rows it is
+    given.  Their exact values must fall away from `row` on both sides
+    within first..last, and `margin` must be at least twice their rounding
+    error.  The run of rows around `row` doubles until the values at both
+    of its ends lie below the run's largest by `margin` (or the run meets
+    first or last): every row beyond is lower still in exact arithmetic,
+    so it cannot round above the run's largest.
+    """
+    half = 1
+    while True:
+        lo, hi = max(row - half, first), min(row + half, last) + 1
+        v = pick(block.rows(lo, hi))
+        top = float(np.max(v))
+        if (lo == first or v[0] < top - margin) and (hi == last + 1 or v[-1] < top - margin):
+            return top
+        half *= 2
+
+
+def _slack(t: TridiagonalMatrix, x: float) -> np.ndarray:
+    """d_i - x - |e_(i-1)| - |e_i| for each row of t, over t's own couplings."""
+    ae = np.abs(t.offdiagonal)
+    slack = t.diagonal - x
     slack[:-1] -= ae
     slack[1:] -= ae
-    # R, the rows with slack <= 0, must lie inside the window.
-    if min(slack[:lo].min(initial=np.inf), slack[hi:].min(initial=np.inf)) <= 0.0:
+    return slack
+
+
+def _window_certified(block, ext: TridiagonalMatrix, lo: int, hi: int, x: float, tol: float) -> bool:
+    """True when a count on rows lo:hi proves the block has no eigenvalue below x.
+
+    ext holds the block's rows max(lo - 3, 0):min(hi + 3, n), and tol is
+    its residual gate.
+
+    R, the rows where T - xI is not strictly diagonally dominant (slack
+    d_i - x - |e_(i-1)| - |e_i| <= 0), must lie inside the window; this is
+    shown from O(1) rows outside it.  In exact arithmetic the slack is
+    convex on the interior rows 1..n-2 of an LMG block: d is convex in M
+    and |e| concave (see `_Block.tolerance`), and each interior row's two
+    couplings are pairs of the block.  Only the end rows can break it:
+    their missing coupling is 0, not the concave continuation.  So the
+    end rows 0 and n-1 are evaluated on their own.  The outside interior
+    rows next to the window, lo - 1 and hi, must have slack > margin.
+    When more outside interior rows lie beyond such an edge row, either
+    an interior row j of the window has slack below the edge row's by
+    margin, or the next row beyond it has slack above the edge row's by
+    margin.  Either way, by convexity through three of these rows, every
+    row beyond has slack at least the edge row's.  margin = 0.1 tol covers
+    the rounding of the entries and of the slack, which stays below 3e-12
+    of the block's scale (a thirtieth of margin) for N <= MAX_N_SPINS.  A
+    result that misses it is inconclusive, and the window widens.
+
+    With R inside the window, the rows outside it form a positive-definite
+    matrix C, and by Haynsworth inertia additivity the block's count below
+    x is that of the Schur complement W - B C^-1 B^T of the window W.  That
+    complement lowers only the window's edge diagonals next to C, each by
+    e_link^2 / q_j, where q_j > d_j - x - |e_inner| > |e_link| is the pivot
+    of C's row j next to the window, eliminated from the block's end;
+    e_inner couples row j to C's next row.  The count can only rise as a
+    diagonal falls, so the bound e_link^2 / (d_j - x - |e_inner|) in place
+    of e_link^2 / q_j keeps the proof.
+    """
+    n = block.dimension
+    elo = max(lo - 3, 0)
+    margin = _SLACK_MARGIN * tol
+    slack = _slack(ext, x)
+    if lo > 0 and not (slack[0] if elo == 0 else _slack(block.rows(0, 2), x)[0]) > margin:
         return False
-    diagonal = d[lo:hi].tolist()
+    if hi < n and not (slack[-1] if elo + slack.size == n else _slack(block.rows(n - 2, n), x)[-1]) > margin:
+        return False
+    inside = slack[max(lo, 1) - elo:min(hi, n - 1) - elo]
+    lowest = float(np.min(inside)) if inside.size else math.inf
+    for edge, step, beyond in ((lo - 1, -1, lo > 2), (hi, 1, hi < n - 2)):
+        if 1 <= edge <= n - 2:
+            value = float(slack[edge - elo])
+            if not value > margin:
+                return False
+            if beyond and not (lowest <= value - margin or slack[edge + step - elo] >= value + margin):
+                return False
+    d, ae = ext.diagonal, np.abs(ext.offdiagonal)
+    diagonal = d[lo - elo:hi - elo].tolist()
     if lo > 0:  # C's row j = lo - 1 sits above the window
-        inner = float(ae[lo - 2]) if lo > 1 else 0.0
-        diagonal[0] -= float(ae[lo - 1]) ** 2 / (float(d[lo - 1]) - x - inner)
-    if hi < d.size:  # C's row j = hi sits below it
-        inner = float(ae[hi]) if hi < e.size else 0.0
-        diagonal[-1] -= float(ae[hi - 1]) ** 2 / (float(d[hi]) - x - inner)
-    w = e[lo:hi - 1]
+        j = lo - 1 - elo
+        inner = float(ae[j - 1]) if lo > 1 else 0.0
+        diagonal[0] -= float(ae[j]) ** 2 / (float(d[j]) - x - inner)
+    if hi < n:  # C's row j = hi sits below it
+        j = hi - elo
+        inner = float(ae[j]) if hi < n - 1 else 0.0
+        diagonal[-1] -= float(ae[j - 1]) ** 2 / (float(d[j]) - x - inner)
+    w = ext.offdiagonal[lo - elo:hi - elo - 1]
     return _count_below(diagonal, (w * w).tolist(), x, _pivot_floor(w)) == 0
 
 
-def _window_eigenpair(t: TridiagonalMatrix, centre: int) -> tuple[float, np.ndarray]:
-    """Ground eigenpair of t, solved on a window of rows around row `centre`.
+def _window_eigenpair(block, centre: int) -> tuple[int, float, np.ndarray]:
+    """Ground eigenpair of a block, solved on a window of rows around row
+    `centre`; returns (offset of the window, energy, window vector).
 
     The window is the 2w + 1 rows centred on `centre`, shifted inward
-    where the block ends, with w = 16 at first.  Its pair, zero-padded
-    to the whole block, is accepted when
+    where the block ends, with w = 16 at first.  Only its rows and three
+    more on each side are built.  Its pair, zero-padded to the whole
+    block, is accepted when
     (a) each window edge inside the block has |amplitude| <= 1e-17 of
-    the peak, and (b) `_window_certified` proves, from a count on the
-    window rows alone, that the block has no eigenvalue below E - tol,
-    tol being the whole block's residual gate.  Cauchy interlacing gives
-    E >= the block's minimum, so (b) rules out a lower eigenvalue.  The
-    padded vector's residual on the whole block is the window's, which
-    met its own (smaller) gate, plus the two edge couplings that (a)
-    holds below 1e-17 |e| of the peak; it is not checked again.
-    Otherwise the window recentres on its largest amplitude, w doubles,
-    and the solve repeats, as it does when (b) fails because rows that
-    are not diagonally dominant lie outside the window.  A window of more
-    than half the block would save little over the whole block and could
-    fail again, so the whole block, solved exactly as without a window,
-    takes its place and ends the widening.  A window solve that misses
-    its own residual gate raises ConvergenceError.
+    the peak, and (b) `_window_certified` proves, from the window rows
+    and O(1) rows outside, that the block has no eigenvalue below
+    E - tol, tol being the whole block's residual gate.  Cauchy
+    interlacing gives E >= the block's minimum, so (b) rules out a lower
+    eigenvalue.  The padded vector's residual on the whole block is the
+    window's, which met its own (smaller) gate, plus the two edge
+    couplings that (a) holds below 1e-17 |e| of the peak; it is not
+    checked again.  Otherwise the window recentres on its largest
+    amplitude, w doubles, and the solve repeats, as it does when (b) is
+    inconclusive.  A window of more than half the block would save little
+    over the whole block and could fail again, so the whole block, built
+    and solved exactly as without a window, takes its place and ends the
+    widening.  A window solve that misses its own residual gate raises
+    ConvergenceError.
     """
-    d, e = t.dimension, t.offdiagonal
-    tol = _residual_tolerance(t)
+    n = block.dimension
+    tol = None
     half = _WINDOW_HALF_WIDTH
     while True:
         size = 2 * half + 1
-        if 2 * size > d:
-            return ground_eigenpair(t)
-        lo = min(max(0, centre - half), d - size)
+        if 2 * size > n:
+            return (0, *ground_eigenpair(block.rows(0, n)))
+        lo = min(max(0, centre - half), n - size)
         hi = lo + size
-        energy, v = ground_eigenpair(TridiagonalMatrix(t.diagonal[lo:hi], e[lo:hi - 1]))
+        elo = max(lo - 3, 0)
+        ext = block.rows(elo, min(hi + 3, n))
+        energy, v = ground_eigenpair(
+            TridiagonalMatrix(ext.diagonal[lo - elo:hi - elo], ext.offdiagonal[lo - elo:hi - elo - 1]))
         edge = _WINDOW_EDGE_RELTOL * float(np.max(np.abs(v)))
-        if (
-            (lo == 0 or abs(v[0]) <= edge)
-            and (hi == d or abs(v[-1]) <= edge)
-            and _window_certified(t, lo, hi, energy - tol)
-        ):
-            vec = np.zeros(d)
-            vec[lo:hi] = v
-            return energy, vec
+        if (lo == 0 or abs(v[0]) <= edge) and (hi == n or abs(v[-1]) <= edge):
+            if tol is None:
+                tol = block.tolerance()
+            if _window_certified(block, ext, lo, hi, energy - tol, tol):
+                return lo, energy, v
         centre = lo + int(np.argmax(np.abs(v)))
         half *= 2
 
@@ -269,15 +404,9 @@ def lmg_ground_state(params: ModelParams) -> GroundState:
     m0 = params.total_spin * min(params.h, 1.0)  # mean-field <S_z> = S cos(theta0)
     solved = {}
     for parity in (EVEN, ODD):
-        sector = build_sector(params, parity)
-        block = build_sector_matrix(params, sector)
-        centre = int(np.argmin(np.abs(sector.m_values - m0)))
-        solved[parity] = _window_eigenpair(block, centre)
-    e_even, v_even = solved[EVEN]
-    e_odd, v_odd = solved[ODD]
+        solved[parity] = _window_eigenpair(_Block(params, parity), sector_row(params, parity, m0))
+    (o_even, e_even, v_even), (o_odd, e_odd, v_odd) = solved[EVEN], solved[ODD]
     tie = _DEGENERACY_RELTOL * max(1.0, abs(e_even), abs(e_odd))
     if e_odd < e_even - tie:
-        parity, energy, vec = ODD, e_odd, v_odd
-    else:
-        parity, energy, vec = EVEN, e_even, v_even
-    return GroundState(params=params, parity=parity, energy=energy, amplitudes=vec)
+        return GroundState(params=params, parity=ODD, energy=e_odd, amplitudes=v_odd, offset=o_odd)
+    return GroundState(params=params, parity=EVEN, energy=e_even, amplitudes=v_even, offset=o_even)

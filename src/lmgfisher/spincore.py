@@ -25,6 +25,12 @@ import numpy as np
 EVEN = "even"
 ODD = "odd"
 PARITIES = (EVEN, ODD)
+# Largest N that ModelParams accepts.  The solver keeps only a window of
+# rows, so memory does not bound N; accuracy does.  Row M = top - 2i must
+# be exact in floats (N < 2^53), and the O(N) diagonal entries round with
+# an absolute error of about eps N, which moves the h = 1 state by about
+# eps N^(4/3): 1e-6 relative at N = 1e9.
+MAX_N_SPINS = 10**9
 
 
 def check_n_spins(n_spins) -> None:
@@ -36,8 +42,8 @@ def check_n_spins(n_spins) -> None:
 
 @dataclass(frozen=True)
 class ModelParams:
-    """One model instance: N spins, anisotropy 0 <= gamma <= 1, field h >= 0
-    with h N finite."""
+    """One model instance: 1 <= N <= MAX_N_SPINS spins, anisotropy
+    0 <= gamma <= 1, field h >= 0 with h N finite."""
 
     n_spins: int
     gamma: float
@@ -45,6 +51,8 @@ class ModelParams:
 
     def __post_init__(self):
         check_n_spins(self.n_spins)
+        if self.n_spins > MAX_N_SPINS:
+            raise ValueError(f"n_spins must be at most {MAX_N_SPINS}, got {self.n_spins}")
         if not 0.0 <= self.gamma <= 1.0:
             raise ValueError(f"gamma must lie in [0, 1], got {self.gamma}")
         # The block diagonal spans about h N (-h M for M in [-S, S]); past
@@ -59,7 +67,8 @@ class ModelParams:
 
 @dataclass(frozen=True)
 class DickeSector:
-    """One spin-flip parity block: descending M values spaced by 2."""
+    """One spin-flip parity block, or rows [lo, hi) of it: descending M
+    values spaced by 2."""
 
     total_spin: float
     parity: str
@@ -136,25 +145,49 @@ def parity_of(total_spin: float, m: float) -> str:
     return EVEN if spin_flip_count(total_spin, m) % 2 == 0 else ODD
 
 
-def build_sector(params: ModelParams, parity: str) -> DickeSector:
-    """Enumerate one parity block, M descending from the largest member."""
+def sector_dimension(params: ModelParams, parity: str) -> int:
+    """Number of rows of one parity block: N//2 + 1 even and (N+1)//2 odd
+    rows (M = S, S-2, ... and M = S-1, S-3, ... down to -S)."""
     if parity not in PARITIES:
         raise ValueError(f"parity must be one of {PARITIES}, got {parity!r}")
-    s = params.total_spin
-    top = s if parity == EVEN else s - 1.0
-    count = int(math.floor((top + s) / 2.0)) + 1
-    m_values = top - 2.0 * np.arange(count)
-    return DickeSector(total_spin=s, parity=parity, m_values=m_values)
+    n = params.n_spins
+    return n // 2 + 1 if parity == EVEN else (n + 1) // 2
+
+
+def _top(params: ModelParams, parity: str) -> float:
+    """M of a block's first row: S for even parity, S - 1 for odd."""
+    return params.total_spin - (0.0 if parity == EVEN else 1.0)
+
+
+def sector_row(params: ModelParams, parity: str, m: float) -> int:
+    """The row of one parity block whose M is nearest m, the upper row
+    (larger M) on a tie; m beyond the block gives its end row."""
+    count = sector_dimension(params, parity)
+    return int(min(max(math.ceil((_top(params, parity) - m) / 2.0 - 0.5), 0), count - 1))
+
+
+def build_sector(params: ModelParams, parity: str, lo: int = 0, hi: int | None = None) -> DickeSector:
+    """Enumerate rows [lo, hi) of one parity block (by default all of it),
+    M descending from the block's largest member: row i holds M = top - 2i."""
+    count = sector_dimension(params, parity)
+    if hi is None:
+        hi = count
+    if not 0 <= lo < hi <= count:
+        raise ValueError(f"rows [{lo}, {hi}) do not lie in a block of {count} rows")
+    m_values = _top(params, parity) - 2.0 * np.arange(lo, hi)
+    return DickeSector(total_spin=params.total_spin, parity=parity, m_values=m_values)
 
 
 def build_sector_matrix(params: ModelParams, sector: DickeSector) -> TridiagonalMatrix:
-    """Assemble one parity block of H over the sector's descending M values.
+    """Assemble the rows of one parity block over the sector's descending M values.
 
     diagonal(M)      = -((1+gamma)/(2N)) (S(S+1) - M^2) - h M
     offdiag(M, M+2)  = -((1-gamma)/(4N)) sqrt((S(S+1)-M(M+1)) (S(S+1)-(M+1)(M+2)))
 
     No constant shift is added or removed; energies are those of the
-    Hamiltonian itself, consistent across M and across sectors.
+    Hamiltonian itself, consistent across M and across sectors.  Every
+    entry depends on its own M alone, so a sector of rows [lo, hi) gives
+    exactly the entries that the whole block has in those rows.
     """
     if sector.total_spin != params.total_spin:
         raise ValueError("sector was built for different model parameters")

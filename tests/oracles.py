@@ -131,3 +131,56 @@ def pauli_ground_cross_term(n, gamma, h):
     g = v[:, 0]
     value = g.conj() @ (sx @ sy + sy @ sx) @ g
     return complex(value)
+
+
+def residual_tolerance(t):
+    """The residual gate 1e-10 max(1, ||diag||_inf + 2 ||off||_inf) of a whole block t."""
+    scale = float(np.max(np.abs(t.diagonal)))
+    if t.offdiagonal.size:
+        scale += 2.0 * float(np.max(np.abs(t.offdiagonal)))
+    return 1e-10 * max(1.0, scale)
+
+
+def dominant_outside(t, lo, hi, x):
+    """Whole-block test that every row of t outside lo:hi is strictly
+    diagonally dominant in t - xI: d_i - x > |e_(i-1)| + |e_i|."""
+    ae = np.abs(t.offdiagonal)
+    slack = t.diagonal - x
+    slack[:-1] -= ae
+    slack[1:] -= ae
+    return min(slack[:lo].min(initial=np.inf), slack[hi:].min(initial=np.inf)) > 0.0
+
+
+def window_certified(t, lo, hi, x):
+    """The window certificate read off the whole block t: `dominant_outside`,
+    then the Sturm count of the window with its edge diagonals lowered by
+    the Schur bound, which must be 0 (see solver._window_certified)."""
+    from lmgfisher import solver
+
+    if not dominant_outside(t, lo, hi, x):
+        return False
+    d, ae = t.diagonal, np.abs(t.offdiagonal)
+    diagonal = d[lo:hi].tolist()
+    if lo > 0:
+        inner = float(ae[lo - 2]) if lo > 1 else 0.0
+        diagonal[0] -= float(ae[lo - 1]) ** 2 / (float(d[lo - 1]) - x - inner)
+    if hi < d.size:
+        inner = float(ae[hi]) if hi < ae.size else 0.0
+        diagonal[-1] -= float(ae[hi - 1]) ** 2 / (float(d[hi]) - x - inner)
+    w = t.offdiagonal[lo:hi - 1]
+    return solver._count_below(diagonal, (w * w).tolist(), x, solver._pivot_floor(w)) == 0
+
+
+class ArrayBlock:
+    """A whole TridiagonalMatrix served the way the solver reads an LMG
+    block: `dimension`, `rows(lo, hi)` and the whole-block `tolerance()`."""
+
+    def __init__(self, t):
+        self.t = t
+        self.dimension = t.dimension
+
+    def rows(self, lo, hi):
+        return type(self.t)(self.t.diagonal[lo:hi], self.t.offdiagonal[lo:hi - 1])
+
+    def tolerance(self):
+        return residual_tolerance(self.t)

@@ -141,6 +141,7 @@ def test_bad_mode_and_missing_out_are_usage_errors(tmp_path):
     # h N is checked against the largest N: finite at N = 10, not at 1000
     ["--mode", "field-sweep", "--gamma", "0.5", "--h", "1e306", "--n", "1000"],
     ["--mode", "field-sweep", "--gamma", "0.5", "--h", "0.5", "--n", "1" + "0" * 400],  # N past a float
+    ["--mode", "field-sweep", "--gamma", "0.5", "--h", "1.5", "--n", "1" + "0" * 18],  # N past MAX_N_SPINS
 ])
 def test_non_finite_inputs_are_usage_errors(tmp_path, argv):
     out = tmp_path / "never.csv"

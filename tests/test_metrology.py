@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import oracles
+from lmgfisher.analytic import tl_prediction
 from lmgfisher.metrology import (
     cat_state_metrics,
     dicke_metrics,
@@ -217,3 +218,35 @@ def test_isotropic_chi2_dichotomy():
     for n, h in ((10, 0.55), (100, 0.5)):
         rep = report(lmg_ground_state(ModelParams(n, 1.0, h)))
         assert rep.chi2 < 1.0 - 1e-6
+
+
+def test_moments_on_the_support_match_the_padded_vector():
+    # Windowed ground states (offset 0 at h = 1.5, mid-block at h = 0.5)
+    # against the same states padded to the whole block.
+    for h in (0.5, 1.5):
+        gs = lmg_ground_state(ModelParams(2001, 0.5, h))
+        assert gs.amplitudes.size < gs.block_amplitudes().size
+        padded = GroundState(params=gs.params, parity=gs.parity, energy=gs.energy,
+                             amplitudes=gs.block_amplitudes())
+        on_support, whole = transverse_moments(gs), transverse_moments(padded)
+        for name in ("sz_mean", "sz2", "sx2", "sy2"):
+            assert getattr(on_support, name) == pytest.approx(getattr(whole, name), rel=1e-12)
+
+
+@pytest.mark.parametrize("h,correction", [(0.5, 2.33), (1.5, 1.34)])
+def test_finite_size_correction_holds_to_large_n(h, correction):
+    # N (chi2 / tl_chi2 - 1) tends to a constant at gamma = 1/2; the windowed
+    # solver keeps it from N = 1e5 to N = 1e7.
+    def scaled(n):
+        rep = report(lmg_ground_state(ModelParams(n, 0.5, h)))
+        return n * (rep.chi2 / tl_prediction(h, 0.5, n).chi2 - 1.0)
+
+    base = scaled(10**5)
+    assert base == pytest.approx(correction, rel=1e-2)
+    assert scaled(10**7) == pytest.approx(base, rel=1e-2)
+
+
+def test_symmetric_phase_chi2_meets_the_thermodynamic_limit_at_n_1e8():
+    n = 10**8
+    rep = report(lmg_ground_state(ModelParams(n, 0.5, 1.5)))
+    assert abs(rep.chi2 / tl_prediction(1.5, 0.5, n).chi2 - 1.0) < 1e-6

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -207,9 +208,10 @@ def test_window_path_matches_dense_oracle(gamma, h):
         m, energy, vec = oracles.dense_ground(n, gamma, h)
         assert gs.energy == pytest.approx(energy, abs=1e-10 * max(1.0, abs(energy)))
         # The padded window vector meets the whole block's residual gate.
-        block = build_sector_matrix(gs.params, gs.sector())
-        residual = np.linalg.norm(block.matvec(gs.amplitudes) - gs.energy * gs.amplitudes)
-        assert residual <= solver._residual_tolerance(block)
+        block = build_sector_matrix(gs.params, build_sector(gs.params, gs.parity))
+        padded = gs.block_amplitudes()
+        residual = np.linalg.norm(block.matvec(padded) - gs.energy * padded)
+        assert residual <= oracles.residual_tolerance(block)
         full = np.zeros(n + 1)
         full[np.isin(m, gs.sector().m_values)] = gs.amplitudes
         np.testing.assert_allclose(np.abs(full), np.abs(vec), atol=1e-8)
@@ -222,7 +224,7 @@ def test_symmetric_phase_solves_a_strict_sub_block(monkeypatch):
     rows = record_block_rows(monkeypatch)
     gs = lmg_ground_state(ModelParams(600, 0.5, 1.5))
     assert rows and max(rows) < 301  # each parity block has 301 or 300 rows
-    assert gs.amplitudes.size == 301
+    assert gs.amplitudes.size < gs.block_amplitudes().size == 301
 
 
 def test_misplaced_window_widens_to_the_ground_state():
@@ -230,9 +232,8 @@ def test_misplaced_window_widens_to_the_ground_state():
     # the first windows fail certification and must widen, not return a
     # window-local state.
     params = ModelParams(600, 0.5, 0.3)
-    block = build_sector_matrix(params, build_sector(params, EVEN))
-    energy, vec = solver._window_eigenpair(block, centre=0)
-    e_ref, v_ref = oracles.tridiagonal_ground(block)
+    energy, vec = window_solve(solver._Block(params, EVEN), centre=0)
+    e_ref, v_ref = oracles.tridiagonal_ground(build_sector_matrix(params, build_sector(params, EVEN)))
     assert energy == pytest.approx(e_ref, abs=1e-10 * abs(e_ref))
     assert abs(float(vec @ v_ref)) == pytest.approx(1.0, abs=1e-8)
 
@@ -242,49 +243,162 @@ def test_window_drops_only_negligible_amplitudes(n, gamma, h):
     # A window whose edges held more than 1e-17 of the peak could still pass
     # the residual gate; these points moved by up to 2e-8 when it did.
     gs = lmg_ground_state(ModelParams(n, gamma, h))
-    energy, whole = ground_eigenpair(build_sector_matrix(gs.params, gs.sector()))
+    energy, whole = ground_eigenpair(build_sector_matrix(gs.params, build_sector(gs.params, gs.parity)))
     assert gs.energy == pytest.approx(energy, rel=1e-15)
-    np.testing.assert_allclose(gs.amplitudes, whole, rtol=0.0, atol=1e-13)
+    np.testing.assert_allclose(gs.block_amplitudes(), whole, rtol=0.0, atol=1e-13)
+
+
+def window_solve(block, centre):
+    """solver._window_eigenpair's pair, its vector padded to the whole block."""
+    offset, energy, v = solver._window_eigenpair(block, centre)
+    vec = np.zeros(block.dimension)
+    vec[offset:offset + v.size] = v
+    return energy, vec
 
 
 def test_window_on_a_local_well_is_not_certified():
-    # Two wells: a window around the shallow one at row 50 holds a state
-    # that decays below 1e-17 at both edges and meets the residual gate,
-    # but the Sturm count sees the deeper well at row 200.
+    # A convex well at row 50, and a deeper state on the block's last row.
+    # A window around row 50 holds a state that decays below 1e-17 at both
+    # edges and meets the residual gate; every interior row outside it is
+    # diagonally dominant, with slack growing away from the window.  Only
+    # the end row, which convexity does not cover, shows the deeper state.
+    # Mirrored, the deeper state sits on the first row.
     rows = np.arange(301.0)
-    t = TridiagonalMatrix(np.minimum((rows - 50.0) ** 2, (rows - 200.0) ** 2 - 5.0),
-                          np.full(300, -0.5))
-    energy, vec = solver._window_eigenpair(t, centre=50)
-    e_ref, v_ref = oracles.tridiagonal_ground(t)
-    assert energy == pytest.approx(e_ref, abs=1e-10 * abs(e_ref))
-    assert abs(float(vec @ v_ref)) == pytest.approx(1.0, abs=1e-8)
+    d = 0.01 * (rows - 50.0) ** 2
+    d[-1] = -5.0
+    for mirrored in (False, True):
+        t = TridiagonalMatrix(d[::-1].copy() if mirrored else d, np.full(300, -0.5))
+        energy, vec = window_solve(oracles.ArrayBlock(t), centre=250 if mirrored else 50)
+        e_ref, v_ref = oracles.tridiagonal_ground(t)
+        assert energy == pytest.approx(e_ref, abs=1e-10 * abs(e_ref))
+        assert abs(float(vec @ v_ref)) == pytest.approx(1.0, abs=1e-8)
 
 
 @pytest.mark.parametrize("mirrored", [False, True])
 def test_window_edge_coupling_hides_a_lower_eigenvalue(mirrored):
-    # Rows 33 and 34 hold the pair [[0.5, -5], [-5, 10]], whose lower
+    # Rows 33 and 34 hold the pair [[10, -5], [-5, 0.5]], whose lower
     # eigenvalue (about -1.65) lies below the well at row 50.  The first
     # window, rows 34..66, holds row 34 but not row 33.  Its state decays
-    # below 1e-17 at both edges, and on its own rows nothing lies below
-    # its energy; only the Schur term of the coupling to row 33 shows the
-    # pair, so the window must widen.  Mirrored, the pair sits below the
-    # window's last row.
+    # below 1e-17 at both edges, on its own rows nothing lies below its
+    # energy, and every row outside it is diagonally dominant, with a
+    # slack that is convex and falls toward the window (rows 0..33 rise
+    # as 5 (33 - i)^2).  Only the Schur term of the coupling to row 33
+    # shows the pair, so the window must widen.  Mirrored, the pair sits
+    # below the window's last row.
     d = np.full(301, 100.0)
-    d[[33, 34, 50]] = [10.0, 0.5, 0.0]
+    d[:34] = 10.0 + 5.0 * (33.0 - np.arange(34.0)) ** 2
+    d[[34, 50]] = [0.5, 0.0]
     e = np.full(300, -0.5)
     e[33] = -5.0
     if mirrored:
         d, e = d[::-1].copy(), e[::-1].copy()
     t = TridiagonalMatrix(d, e)
-    energy, vec = solver._window_eigenpair(t, centre=250 if mirrored else 50)
+    energy, vec = window_solve(oracles.ArrayBlock(t), centre=250 if mirrored else 50)
     e_ref, v_ref = oracles.tridiagonal_ground(t)
     assert energy == pytest.approx(e_ref, abs=1e-10 * abs(e_ref))
     assert abs(float(vec @ v_ref)) == pytest.approx(1.0, abs=1e-8)
 
 
+def certified(block, lo, hi, x, tol):
+    """solver._window_certified on rows lo:hi, given the rows it reads."""
+    ext = block.rows(max(lo - 3, 0), min(hi + 3, block.dimension))
+    return solver._window_certified(block, ext, lo, hi, x, tol)
+
+
+def certificate_windows(dim):
+    """Windows touching either block end, and one in the middle, of a few sizes."""
+    out = set()
+    for size in {1, 3, min(33, dim)}:
+        if size <= dim:
+            for lo in (0, 1, 2, 3, (dim - size) // 2, dim - size - 3, dim - size - 2,
+                       dim - size - 1, dim - size):
+                if 0 <= lo <= dim - size:
+                    out.add((lo, lo + size))
+    return sorted(out)
+
+
+def test_certificate_reads_the_slack_beyond_the_window_edges():
+    # A steep convex well whose non-dominant rows R lie within a few rows of
+    # row 150.  A window away from it has dominant edge rows, but rows
+    # beyond one edge are not dominant: neither a lower row inside the
+    # window nor a rise past the edge vouches for them, so the window is
+    # not certified.
+    rows = np.arange(301.0)
+    t = TridiagonalMatrix(0.01 * (rows - 150.0) ** 2, np.full(300, -0.5))
+    block = oracles.ArrayBlock(t)
+    tol = block.tolerance()
+    x = oracles.tridiagonal_ground(t)[0] - 1e-3
+    verdicts = []
+    for lo in range(0, 269, 3):
+        verdict = certified(block, lo, lo + 33, x, tol)
+        assert verdict == oracles.window_certified(t, lo, lo + 33, x), lo
+        verdicts.append(verdict)
+    assert any(verdicts) and not all(verdicts)
+
+
+def test_certificate_takes_a_lower_row_in_the_window_as_witness():
+    # A flat-bottomed well: next to a centred window the slack rises by
+    # less than the margin per row, so only the window's lower middle rows
+    # prove, by convexity, that the rows beyond its edges are dominant.
+    rows = np.arange(301.0)
+    t = TridiagonalMatrix(1e-13 * (rows - 150.0) ** 2, np.full(300, -0.5))
+    block = oracles.ArrayBlock(t)
+    tol = block.tolerance()
+    x = oracles.tridiagonal_ground(t)[0] - 1e-3
+    lo, hi = 134, 167
+    slack = t.diagonal - x - 1.0
+    assert slack[hi + 1] - slack[hi] < solver._SLACK_MARGIN * tol
+    assert certified(block, lo, hi, x, tol)
+    assert oracles.window_certified(t, lo, hi, x)
+
+
+def test_run_peak_finds_a_rounded_maximum_off_the_start():
+    # Exact values -1e-6 (i - 100)^2 peak at row 100; rounding errors of up
+    # to 1e-5 (margin 4e-5 covers them) put the largest value at row 102.
+    rows = np.arange(201.0)
+    values = -1e-6 * (rows - 100.0) ** 2
+    values[[100, 102]] += [-1e-5, 1e-5]
+    block = oracles.ArrayBlock(TridiagonalMatrix(values, np.zeros(200)))
+    peak = solver._run_peak(block, lambda t: t.diagonal, 100, 0, 200, 4e-5)
+    assert peak == values[102] == float(np.max(values))
+
+
+CERTIFICATE_GRID = [(n, gamma) for n in (3, 10, 101, 600, 10001) for gamma in (0.0, 0.5, 0.99, 1.0)]
+
+
+@pytest.mark.parametrize("n,gamma", CERTIFICATE_GRID)
+def test_block_tolerance_is_the_whole_block_gate(n, gamma):
+    for h in np.linspace(0.0, 3.0, 13):
+        params = ModelParams(n, gamma, float(h))
+        for parity in (EVEN, ODD):
+            whole = build_sector_matrix(params, build_sector(params, parity))
+            assert solver._Block(params, parity).tolerance() == oracles.residual_tolerance(whole)
+
+
+@pytest.mark.parametrize("n,gamma", CERTIFICATE_GRID)
+def test_certificate_matches_the_whole_block_oracle(n, gamma):
+    # The window certificate reads O(1) rows outside the window; the oracle
+    # tests every row of the whole block.  x is the window's own energy
+    # minus the gate, as in the solver.
+    verdicts = []
+    for h in np.linspace(0.0, 3.0, 13):
+        params = ModelParams(n, gamma, float(h))
+        for parity in (EVEN, ODD):
+            block = solver._Block(params, parity)
+            whole = build_sector_matrix(params, build_sector(params, parity))
+            tol = oracles.residual_tolerance(whole)
+            for lo, hi in certificate_windows(block.dimension):
+                x = ground_eigenpair(block.rows(lo, hi))[0] - tol
+                verdict = certified(block, lo, hi, x, tol)
+                assert verdict == oracles.window_certified(whole, lo, hi, x), (h, parity, lo, hi)
+                verdicts.append(verdict)
+    assert any(verdicts) and not all(verdicts)
+
+
 def test_critical_point_work_stays_sublinear(monkeypatch):
     # Whole-block solves would hand 50001 + 50001 rows to the eigensolver,
-    # and a whole-block certificate would count 50001 rows.
+    # a whole-block certificate would count 50001 rows, and building the
+    # whole blocks would make 50001 rows each.
     rows = record_block_rows(monkeypatch)
     counted = []
     count_below = solver._count_below
@@ -293,10 +407,31 @@ def test_critical_point_work_stays_sublinear(monkeypatch):
         counted.append(len(diagonal))
         return count_below(diagonal, off_squared, x, pivmin)
 
+    built = []
+    build = solver.build_sector_matrix
+
+    def building(params, sector):
+        built.append(sector.dimension)
+        return build(params, sector)
+
     monkeypatch.setattr(solver, "_count_below", recording)
+    monkeypatch.setattr(solver, "build_sector_matrix", building)
     lmg_ground_state(ModelParams(100001, 0.5, 1.0))
     assert sum(rows) < 5000
     assert max(counted) <= max(rows)
+    assert max(built) <= max(rows) + 6
+
+
+def test_large_ground_state_memory_follows_the_window():
+    # At N = 1e8 one whole parity block would take 400 MB as float64.
+    for h in (1.0, 1.5):
+        tracemalloc.start()
+        try:
+            metrology.report(lmg_ground_state(ModelParams(10**8, 0.5, h)))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8e6
 
 
 def test_random_points_match_the_dense_blocks(monkeypatch):

@@ -6,12 +6,15 @@ import pytest
 import oracles
 from lmgfisher.spincore import (
     EVEN,
+    MAX_N_SPINS,
     ODD,
     ModelParams,
     build_sector,
     build_sector_matrix,
     ladder_coefficient,
     parity_of,
+    sector_dimension,
+    sector_row,
 )
 
 
@@ -33,6 +36,14 @@ def test_model_params_rejects_non_integer_n():
     with pytest.raises(ValueError):
         ModelParams(10**400, 0.5, 0.0)  # past the float range
     assert ModelParams(np.int64(10), 0.5, 1.0).total_spin == 5.0
+
+
+def test_model_params_bounds_n():
+    assert ModelParams(MAX_N_SPINS, 0.5, 1.0).n_spins == 10**9
+    with pytest.raises(ValueError):
+        ModelParams(MAX_N_SPINS + 1, 0.5, 1.0)
+    with pytest.raises(ValueError):
+        ModelParams(10**18, 0.5, 1.5)
 
 
 @pytest.mark.parametrize("h", [math.nan, math.inf, 1e308, 5e307])
@@ -146,3 +157,36 @@ def test_sector_direct_sum_equals_pauli_block(n, gamma, h):
     even_rows = [int(round(s - mv)) for mv in build_sector(params, EVEN).m_values]
     odd_rows = [int(round(s - mv)) for mv in build_sector(params, ODD).m_values]
     assert np.max(np.abs(full[np.ix_(even_rows, odd_rows)])) < 1e-12
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 100, 1001])
+def test_block_rows_are_the_whole_blocks_rows(n):
+    # Every entry depends on its own M alone, so rows [lo, hi) come out
+    # bit-identical to the same rows of the whole block.
+    params = ModelParams(n, 0.3, 0.7)
+    for parity in (EVEN, ODD):
+        whole_sector = build_sector(params, parity)
+        whole = build_sector_matrix(params, whole_sector)
+        dim = sector_dimension(params, parity)
+        assert dim == whole_sector.dimension
+        for lo, hi in {(0, dim), (0, 1), (dim - 1, dim), (dim // 3, dim // 3 + 1), (dim // 4, dim - dim // 5)}:
+            sector = build_sector(params, parity, lo, hi)
+            np.testing.assert_array_equal(sector.m_values, whole_sector.m_values[lo:hi])
+            block = build_sector_matrix(params, sector)
+            np.testing.assert_array_equal(block.diagonal, whole.diagonal[lo:hi])
+            np.testing.assert_array_equal(block.offdiagonal, whole.offdiagonal[lo:hi - 1])
+        for lo, hi in ((-1, 1), (0, dim + 1), (1, 1)):
+            with pytest.raises(ValueError):
+                build_sector(params, parity, lo, hi)
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 100, 1001])
+def test_sector_row_is_the_nearest_row(n):
+    # The closed form matches an argmin over the whole block, whose first
+    # (upper) row wins a tie, as for M0 = 25 between M = 26 and 24 at N = 100.
+    params = ModelParams(n, 0.5, 0.0)
+    s = params.total_spin
+    for parity in (EVEN, ODD):
+        m_values = build_sector(params, parity).m_values
+        for m in [*np.linspace(-s - 3.0, s + 3.0, 241), *(m_values[:-1] - 1.0)]:
+            assert sector_row(params, parity, m) == int(np.argmin(np.abs(m_values - m)))
