@@ -83,12 +83,14 @@ def _row_task(task) -> tuple[str, str, float | None]:
 
 
 def _execute(tasks: list[tuple], jobs: int):
-    if jobs <= 1:
+    # Under fork the pool starts all of its workers at the first submit.
+    workers = min(jobs, len(tasks))
+    if workers <= 1:
         return [_row_task(t) for t in tasks]
     # Imported here: it costs serial runs ~20 ms of start-up and loads multiprocessing.
     from concurrent.futures import ProcessPoolExecutor
 
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
+    with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(_row_task, tasks))
 
 
@@ -188,7 +190,10 @@ def _expand_range(start: float, stop: float, step: float) -> list[float]:
         raise UsageError("h-step must be > 0")
     if stop < start:
         raise UsageError("empty h range (h-stop < h-start)")
-    count = int(math.floor((stop - start) / step + 1e-9)) + 1
+    steps = (stop - start) / step
+    if not math.isfinite(steps):
+        raise UsageError("the h range has too many points")
+    count = int(math.floor(steps + 1e-9)) + 1
     return [start + k * step for k in range(count)]
 
 

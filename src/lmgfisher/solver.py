@@ -36,8 +36,7 @@ _RESIDUAL_FACTOR = 1e-10
 _DEGENERACY_RELTOL = 1e-12
 _WINDOW_HALF_WIDTH = 16  # first window: 33 rows
 _WINDOW_EDGE_RELTOL = 1e-17
-_SLACK_MARGIN = 0.1  # of the residual gate; see _window_certified
-_EPS = float(np.finfo(float).eps)
+_SLACK_MARGIN = 0.1  # of the block tolerance; see _window_certified
 
 
 class ConvergenceError(RuntimeError):
@@ -222,60 +221,17 @@ class _Block:
         return build_sector_matrix(self.params, build_sector(self.params, self.parity, lo, hi))
 
     def tolerance(self) -> float:
-        """`_residual_tolerance` of the whole block, read from the few rows
-        that can hold its largest entries.
+        """A residual gate at least the whole block's, from a closed form.
 
-        d(M) = ((1+gamma)/(2N)) M^2 - h M - const is convex in M, so max d
-        lies at an end row and min d at the row nearest the vertex
-        M = h N / (1+gamma), with d falling from each end toward it.  |e| is
-        (1-gamma)/(4N) b, where b^2 = u (u-1) v (v+1) with u = S - M',
-        v = S + M' + 1 for the pair (M' + 2, M').  b is concave in M' on
-        every pair of the block (4 b'' b^3 = 2 P P'' - P'^2 with P = b^2 is
-        a cubic in c = (S + 1/2)^2 - (M' + 1)^2 whose largest value is
-        -4 (S + 1/2)^2 (2S)^2 < 0), so max |e| lies near M' = -1.  Rounding
-        can put the largest entry a few rows from these places, so each
-        search grows a run of rows until both its ends fall below the
-        run's best by a margin of at least twice an entry's rounding error.
-        A diagonal entry rounds by at most 2 eps (1 + h) S; near its
-        maximum, |e| <= (1-gamma)(S+2)/8 carries a relative error below
-        5 eps.
+        With N = 2S, |d| <= (1+gamma)(S+1)/4 + h S, and since
+        b <= S(S+1) (AM-GM on the two factors under its root),
+        2 max|e| <= (1-gamma)(S+1)/4.  So h S + (S+1)/2 bounds the whole
+        block's max|d| + 2 max|e|.  On blocks of more than one row, the
+        only ones windowed, it is under twice that scale.
         """
-        n = self.dimension
         p = self.params
         s = p.total_spin
-        vertex = sector_row(p, self.parity, p.h * p.n_spins / (1.0 + p.gamma))
-        margin = 16.0 * _EPS * ((1.0 + p.h) * s + 1.0)
-        scale = max(
-            _run_peak(self, lambda t: t.diagonal, 0, 0, vertex, margin),
-            _run_peak(self, lambda t: t.diagonal, n - 1, vertex, n - 1, margin),
-            _run_peak(self, lambda t: -t.diagonal, vertex, 0, n - 1, margin),
-        )
-        if n > 1 and p.gamma < 1.0:  # at gamma = 1 every coupling is 0
-            pair = max(sector_row(p, self.parity, -1.0) - 1, 0)  # the pair (1, -1), or the nearest
-            margin = 4.0 * _EPS * (1.0 - p.gamma) * (s + 1.0)
-            scale += 2.0 * _run_peak(self, lambda t: np.abs(t.offdiagonal), pair, 0, n - 1, margin)
-        return _RESIDUAL_FACTOR * max(1.0, scale)
-
-
-def _run_peak(block, pick, row, first, last, margin) -> float:
-    """Largest value of pick(block.rows(lo, hi)) over rows first..last.
-
-    pick returns one value per row or per adjacent pair of the rows it is
-    given.  Their exact values must fall away from `row` on both sides
-    within first..last, and `margin` must be at least twice their rounding
-    error.  The run of rows around `row` doubles until the values at both
-    of its ends lie below the run's largest by `margin` (or the run meets
-    first or last): every row beyond is lower still in exact arithmetic,
-    so it cannot round above the run's largest.
-    """
-    half = 1
-    while True:
-        lo, hi = max(row - half, first), min(row + half, last) + 1
-        v = pick(block.rows(lo, hi))
-        top = float(np.max(v))
-        if (lo == first or v[0] < top - margin) and (hi == last + 1 or v[-1] < top - margin):
-            return top
-        half *= 2
+        return _RESIDUAL_FACTOR * max(1.0, p.h * s + (s + 1.0) / 2.0)
 
 
 def _slack(t: TridiagonalMatrix, x: float) -> np.ndarray:
@@ -291,14 +247,19 @@ def _window_certified(block, ext: TridiagonalMatrix, lo: int, hi: int, x: float,
     """True when a count on rows lo:hi proves the block has no eigenvalue below x.
 
     ext holds the block's rows max(lo - 3, 0):min(hi + 3, n), and tol is
-    its residual gate.
+    the block's `tolerance()`, at least its residual gate.
 
     R, the rows where T - xI is not strictly diagonally dominant (slack
     d_i - x - |e_(i-1)| - |e_i| <= 0), must lie inside the window; this is
     shown from O(1) rows outside it.  In exact arithmetic the slack is
-    convex on the interior rows 1..n-2 of an LMG block: d is convex in M
-    and |e| concave (see `_Block.tolerance`), and each interior row's two
-    couplings are pairs of the block.  Only the end rows can break it:
+    convex on the interior rows 1..n-2 of an LMG block, because each
+    interior row's two couplings are pairs of the block and:
+    d(M) = ((1+gamma)/(2N)) M^2 - h M - const is convex in M; and |e| is
+    (1-gamma)/(4N) b, where b^2 = u (u-1) v (v+1) with u = S - M',
+    v = S + M' + 1 for the pair (M' + 2, M'), and b is concave in M' on
+    every pair of the block (4 b'' b^3 = 2 P P'' - P'^2 with P = b^2 is a
+    cubic in c = (S + 1/2)^2 - (M' + 1)^2 whose largest value is
+    -4 (S + 1/2)^2 (2S)^2 < 0).  Only the end rows can break it:
     their missing coupling is 0, not the concave continuation.  So the
     end rows 0 and n-1 are evaluated on their own.  The outside interior
     rows next to the window, lo - 1 and hi, must have slack > margin.
@@ -363,7 +324,7 @@ def _window_eigenpair(block, centre: int) -> tuple[int, float, np.ndarray]:
     (a) each window edge inside the block has |amplitude| <= 1e-17 of
     the peak, and (b) `_window_certified` proves, from the window rows
     and O(1) rows outside, that the block has no eigenvalue below
-    E - tol, tol being the whole block's residual gate.  Cauchy
+    E - tol, tol being `block.tolerance()`.  Cauchy
     interlacing gives E >= the block's minimum, so (b) rules out a lower
     eigenvalue.  The padded vector's residual on the whole block is the
     window's, which met its own (smaller) gate, plus the two edge
@@ -377,7 +338,7 @@ def _window_eigenpair(block, centre: int) -> tuple[int, float, np.ndarray]:
     ConvergenceError.
     """
     n = block.dimension
-    tol = None
+    tol = block.tolerance()
     half = _WINDOW_HALF_WIDTH
     while True:
         size = 2 * half + 1
@@ -391,8 +352,6 @@ def _window_eigenpair(block, centre: int) -> tuple[int, float, np.ndarray]:
             TridiagonalMatrix(ext.diagonal[lo - elo:hi - elo], ext.offdiagonal[lo - elo:hi - elo - 1]))
         edge = _WINDOW_EDGE_RELTOL * float(np.max(np.abs(v)))
         if (lo == 0 or abs(v[0]) <= edge) and (hi == n or abs(v[-1]) <= edge):
-            if tol is None:
-                tol = block.tolerance()
             if _window_certified(block, ext, lo, hi, energy - tol, tol):
                 return lo, energy, v
         centre = lo + int(np.argmax(np.abs(v)))

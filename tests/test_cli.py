@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from lmgfisher import cli
+from lmgfisher import analytic, cli
 from lmgfisher.solver import ConvergenceError
 
 HEADER = "mode,N,gamma,h,parity,energy,chi2,xi1_2,xi2_2,fisher,qcr,tl_chi2,tl_xi1_2,phase,status"
@@ -104,6 +104,38 @@ def test_parallel_schedule_independence(tmp_path):
     assert serial.read_bytes() == parallel.read_bytes()
 
 
+class _RecordingPool:
+    """Stands in for ProcessPoolExecutor: records max_workers, maps serially."""
+
+    def __init__(self, created, max_workers):
+        created.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        return map(fn, items)
+
+
+@pytest.mark.parametrize("h_values,workers", [(["0.5", "1.0", "1.5"], [3]), (["0.5"], [])])
+def test_jobs_are_capped_at_the_grid_size(tmp_path, monkeypatch, h_values, workers):
+    import concurrent.futures
+
+    created = []
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                        lambda max_workers: _RecordingPool(created, max_workers))
+    out = tmp_path / "capped.csv"
+    argv = ["--mode", "field-sweep", "--n", "10", "--gamma", "0.5", "--jobs", "64", "--out", str(out)]
+    for h in h_values:
+        argv += ["--h", h]
+    assert cli.main(argv) == 0
+    assert created == workers
+    assert len(data_rows(read_lines(out))) == len(h_values)
+
+
 def test_rows_ordered_by_n_then_h(tmp_path):
     out = tmp_path / "order.csv"
     assert cli.main([
@@ -137,6 +169,8 @@ def test_bad_mode_and_missing_out_are_usage_errors(tmp_path):
     ["--mode", "field-sweep", "--gamma", "inf", "--h", "0.5"],
     ["--mode", "field-sweep", "--gamma", "0.5", "--h-start", "0", "--h-stop", "inf", "--h-step", "0.1"],
     ["--mode", "field-sweep", "--gamma", "0.5", "--h-start", "0", "--h-stop", "1", "--h-step", "nan"],
+    # finite bounds and step, but the point count overflows a float
+    ["--mode", "field-sweep", "--gamma", "0.5", "--h-start", "0", "--h-stop", "1e300", "--h-step", "1e-300"],
     ["--mode", "field-sweep", "--gamma", "0.5", "--h", "1e308"],
     # h N is checked against the largest N: finite at N = 10, not at 1000
     ["--mode", "field-sweep", "--gamma", "0.5", "--h", "1e306", "--n", "1000"],
@@ -375,3 +409,30 @@ def test_infinity_prints_as_inf(tmp_path):
     ]) == 0
     fields = row_fields(data_rows(read_lines(out))[0])
     assert fields["xi2_2"] == "inf"
+
+
+def test_random_points_give_complete_rows(tmp_path):
+    # Seeded points across both phases, the critical field and the
+    # isotropic and gamma = 0 edges, each run through the CLI.
+    rng = np.random.default_rng(7)
+    seen_tl_empty = set()
+    for k in range(12):
+        n = int(rng.integers(1, 1501))
+        gamma = (0.0, 1.0, float(rng.uniform()))[rng.integers(3)]
+        h = 1.0 if rng.integers(2) == 0 else float(rng.uniform(0.0, 3.0))
+        out = tmp_path / f"point{k}.csv"
+        assert cli.main(["--mode", "field-sweep", "--n", str(n), "--gamma", repr(gamma),
+                         "--h", repr(h), "--out", str(out)]) == 0
+        (row,) = data_rows(read_lines(out))
+        assert len(row.split(",")) == 15
+        f = row_fields(row)
+        assert (int(f["N"]), float(f["gamma"]), float(f["h"])) == (n, gamma, h)
+        assert f["status"] == "ok"
+        for key in ("energy", "chi2", "xi1_2", "fisher", "qcr"):
+            assert math.isfinite(float(f[key])), (n, gamma, h, key)
+        assert f["xi2_2"] == "inf" or math.isfinite(float(f["xi2_2"]))
+        tl_empty = h == 1.0 or (gamma == 1.0 and h < 1.0)
+        assert (f["tl_chi2"] == "", f["tl_xi1_2"] == "") == (tl_empty, tl_empty), (n, gamma, h)
+        assert f["phase"] == analytic.classify_phase(h).value
+        seen_tl_empty.add(tl_empty)
+    assert seen_tl_empty == {True, False}
