@@ -44,7 +44,6 @@ from .spincore import (
     TridiagonalMatrix,
     build_sector,
     build_sector_matrix,
-    ladder_coefficient,
     parity_of,
     sector_dimension,
     sector_row,
@@ -82,7 +81,6 @@ __all__ = [
     "isotropic_energy",
     "isotropic_ground_m",
     "isotropic_level_crossings",
-    "ladder_coefficient",
     "lmg_ground_state",
     "local_exponents",
     "mean_field_angle",

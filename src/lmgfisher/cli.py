@@ -12,9 +12,10 @@ mode-specific summaries (scaling fits, level crossings, closed forms).
 
 Exit codes: 0 success, 1 usage error (no file written; this includes an
 output directory that is missing or not writable, checked before any
-solve), 2 when any grid point failed to converge (recorded in its row's
-status field).  The CSV is renamed into place from a temporary file in
-the same directory.
+solve, and an h range of more than MAX_H_POINTS = 10^6 points), 2 when
+any grid point failed to converge (recorded in its row's status field).
+The CSV is renamed into place from a temporary file in the same
+directory.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ CSV_HEADER = "mode,N,gamma,h,parity,energy,chi2,xi1_2,xi2_2,fisher,qcr,tl_chi2,t
 MODES = ("field-sweep", "size-scaling", "isotropic", "analytic-only")
 STATUS_OK = "ok"
 STATUS_CONVERGENCE = "convergence_error"
+MAX_H_POINTS = 10**6  # points in one --h-start/--h-stop/--h-step range
 
 
 class UsageError(ValueError):
@@ -191,9 +193,9 @@ def _expand_range(start: float, stop: float, step: float) -> list[float]:
     if stop < start:
         raise UsageError("empty h range (h-stop < h-start)")
     steps = (stop - start) / step
-    if not math.isfinite(steps):
-        raise UsageError("the h range has too many points")
-    count = int(math.floor(steps + 1e-9)) + 1
+    count = math.floor(steps + 1e-9) + 1 if math.isfinite(steps) else math.inf
+    if count > MAX_H_POINTS:  # checked before the list is built
+        raise UsageError(f"the h range has more than {MAX_H_POINTS} points")
     return [start + k * step for k in range(count)]
 
 

@@ -1,10 +1,10 @@
 """Ground-state eigensolvers for real symmetric tridiagonal matrices.
 
-ground_eigenpair brackets the smallest eigenvalue with Sturm-sequence
-bisection, then takes the eigenvector from two twisted-factorization
-solves.  lmg_ground_state solves both parity blocks of one model
-instance and returns the lower one (even wins exact ties, so the
-reported state keeps <S_x> = <S_y> = 0).  Each block is solved on a
+ground_eigenpair brackets the smallest eigenvalue by bisection on a
+positive-definiteness test, then takes the eigenvector from two
+twisted-factorization solves.  lmg_ground_state solves both parity
+blocks of one model instance and returns the lower one (even wins exact
+ties, so the reported state keeps <S_x> = <S_y> = 0).  Each block is solved on a
 window of rows around the mean-field magnetization, widened until the
 zero-padded result is certified as the ground state of the whole block.
 Only the rows of a window and a few rows beside it are ever built, so a
@@ -85,21 +85,18 @@ def _pivot_floor(e: np.ndarray) -> float:
     return _SAFE_MIN * max(1.0, biggest)
 
 
-def _count_below(diagonal, off_squared, x, pivmin):
-    """Sturm-sequence count of eigenvalues below x (exact hits count as below)."""
-    count = 0
+def _definite(diagonal, off_squared, x, pivmin) -> bool:
+    """True when every LDL^T pivot of T - xI is at least pivmin (T - xI is
+    positive definite).  `_pivots` gives the same pivots up to the first one
+    below pivmin and leaves that one negative: this is a Sturm count of 0."""
     q = diagonal[0] - x
-    if abs(q) < pivmin:
-        q = -pivmin
-    if q < 0.0:
-        count += 1
+    if q < pivmin:
+        return False
     for i in range(1, len(diagonal)):
         q = (diagonal[i] - x) - off_squared[i - 1] / q
-        if abs(q) < pivmin:
-            q = -pivmin
-        if q < 0.0:
-            count += 1
-    return count
+        if q < pivmin:
+            return False
+    return True
 
 
 def _bisect_smallest(t: TridiagonalMatrix, off_squared, pivmin) -> float:
@@ -122,7 +119,7 @@ def _bisect_smallest(t: TridiagonalMatrix, off_squared, pivmin) -> float:
         mid = 0.5 * (lo + hi)
         if mid <= lo or mid >= hi:  # interval no longer splits in floats
             break
-        if _count_below(diagonal, off_squared, mid, pivmin) >= 1:
+        if not _definite(diagonal, off_squared, mid, pivmin):
             hi = mid
         else:
             lo = mid
@@ -130,7 +127,7 @@ def _bisect_smallest(t: TridiagonalMatrix, off_squared, pivmin) -> float:
 
 
 def _pivots(diagonal, off_squared, shift, pivmin) -> np.ndarray:
-    """Top-down pivots of T - shift I, with the Sturm count's recurrence and clamp."""
+    """Top-down pivots of T - shift I; one below pivmin in magnitude becomes -pivmin."""
     n = len(diagonal)
     out = array("d", bytes(8 * n))
     q = diagonal[0] - shift
@@ -170,21 +167,19 @@ def _twisted_vector(t: TridiagonalMatrix, diagonal, off_squared, shift, pivmin) 
 def ground_eigenpair(t: TridiagonalMatrix) -> tuple[float, np.ndarray]:
     """Smallest eigenvalue and normalized eigenvector of a symmetric tridiagonal matrix.
 
-    The eigenvalue is bracketed by Sturm bisection to relative tolerance
-    1e-13.  A twisted solve at that shift gives a vector whose Rayleigh
-    quotient shifts a second, final solve; rounding leaves nothing for a
-    third.  The vector is positive at its twist row (z_r = 1 before
-    normalization), so with a non-positive off-diagonal, as in every LMG
-    block, all of its amplitudes are >= 0 (Perron-Frobenius).  The result
-    must satisfy
+    The eigenvalue is bracketed by bisection to relative tolerance 1e-13:
+    x lies below it exactly when T - xI is positive definite.  A twisted
+    solve at that shift gives a vector whose Rayleigh quotient shifts a
+    second, final solve; rounding leaves nothing for a third.  The vector
+    is positive at its twist row (z_r = 1 before normalization), so with a
+    non-positive off-diagonal, as in every LMG block, all of its
+    amplitudes are >= 0 (Perron-Frobenius).  The result must satisfy
 
         || T v - E v ||_2 <= 1e-10 max(1, ||diag||_inf + 2 ||off||_inf),
 
     otherwise ConvergenceError carries the residual.
     """
     e = t.offdiagonal
-    if t.dimension == 1:
-        return float(t.diagonal[0]), np.ones(1)
     off_squared = (e * e).tolist()
     pivmin = _pivot_floor(e)
     shift = _bisect_smallest(t, off_squared, pivmin)
@@ -244,7 +239,8 @@ def _slack(t: TridiagonalMatrix, x: float) -> np.ndarray:
 
 
 def _window_certified(block, ext: TridiagonalMatrix, lo: int, hi: int, x: float, tol: float) -> bool:
-    """True when a count on rows lo:hi proves the block has no eigenvalue below x.
+    """True when a definiteness test on rows lo:hi proves the block has no
+    eigenvalue below x.
 
     ext holds the block's rows max(lo - 3, 0):min(hi + 3, n), and tol is
     the block's `tolerance()`, at least its residual gate.
@@ -272,15 +268,16 @@ def _window_certified(block, ext: TridiagonalMatrix, lo: int, hi: int, x: float,
     of the block's scale (a thirtieth of margin) for N <= MAX_N_SPINS.  A
     result that misses it is inconclusive, and the window widens.
 
-    With R inside the window, the rows outside it form a positive-definite
-    matrix C, and by Haynsworth inertia additivity the block's count below
-    x is that of the Schur complement W - B C^-1 B^T of the window W.  That
-    complement lowers only the window's edge diagonals next to C, each by
-    e_link^2 / q_j, where q_j > d_j - x - |e_inner| > |e_link| is the pivot
-    of C's row j next to the window, eliminated from the block's end;
-    e_inner couples row j to C's next row.  The count can only rise as a
-    diagonal falls, so the bound e_link^2 / (d_j - x - |e_inner|) in place
-    of e_link^2 / q_j keeps the proof.
+    With R inside the window, the rows outside it form a strictly
+    diagonally dominant, so positive-definite, matrix C; when the Schur
+    complement W - B C^-1 B^T of the window W is positive definite too,
+    so is T - xI.  That complement lowers only the window's edge
+    diagonals next to C, each by e_link^2 / q_j, where
+    q_j > d_j - x - |e_inner| > |e_link| is the pivot of C's row j next
+    to the window, eliminated from the block's end; e_inner couples row
+    j to C's next row.  Lowering a diagonal further cannot make a matrix
+    positive definite, so the bound e_link^2 / (d_j - x - |e_inner|) in
+    place of e_link^2 / q_j keeps the proof.
     """
     n = block.dimension
     elo = max(lo - 3, 0)
@@ -310,7 +307,7 @@ def _window_certified(block, ext: TridiagonalMatrix, lo: int, hi: int, x: float,
         inner = float(ae[j]) if hi < n - 1 else 0.0
         diagonal[-1] -= float(ae[j - 1]) ** 2 / (float(d[j]) - x - inner)
     w = ext.offdiagonal[lo - elo:hi - elo - 1]
-    return _count_below(diagonal, (w * w).tolist(), x, _pivot_floor(w)) == 0
+    return _definite(diagonal, (w * w).tolist(), x, _pivot_floor(w))
 
 
 def _window_eigenpair(block, centre: int) -> tuple[int, float, np.ndarray]:

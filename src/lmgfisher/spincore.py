@@ -127,13 +127,6 @@ def spin_flip_count(total_spin: float, m: float) -> int:
     return ki
 
 
-def ladder_coefficient(total_spin: float, m: float) -> float:
-    """Amplitude of S+|S,M> -> |S,M+1>, i.e. sqrt(S(S+1) - M(M+1))."""
-    spin_flip_count(total_spin, m)
-    value = total_spin * (total_spin + 1.0) - m * (m + 1.0)
-    return math.sqrt(max(value, 0.0))
-
-
 def double_raising_element(total_spin: float, m: np.ndarray) -> np.ndarray:
     """<S,M+2| S+^2 |S,M> = sqrt((S(S+1) - M(M+1)) (S(S+1) - (M+1)(M+2))), elementwise in M."""
     casimir = total_spin * (total_spin + 1.0)

@@ -151,12 +151,29 @@ def dominant_outside(t, lo, hi, x):
     return min(slack[:lo].min(initial=np.inf), slack[hi:].min(initial=np.inf)) > 0.0
 
 
+def pivot_floor(e):
+    """Pivots smaller than this in magnitude are clamped: the smallest normal
+    float, times max(1, max e^2)."""
+    return float(np.finfo(float).tiny) * max(1.0, float(np.max(np.square(e), initial=0.0)))
+
+
+def sturm_count(diagonal, offdiagonal, x, pivmin):
+    """Number of negative LDL^T pivots of T - xI, each pivot smaller than
+    pivmin in magnitude clamped to -pivmin: the count of eigenvalues below
+    x, exact hits included."""
+    count = 0
+    for i, d in enumerate(diagonal):
+        q = d - x if i == 0 else (d - x) - offdiagonal[i - 1] * offdiagonal[i - 1] / q
+        if abs(q) < pivmin:
+            q = -pivmin
+        count += q < 0.0
+    return count
+
+
 def window_certified(t, lo, hi, x):
     """The window certificate read off the whole block t: `dominant_outside`,
     then the Sturm count of the window with its edge diagonals lowered by
     the Schur bound, which must be 0 (see solver._window_certified)."""
-    from lmgfisher import solver
-
     if not dominant_outside(t, lo, hi, x):
         return False
     d, ae = t.diagonal, np.abs(t.offdiagonal)
@@ -167,8 +184,8 @@ def window_certified(t, lo, hi, x):
     if hi < d.size:
         inner = float(ae[hi]) if hi < ae.size else 0.0
         diagonal[-1] -= float(ae[hi - 1]) ** 2 / (float(d[hi]) - x - inner)
-    w = t.offdiagonal[lo:hi - 1]
-    return solver._count_below(diagonal, (w * w).tolist(), x, solver._pivot_floor(w)) == 0
+    w = t.offdiagonal[lo:hi - 1].tolist()
+    return sturm_count(diagonal, w, x, pivot_floor(w)) == 0
 
 
 class ArrayBlock:

@@ -176,11 +176,19 @@ def test_bad_mode_and_missing_out_are_usage_errors(tmp_path):
     ["--mode", "field-sweep", "--gamma", "0.5", "--h", "1e306", "--n", "1000"],
     ["--mode", "field-sweep", "--gamma", "0.5", "--h", "0.5", "--n", "1" + "0" * 400],  # N past a float
     ["--mode", "field-sweep", "--gamma", "0.5", "--h", "1.5", "--n", "1" + "0" * 18],  # N past MAX_N_SPINS
+    # a finite point count, rejected before a list of 1e300 + 1 floats is built
+    ["--mode", "field-sweep", "--gamma", "0.5", "--h-start", "0", "--h-stop", "1", "--h-step", "1e-300"],
 ])
 def test_non_finite_inputs_are_usage_errors(tmp_path, argv):
     out = tmp_path / "never.csv"
     assert cli.main([*argv, "--n", "10", "--out", str(out)]) == 1
     assert not out.exists()
+
+
+def test_h_range_point_limit():
+    with pytest.raises(cli.UsageError):
+        cli._expand_range(0.0, 1.0, 1e-6)  # 10^6 + 1 points
+    assert len(cli._expand_range(0.0, 1.0, 1.0 / (cli.MAX_H_POINTS - 1))) == cli.MAX_H_POINTS
 
 
 @pytest.mark.parametrize("target", ["missing/x.csv", "."])

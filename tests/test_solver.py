@@ -299,6 +299,39 @@ def test_window_edge_coupling_hides_a_lower_eigenvalue(mirrored):
     assert abs(float(vec @ v_ref)) == pytest.approx(1.0, abs=1e-8)
 
 
+def definite_matches_sturm_count(diagonal, e, x):
+    """solver._definite on T - xI, checked against a Sturm count of 0; returns it."""
+    diagonal, e = np.asarray(diagonal, dtype=float).tolist(), np.asarray(e, dtype=float)
+    pivmin = oracles.pivot_floor(e)
+    verdict = solver._definite(diagonal, (e * e).tolist(), x, pivmin)
+    assert verdict == (oracles.sturm_count(diagonal, e.tolist(), x, pivmin) == 0), (diagonal, e, x)
+    return verdict
+
+
+def test_definite_is_a_sturm_count_of_zero():
+    tiny = float(np.finfo(float).tiny)
+    assert not definite_matches_sturm_count([2.0], [], 2.0)  # a zero first pivot
+    assert not definite_matches_sturm_count([1.0, 1.0], [1.0], 0.0)  # a zero second pivot
+    assert not definite_matches_sturm_count([1e-310], [], 0.0)  # subnormal, below the floor
+    assert definite_matches_sturm_count([tiny], [], 0.0)  # exactly the floor
+    assert not definite_matches_sturm_count([-tiny], [], 0.0)
+    assert definite_matches_sturm_count([3.0, 2.0, 3.0], [-1.0, -1.0], 0.0)
+    # LMG windows at x one ulp either side of, and at, each eigenvalue.
+    rng = np.random.default_rng(20261018)
+    verdicts = set()
+    for _ in range(200):
+        params = ModelParams(int(rng.integers(2, 400)), float(rng.uniform(0.0, 1.0)),
+                             float(rng.uniform(0.0, 3.0)))
+        block = solver._Block(params, EVEN if rng.integers(2) else ODD)
+        size = int(rng.integers(1, min(block.dimension, 12) + 1))
+        lo = int(rng.integers(0, block.dimension - size + 1))
+        t = block.rows(lo, lo + size)
+        for value in np.linalg.eigvalsh(t.to_dense()):
+            for x in (np.nextafter(value, -np.inf), value, np.nextafter(value, np.inf)):
+                verdicts.add(definite_matches_sturm_count(t.diagonal, t.offdiagonal, float(x)))
+    assert verdicts == {False, True}
+
+
 def certified(block, lo, hi, x, tol):
     """solver._window_certified on rows lo:hi, given the rows it reads."""
     ext = block.rows(max(lo - 3, 0), min(hi + 3, block.dimension))
@@ -389,15 +422,15 @@ def test_certificate_matches_the_whole_block_oracle(n, gamma):
 
 def test_critical_point_work_stays_sublinear(monkeypatch):
     # Whole-block solves would hand 50001 + 50001 rows to the eigensolver,
-    # a whole-block certificate would count 50001 rows, and building the
+    # a whole-block certificate would test 50001 rows, and building the
     # whole blocks would make 50001 rows each.
     rows = record_block_rows(monkeypatch)
     counted = []
-    count_below = solver._count_below
+    definite = solver._definite
 
     def recording(diagonal, off_squared, x, pivmin):
         counted.append(len(diagonal))
-        return count_below(diagonal, off_squared, x, pivmin)
+        return definite(diagonal, off_squared, x, pivmin)
 
     built = []
     build = solver.build_sector_matrix
@@ -406,7 +439,7 @@ def test_critical_point_work_stays_sublinear(monkeypatch):
         built.append(sector.dimension)
         return build(params, sector)
 
-    monkeypatch.setattr(solver, "_count_below", recording)
+    monkeypatch.setattr(solver, "_definite", recording)
     monkeypatch.setattr(solver, "build_sector_matrix", building)
     lmg_ground_state(ModelParams(100001, 0.5, 1.0))
     assert sum(rows) < 5000

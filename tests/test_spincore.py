@@ -11,7 +11,6 @@ from lmgfisher.spincore import (
     ModelParams,
     build_sector,
     build_sector_matrix,
-    ladder_coefficient,
     parity_of,
     sector_dimension,
     sector_row,
@@ -52,30 +51,6 @@ def test_model_params_rejects_non_finite_h(h):
     # is finite, h N is not)
     with pytest.raises(ValueError):
         ModelParams(4, 0.5, h)
-
-
-def test_ladder_coefficient_values():
-    assert ladder_coefficient(1, 1) == 0.0
-    assert ladder_coefficient(1, 0) == pytest.approx(math.sqrt(2.0), abs=0.0)
-    assert ladder_coefficient(4, -2) == pytest.approx(math.sqrt(18.0), rel=1e-15)
-
-
-def test_ladder_coefficient_against_pauli_raising_operator():
-    # amplitude <S,-1| S+ |S,-2> for N = 8 from raw Pauli sums
-    n = 8
-    sp = oracles.collective_operator(n, oracles.SX) + 1j * oracles.collective_operator(n, oracles.SY)
-    basis = oracles.dicke_basis(n)
-    col = {m: basis[:, int(n / 2 - m)] for m in (-1, -2)}
-    amp = col[-1].conj() @ sp @ col[-2]
-    assert amp.real == pytest.approx(ladder_coefficient(4, -2), rel=1e-12)
-    assert abs(amp.imag) < 1e-12
-
-
-def test_ladder_coefficient_domain():
-    with pytest.raises(ValueError):
-        ladder_coefficient(1, 2)
-    with pytest.raises(ValueError):
-        ladder_coefficient(1, 0.5)
 
 
 def test_parity_of():
