@@ -78,15 +78,7 @@ def isotropic_level_crossings(n_spins: int) -> list[float]:
     check_n_spins(n_spins)
     if n_spins < 2:
         raise ValueError(f"n_spins must be >= 2, got {n_spins}")
-    crossings = []
-    j = 0
-    while True:
-        h = 1.0 - (2 * j + 1) / n_spins
-        if h <= 0.0:
-            break
-        crossings.append(h)
-        j += 1
-    return crossings
+    return [1.0 - (2 * j + 1) / n_spins for j in range(n_spins // 2)]
 
 
 def mean_field_angle(h: float) -> float:

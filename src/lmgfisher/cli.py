@@ -21,9 +21,12 @@ directory.
 from __future__ import annotations
 
 import argparse
+import itertools
 import math
 import os
 import sys
+import tempfile
+from collections.abc import Iterable, Iterator
 
 from . import analytic, metrology, scaling, solver
 from .spincore import ModelParams
@@ -117,19 +120,19 @@ def _size_scaling_summary(tasks, results) -> list[str]:
     return summary
 
 
-def _isotropic_summary(tasks, results) -> list[str]:
-    """Level crossings per N, then the per-point (M0, E) closed forms."""
-    summary = ["# summary"]
+def _isotropic_summary(tasks, results) -> Iterator[str]:
+    """Level crossings per N, then the per-point (M0, E) closed forms, one
+    line at a time: there are N/2 crossings per N."""
+    yield "# summary"
     for n in dict.fromkeys(task[1] for task in tasks):
         if n < 2:
             continue
         for j, hj in enumerate(analytic.isotropic_level_crossings(n)):
-            summary.append(f"# crossing,N={n},j={j},h={_fmt(hj)}")
+            yield f"# crossing,N={n},j={j},h={_fmt(hj)}"
     for _, n, _, h in tasks:
         m0 = analytic.isotropic_ground_m(n, h)
         e0 = analytic.isotropic_energy(n, m0, h)
-        summary.append(f"# closed_form,N={n},h={_fmt(h)},M0={_fmt(m0)},E={_fmt(e0)}")
-    return summary
+        yield f"# closed_form,N={n},h={_fmt(h)},M0={_fmt(m0)},E={_fmt(e0)}"
 
 
 # Modes with a '# ' summary block after the rows; the others have none.
@@ -277,20 +280,25 @@ def _check_output_path(path: str) -> None:
         raise UsageError(f"output directory {directory} is not writable")
 
 
-def _write_atomically(path: str, text: str) -> None:
-    """Write a temporary file beside `path`, then rename it over `path`.
+def _write_atomically(path: str, lines: Iterable[str]) -> None:
+    """Write `lines` to a new temporary file beside `path` as they come,
+    then rename it over `path`.
 
     Readers see either the old file or the complete new one, and a
-    write that fails leaves no partial CSV behind.
+    write that fails leaves no partial CSV behind.  The file gets the
+    mode that open() would give it, not mkstemp's 0600.
     """
-    temporary = f"{path}.{os.getpid()}.tmp"
+    fd, temporary = tempfile.mkstemp(prefix=os.path.basename(path) + ".", suffix=".tmp",
+                                     dir=os.path.dirname(os.path.abspath(path)))
     try:
-        with open(temporary, "x", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+        with open(fd, "w", encoding="utf-8", newline="") as fh:
+            fh.writelines(lines)
+        umask = os.umask(0)
+        os.umask(umask)
+        os.chmod(temporary, 0o666 & ~umask)
         os.replace(temporary, path)
     except BaseException:
-        if os.path.exists(temporary):
-            os.remove(temporary)
+        os.remove(temporary)
         raise
 
 
@@ -306,8 +314,8 @@ def main(argv=None) -> int:
     results = _execute(tasks, jobs)
     summarize = _SUMMARIES.get(mode)
     summary = summarize(tasks, results) if summarize else []
-    lines = [CSV_HEADER, *(line for line, _, _ in results), *summary]
-    _write_atomically(out, "\n".join(lines) + "\n")
+    lines = itertools.chain([CSV_HEADER], (line for line, _, _ in results), summary)
+    _write_atomically(out, (line + "\n" for line in lines))
     failed = any(status == STATUS_CONVERGENCE for _, status, _ in results)
     return 2 if failed else 0
 

@@ -24,6 +24,7 @@ from .spincore import (
     ODD,
     ModelParams,
     TridiagonalMatrix,
+    block_top,
     build_sector,
     build_sector_matrix,
     sector_dimension,
@@ -203,13 +204,16 @@ class _Block:
     """One parity block of a model, built a row range at a time.
 
     `_window_eigenpair` reads a block only through `dimension`,
-    `rows(lo, hi)` and `tolerance()`.
+    `rows(lo, hi)`, `tolerance()` and `slack_floor(lo, hi)`.  `centre` is
+    the row nearest M = h S, and so nearest the mean-field S min(h, 1).
     """
 
     def __init__(self, params: ModelParams, parity: str):
         self.params = params
         self.parity = parity
         self.dimension = sector_dimension(params, parity)
+        self.centre = sector_row(params, parity, params.h * params.total_spin)
+        self._top = block_top(params, parity)
 
     def rows(self, lo: int, hi: int) -> TridiagonalMatrix:
         """Rows [lo, hi) of the block, bit-identical to the whole block's."""
@@ -228,74 +232,53 @@ class _Block:
         s = p.total_spin
         return _RESIDUAL_FACTOR * max(1.0, p.h * s + (s + 1.0) / 2.0)
 
+    def slack_floor(self, lo: int, hi: int) -> float:
+        """A closed-form lower bound on the row sums d_i - |e_(i-1)| - |e_i|
+        over the rows outside [lo, hi); inf when there are none.
 
-def _slack(t: TridiagonalMatrix, x: float) -> np.ndarray:
-    """d_i - x - |e_(i-1)| - |e_i| for each row of t, over t's own couplings."""
-    ae = np.abs(t.offdiagonal)
-    slack = t.diagonal - x
-    slack[:-1] -= ae
-    slack[1:] -= ae
-    return slack
+        AM-GM gives b <= C - (M'+1)^2 on the pair (M'+2, M'), C = S(S+1),
+        so row M sums to at least M^2/N - h M - C/N + (1-gamma)/(2N).  The
+        even block's end rows M = +-S lack a coupling, 0 rather than the
+        bound's -(1-gamma)(S+1)/(4N); taking that off every row gives
+        P(M) = M^2/N - h M - C/N + (1-gamma)(1-S)/(4N), convex with its
+        minimum at M = h S, so least on each run of outside rows at the
+        run's row nearest `centre`.  Against the row sums of blocks built
+        in floats (N from 2 to 1e9, gamma and h in [0, 3]) P is at most
+        0.5 below them and at most 2.2e-16 of the block's scale above.
+        """
+        p = self.params
+        s, n = p.total_spin, float(p.n_spins)
+        floor = math.inf
+        rows = [min(self.centre, lo - 1)] * (lo > 0) + [max(self.centre, hi)] * (hi < self.dimension)
+        for m in (self._top - 2.0 * row for row in rows):
+            floor = min(floor, (m * m - s * (s + 1)) / n - p.h * m + (1 - p.gamma) * (1 - s) / (4 * n))
+        return floor
 
 
 def _window_certified(block, ext: TridiagonalMatrix, lo: int, hi: int, x: float, tol: float) -> bool:
     """True when a definiteness test on rows lo:hi proves the block has no
     eigenvalue below x.
 
-    ext holds the block's rows max(lo - 3, 0):min(hi + 3, n), and tol is
+    ext holds the block's rows max(lo - 2, 0):min(hi + 2, n), and tol is
     the block's `tolerance()`, at least its residual gate.
 
-    R, the rows where T - xI is not strictly diagonally dominant (slack
-    d_i - x - |e_(i-1)| - |e_i| <= 0), must lie inside the window; this is
-    shown from O(1) rows outside it.  In exact arithmetic the slack is
-    convex on the interior rows 1..n-2 of an LMG block, because each
-    interior row's two couplings are pairs of the block and:
-    d(M) = ((1+gamma)/(2N)) M^2 - h M - const is convex in M; and |e| is
-    (1-gamma)/(4N) b, where b^2 = u (u-1) v (v+1) with u = S - M',
-    v = S + M' + 1 for the pair (M' + 2, M'), and b is concave in M' on
-    every pair of the block (4 b'' b^3 = 2 P P'' - P'^2 with P = b^2 is a
-    cubic in c = (S + 1/2)^2 - (M' + 1)^2 whose largest value is
-    -4 (S + 1/2)^2 (2S)^2 < 0).  Only the end rows can break it:
-    their missing coupling is 0, not the concave continuation.  So the
-    end rows 0 and n-1 are evaluated on their own.  The outside interior
-    rows next to the window, lo - 1 and hi, must have slack > margin.
-    When more outside interior rows lie beyond such an edge row, either
-    an interior row j of the window has slack below the edge row's by
-    margin, or the next row beyond it has slack above the edge row's by
-    margin.  Either way, by convexity through three of these rows, every
-    row beyond has slack at least the edge row's.  margin = 0.1 tol covers
-    the rounding of the entries and of the slack, which stays below 3e-12
-    of the block's scale (a thirtieth of margin) for N <= MAX_N_SPINS.  A
-    result that misses it is inconclusive, and the window widens.
-
-    With R inside the window, the rows outside it form a strictly
-    diagonally dominant, so positive-definite, matrix C; when the Schur
-    complement W - B C^-1 B^T of the window W is positive definite too,
-    so is T - xI.  That complement lowers only the window's edge
-    diagonals next to C, each by e_link^2 / q_j, where
-    q_j > d_j - x - |e_inner| > |e_link| is the pivot of C's row j next
-    to the window, eliminated from the block's end; e_inner couples row
-    j to C's next row.  Lowering a diagonal further cannot make a matrix
+    `block.slack_floor(lo, hi)` must exceed x by a margin of 0.1 tol, far
+    above the rounding of the floor and of the entries; a result inside it
+    is inconclusive, and the window widens.  Then the rows outside the
+    window are strictly diagonally dominant in T - xI and form a positive
+    definite matrix C; when the Schur complement W - B C^-1 B^T of the
+    window W is positive definite too, so is T - xI.  That complement lowers
+    only the window's edge diagonals next to C, each by e_link^2 / q_j,
+    where q_j > d_j - x - |e_inner| > |e_link| is the pivot of C's row j
+    next to the window, eliminated from the block's end; e_inner couples
+    row j to C's next row.  Lowering a diagonal further cannot make a matrix
     positive definite, so the bound e_link^2 / (d_j - x - |e_inner|) in
     place of e_link^2 / q_j keeps the proof.
     """
+    if not block.slack_floor(lo, hi) - x > _SLACK_MARGIN * tol:
+        return False
     n = block.dimension
-    elo = max(lo - 3, 0)
-    margin = _SLACK_MARGIN * tol
-    slack = _slack(ext, x)
-    if lo > 0 and not (slack[0] if elo == 0 else _slack(block.rows(0, 2), x)[0]) > margin:
-        return False
-    if hi < n and not (slack[-1] if elo + slack.size == n else _slack(block.rows(n - 2, n), x)[-1]) > margin:
-        return False
-    inside = slack[max(lo, 1) - elo:min(hi, n - 1) - elo]
-    lowest = float(np.min(inside)) if inside.size else math.inf
-    for edge, step, beyond in ((lo - 1, -1, lo > 2), (hi, 1, hi < n - 2)):
-        if 1 <= edge <= n - 2:
-            value = float(slack[edge - elo])
-            if not value > margin:
-                return False
-            if beyond and not (lowest <= value - margin or slack[edge + step - elo] >= value + margin):
-                return False
+    elo = max(lo - 2, 0)
     d, ae = ext.diagonal, np.abs(ext.offdiagonal)
     diagonal = d[lo - elo:hi - elo].tolist()
     if lo > 0:  # C's row j = lo - 1 sits above the window
@@ -315,13 +298,12 @@ def _window_eigenpair(block, centre: int) -> tuple[int, float, np.ndarray]:
     `centre`; returns (offset of the window, energy, window vector).
 
     The window is the 2w + 1 rows centred on `centre`, shifted inward
-    where the block ends, with w = 16 at first.  Only its rows and three
+    where the block ends, with w = 16 at first.  Only its rows and two
     more on each side are built.  Its pair, zero-padded to the whole
-    block, is accepted when
-    (a) each window edge inside the block has |amplitude| <= 1e-17 of
-    the peak, and (b) `_window_certified` proves, from the window rows
-    and O(1) rows outside, that the block has no eigenvalue below
-    E - tol, tol being `block.tolerance()`.  Cauchy
+    block, is accepted when (a) each window edge inside the block has
+    |amplitude| <= 1e-17 of the peak, and (b) `_window_certified` proves,
+    from those rows and the block's slack floor, that the block has no
+    eigenvalue below E - tol, tol being `block.tolerance()`.  Cauchy
     interlacing gives E >= the block's minimum, so (b) rules out a lower
     eigenvalue.  The padded vector's residual on the whole block is the
     window's, which met its own (smaller) gate, plus the two edge
@@ -343,8 +325,8 @@ def _window_eigenpair(block, centre: int) -> tuple[int, float, np.ndarray]:
             return (0, *ground_eigenpair(block.rows(0, n)))
         lo = min(max(0, centre - half), n - size)
         hi = lo + size
-        elo = max(lo - 3, 0)
-        ext = block.rows(elo, min(hi + 3, n))
+        elo = max(lo - 2, 0)
+        ext = block.rows(elo, min(hi + 2, n))
         energy, v = ground_eigenpair(
             TridiagonalMatrix(ext.diagonal[lo - elo:hi - elo], ext.offdiagonal[lo - elo:hi - elo - 1]))
         edge = _WINDOW_EDGE_RELTOL * float(np.max(np.abs(v)))
@@ -357,10 +339,10 @@ def _window_eigenpair(block, centre: int) -> tuple[int, float, np.ndarray]:
 
 def lmg_ground_state(params: ModelParams) -> GroundState:
     """Ground state over both parity blocks; exact ties resolve to even parity."""
-    m0 = params.total_spin * min(params.h, 1.0)  # mean-field <S_z> = S cos(theta0)
     solved = {}
     for parity in (EVEN, ODD):
-        solved[parity] = _window_eigenpair(_Block(params, parity), sector_row(params, parity, m0))
+        block = _Block(params, parity)
+        solved[parity] = _window_eigenpair(block, block.centre)
     (o_even, e_even, v_even), (o_odd, e_odd, v_odd) = solved[EVEN], solved[ODD]
     tie = _DEGENERACY_RELTOL * max(1.0, abs(e_even), abs(e_odd))
     if e_odd < e_even - tie:

@@ -147,7 +147,7 @@ def sector_dimension(params: ModelParams, parity: str) -> int:
     return n // 2 + 1 if parity == EVEN else (n + 1) // 2
 
 
-def _top(params: ModelParams, parity: str) -> float:
+def block_top(params: ModelParams, parity: str) -> float:
     """M of a block's first row: S for even parity, S - 1 for odd."""
     return params.total_spin - (0.0 if parity == EVEN else 1.0)
 
@@ -156,7 +156,7 @@ def sector_row(params: ModelParams, parity: str, m: float) -> int:
     """The row of one parity block whose M is nearest m, the upper row
     (larger M) on a tie; m beyond the block gives its end row."""
     count = sector_dimension(params, parity)
-    return int(min(max(math.ceil((_top(params, parity) - m) / 2.0 - 0.5), 0), count - 1))
+    return int(min(max(math.ceil((block_top(params, parity) - m) / 2.0 - 0.5), 0), count - 1))
 
 
 def build_sector(params: ModelParams, parity: str, lo: int = 0, hi: int | None = None) -> DickeSector:
@@ -167,7 +167,7 @@ def build_sector(params: ModelParams, parity: str, lo: int = 0, hi: int | None =
         hi = count
     if not 0 <= lo < hi <= count:
         raise ValueError(f"rows [{lo}, {hi}) do not lie in a block of {count} rows")
-    m_values = _top(params, parity) - 2.0 * np.arange(lo, hi)
+    m_values = block_top(params, parity) - 2.0 * np.arange(lo, hi)
     return DickeSector(total_spin=params.total_spin, parity=parity, m_values=m_values)
 
 

@@ -141,14 +141,20 @@ def residual_tolerance(t):
     return 1e-10 * max(1.0, scale)
 
 
-def dominant_outside(t, lo, hi, x):
-    """Whole-block test that every row of t outside lo:hi is strictly
-    diagonally dominant in t - xI: d_i - x > |e_(i-1)| + |e_i|."""
+def least_row_sum_outside(t, lo, hi, x=0.0):
+    """The least d_i - x - |e_(i-1)| - |e_i| over the rows of t outside
+    lo:hi; inf when there are none."""
     ae = np.abs(t.offdiagonal)
     slack = t.diagonal - x
     slack[:-1] -= ae
     slack[1:] -= ae
-    return min(slack[:lo].min(initial=np.inf), slack[hi:].min(initial=np.inf)) > 0.0
+    return min(slack[:lo].min(initial=np.inf), slack[hi:].min(initial=np.inf))
+
+
+def dominant_outside(t, lo, hi, x):
+    """Whole-block test that every row of t outside lo:hi is strictly
+    diagonally dominant in t - xI: d_i - x > |e_(i-1)| + |e_i|."""
+    return least_row_sum_outside(t, lo, hi, x) > 0.0
 
 
 def pivot_floor(e):
@@ -190,7 +196,8 @@ def window_certified(t, lo, hi, x):
 
 class ArrayBlock:
     """A whole TridiagonalMatrix served the way the solver reads an LMG
-    block: `dimension`, `rows(lo, hi)` and the whole-block `tolerance()`."""
+    block: `dimension`, `rows(lo, hi)`, the whole-block `tolerance()` and
+    the exact `slack_floor(lo, hi)`."""
 
     def __init__(self, t):
         self.t = t
@@ -201,3 +208,6 @@ class ArrayBlock:
 
     def tolerance(self):
         return residual_tolerance(self.t)
+
+    def slack_floor(self, lo, hi):
+        return least_row_sum_outside(self.t, lo, hi)

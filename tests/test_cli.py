@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -222,6 +223,46 @@ def test_csv_replaced_atomically(tmp_path, monkeypatch):
     assert src.parent == tmp_path and dst == out
     assert read_lines(out)[0] == HEADER
     assert [p.name for p in tmp_path.iterdir()] == ["sweep.csv"]
+
+
+def test_csv_writer_leaves_a_file_it_did_not_make(tmp_path):
+    # A killed run can leave a file under the name a pid-based temporary
+    # would take, and pids are reused.
+    out = tmp_path / "sweep.csv"
+    stranger = tmp_path / f"sweep.csv.{os.getpid()}.tmp"
+    stranger.write_text("not ours\n")
+    assert cli.main(["--mode", "field-sweep", "--n", "10", "--gamma", "0.5",
+                     "--h", "0.5", "--out", str(out)]) == 0
+    assert read_lines(out)[0] == HEADER
+    assert stranger.read_text() == "not ours\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted([out.name, stranger.name])
+
+
+def test_csv_gets_the_default_file_mode(tmp_path):
+    out = tmp_path / "mode.csv"
+    umask = os.umask(0o022)
+    try:
+        assert cli.main(["--mode", "analytic-only", "--n", "10", "--gamma", "0.5",
+                         "--h", "0.5", "--out", str(out)]) == 0
+    finally:
+        os.umask(umask)
+    assert out.stat().st_mode & 0o777 == 0o644
+
+
+def test_isotropic_summary_streams_its_lines(tmp_path):
+    # N = 2e5 writes 1e5 crossing lines, which would take about 20 MB
+    # held at once as lines and as one joined string.
+    out = tmp_path / "iso.csv"
+    tracemalloc.start()
+    try:
+        assert cli.main(["--mode", "isotropic", "--n", "200000", "--h", "0.5", "--out", str(out)]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8e6
+    crossings = [l for l in summary_lines(read_lines(out)) if l.startswith("# crossing")]
+    assert len(crossings) == 100000
+    assert crossings[-1] == f"# crossing,N=200000,j=99999,h={cli._fmt(1.0 - 199999 / 200000)}"
 
 
 def test_cli_import_leaves_scipy_unloaded():

@@ -259,10 +259,10 @@ def window_solve(block, centre):
 def test_window_on_a_local_well_is_not_certified():
     # A convex well at row 50, and a deeper state on the block's last row.
     # A window around row 50 holds a state that decays below 1e-17 at both
-    # edges and meets the residual gate; every interior row outside it is
-    # diagonally dominant, with slack growing away from the window.  Only
-    # the end row, which convexity does not cover, shows the deeper state.
-    # Mirrored, the deeper state sits on the first row.
+    # edges and meets the residual gate, and every row outside it but the
+    # last is diagonally dominant.  Only the slack floor, which covers
+    # every row outside the window, the end row too, shows the deeper
+    # state.  Mirrored, the deeper state sits on the first row.
     rows = np.arange(301.0)
     d = 0.01 * (rows - 50.0) ** 2
     d[-1] = -5.0
@@ -334,7 +334,7 @@ def test_definite_is_a_sturm_count_of_zero():
 
 def certified(block, lo, hi, x, tol):
     """solver._window_certified on rows lo:hi, given the rows it reads."""
-    ext = block.rows(max(lo - 3, 0), min(hi + 3, block.dimension))
+    ext = block.rows(max(lo - 2, 0), min(hi + 2, block.dimension))
     return solver._window_certified(block, ext, lo, hi, x, tol)
 
 
@@ -352,10 +352,10 @@ def certificate_windows(dim):
 
 def test_certificate_reads_the_slack_beyond_the_window_edges():
     # A steep convex well whose non-dominant rows R lie within a few rows of
-    # row 150.  A window away from it has dominant edge rows, but rows
-    # beyond one edge are not dominant: neither a lower row inside the
-    # window nor a rise past the edge vouches for them, so the window is
-    # not certified.
+    # row 150.  A window away from it has dominant rows beside its edges,
+    # but rows further beyond one edge are not dominant, so the slack floor
+    # over the rows outside it stays below x and the window is not
+    # certified.
     rows = np.arange(301.0)
     t = TridiagonalMatrix(0.01 * (rows - 150.0) ** 2, np.full(300, -0.5))
     block = oracles.ArrayBlock(t)
@@ -367,22 +367,6 @@ def test_certificate_reads_the_slack_beyond_the_window_edges():
         assert verdict == oracles.window_certified(t, lo, lo + 33, x), lo
         verdicts.append(verdict)
     assert any(verdicts) and not all(verdicts)
-
-
-def test_certificate_takes_a_lower_row_in_the_window_as_witness():
-    # A flat-bottomed well: next to a centred window the slack rises by
-    # less than the margin per row, so only the window's lower middle rows
-    # prove, by convexity, that the rows beyond its edges are dominant.
-    rows = np.arange(301.0)
-    t = TridiagonalMatrix(1e-13 * (rows - 150.0) ** 2, np.full(300, -0.5))
-    block = oracles.ArrayBlock(t)
-    tol = block.tolerance()
-    x = oracles.tridiagonal_ground(t)[0] - 1e-3
-    lo, hi = 134, 167
-    slack = t.diagonal - x - 1.0
-    assert slack[hi + 1] - slack[hi] < solver._SLACK_MARGIN * tol
-    assert certified(block, lo, hi, x, tol)
-    assert oracles.window_certified(t, lo, hi, x)
 
 
 CERTIFICATE_GRID = [(n, gamma) for n in (3, 10, 101, 600, 10001) for gamma in (0.0, 0.5, 0.99, 1.0)]
@@ -402,9 +386,10 @@ def test_block_tolerance_is_the_whole_block_gate(n, gamma):
 
 @pytest.mark.parametrize("n,gamma", CERTIFICATE_GRID)
 def test_certificate_matches_the_whole_block_oracle(n, gamma):
-    # The window certificate reads O(1) rows outside the window; the oracle
-    # tests every row of the whole block.  x is the window's own energy
-    # minus the block's tolerance, as in the solver.
+    # The window certificate reads two rows beside each window edge and the
+    # closed-form slack floor; the oracle tests every row of the whole
+    # block.  x is the window's own energy minus the block's tolerance, as
+    # in the solver.
     verdicts = []
     for h in np.linspace(0.0, 3.0, 13):
         params = ModelParams(n, gamma, float(h))
@@ -420,10 +405,68 @@ def test_certificate_matches_the_whole_block_oracle(n, gamma):
     assert any(verdicts) and not all(verdicts)
 
 
+def block_scale(block):
+    """The block's scale h S + (S+1)/2, of which its tolerance is 1e-10."""
+    return block.tolerance() / solver._RESIDUAL_FACTOR
+
+
+@pytest.mark.parametrize("n,gamma", CERTIFICATE_GRID)
+def test_slack_floor_bounds_every_row_outside_the_window(n, gamma):
+    # The closed form is at most the least row sum outside the window, up
+    # to rounding, and at most 0.5 below it.
+    eps = float(np.finfo(float).eps)
+    for h in np.linspace(0.0, 3.0, 13):
+        params = ModelParams(n, gamma, float(h))
+        for parity in (EVEN, ODD):
+            block = solver._Block(params, parity)
+            whole = oracles.ArrayBlock(build_sector_matrix(params, build_sector(params, parity)))
+            rounding = 8.0 * eps * block_scale(block)
+            for lo, hi in certificate_windows(block.dimension):
+                exact = whole.slack_floor(lo, hi)
+                floor = block.slack_floor(lo, hi)
+                assert exact - 0.5 - rounding <= floor <= exact + rounding, (h, parity, lo, hi)
+
+
+@pytest.mark.parametrize("n", [10**8 + 1, 10**9])
+def test_slack_floor_at_large_n_matches_built_rows(n):
+    # No whole block is built: runs of 100 rows at both block ends and
+    # around the floor's vertex h S.  The floor over the rows on one side
+    # of a window is the closed form at the row nearest the vertex, so a
+    # window that ends next to row i reads it at row i alone.
+    eps = float(np.finfo(float).eps)
+    for gamma in (0.0, 0.5, 0.99):
+        for h in (0.0, 0.5, 1.0):
+            for parity in (EVEN, ODD):
+                block = solver._Block(ModelParams(n, gamma, h), parity)
+                dim, centre = block.dimension, block.centre
+                rounding = 8.0 * eps * block_scale(block)
+                for start in (0, max(centre - 50, 0), dim - 100):
+                    lo, hi = max(start - 1, 0), min(start + 101, dim)
+                    t = block.rows(lo, hi)
+                    sums = t.diagonal.copy()
+                    sums[:-1] -= np.abs(t.offdiagonal)
+                    sums[1:] -= np.abs(t.offdiagonal)
+                    for i in range(start, start + 100):
+                        floor = block.slack_floor(i + 1, dim) if i < centre else block.slack_floor(0, i)
+                        exact = float(sums[i - lo])
+                        assert exact - 0.5 - rounding <= floor <= exact + rounding, (gamma, h, parity, i)
+
+
+@pytest.mark.parametrize("h", [0.5, 1.0])
+def test_isotropic_large_n_accepts_the_first_window(monkeypatch, h):
+    # At gamma = 1 the ground state is one Dicke row, which the first
+    # 33-row window of each block holds with room to spare, though the
+    # diagonal is nearly flat beside it: neither block should widen.
+    rows = record_block_rows(monkeypatch)
+    lmg_ground_state(ModelParams(10**8, 1.0, h))
+    assert rows == [33, 33]
+
+
 def test_critical_point_work_stays_sublinear(monkeypatch):
     # Whole-block solves would hand 50001 + 50001 rows to the eigensolver,
     # a whole-block certificate would test 50001 rows, and building the
-    # whole blocks would make 50001 rows each.
+    # whole blocks would make 50001 rows each.  A window builds two more
+    # rows beside each edge.
     rows = record_block_rows(monkeypatch)
     counted = []
     definite = solver._definite
@@ -444,7 +487,7 @@ def test_critical_point_work_stays_sublinear(monkeypatch):
     lmg_ground_state(ModelParams(100001, 0.5, 1.0))
     assert sum(rows) < 5000
     assert max(counted) <= max(rows)
-    assert max(built) <= max(rows) + 6
+    assert max(built) <= max(rows) + 4
 
 
 def test_large_ground_state_memory_follows_the_window():
