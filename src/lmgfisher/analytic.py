@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import enum
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 from .spincore import check_n_spins, spin_flip_count
@@ -48,9 +49,13 @@ def classify_phase(h: float) -> Phase:
 
 
 def isotropic_energy(n_spins: int, m: float, h: float) -> float:
-    """Energy of |S = N/2, M> in the isotropic model:
+    """Twice the energy of |S = N/2, M> in the isotropic model, plus one:
 
-        E(M, h) = (2/N) (M - hN/2)^2 - (N/2) (1 + h^2).
+        E(M, h) = (2/N) (M - hN/2)^2 - (N/2) (1 + h^2) = 2 <H> + 1.
+
+    At gamma = 1 the model's H = -(S^2 - S_z^2)/N - h S_z is diagonal with
+    <H> = (M^2 - S(S+1))/N - h M, so E(M, h) orders the Dicke states as H
+    does, and E(M, h) = E(M', h) exactly where their energies cross.
     """
     _check_field(h)
     check_n_spins(n_spins)
@@ -73,12 +78,13 @@ def isotropic_ground_m(n_spins: int, h: float) -> float:
     return s - float(math.ceil(x - 0.5))
 
 
-def isotropic_level_crossings(n_spins: int) -> list[float]:
-    """Fields h_j = 1 - (2j+1)/N > 0 where |S, S-j> and |S, S-j-1> cross."""
+def isotropic_level_crossings(n_spins: int) -> Iterator[float]:
+    """Fields h_j = 1 - (2j+1)/N > 0 where |S, S-j> and |S, S-j-1> cross,
+    for j = 0 ... N//2 - 1, made one at a time; N is checked at the call."""
     check_n_spins(n_spins)
     if n_spins < 2:
         raise ValueError(f"n_spins must be >= 2, got {n_spins}")
-    return [1.0 - (2 * j + 1) / n_spins for j in range(n_spins // 2)]
+    return (1.0 - (2 * j + 1) / n_spins for j in range(n_spins // 2))
 
 
 def mean_field_angle(h: float) -> float:
@@ -110,6 +116,31 @@ def hp_epsilon(h: float, gamma: float) -> float:
             f"no Bogoliubov rotation at h={h}, gamma={gamma}: |epsilon| = {abs(eps)} >= 1"
         )
     return eps
+
+
+def bogoliubov_ground_energy(n_spins: int, gamma: float, h: float) -> float:
+    """Ground energy to O(1) from the Holstein-Primakoff expansion with one
+    Bogoliubov mode (Dusuel & Vidal, PRL 93, 237204 (2004)):
+
+        broken (h < 1):     E_B = -(N/4)(1+h^2) + (sqrt((1-h^2)(1-gamma)) - 1)/2,
+        symmetric (h > 1):  E_B = -hN/2 + (sqrt(h-1) sqrt(h-gamma) - h)/2.
+
+    The exact ground energy is E_B + O(1/N).  The symmetric form is
+    evaluated as -hN/2 - (1 + gamma - gamma/h) / (2 (1 + sqrt((1-1/h)(1-gamma/h)))),
+    the same value without the cancellation or overflow of
+    sqrt(h-1) sqrt(h-gamma) - h at large h.  h = 1 raises CriticalPointError.
+    """
+    if not 0.0 <= gamma <= 1.0:
+        raise ValueError(f"gamma must lie in [0, 1], got {gamma}")
+    _check_field(h)
+    check_n_spins(n_spins)
+    n = float(n_spins)
+    if h == 1.0:
+        raise CriticalPointError("the Bogoliubov mode is soft at h = 1")
+    if h < 1.0:
+        return -0.25 * n * (1.0 + h * h) + 0.5 * (math.sqrt((1.0 - h * h) * (1.0 - gamma)) - 1.0)
+    root = math.sqrt((1.0 - 1.0 / h) * (1.0 - gamma / h))
+    return -0.5 * h * n - (1.0 + gamma - gamma / h) / (2.0 * (1.0 + root))
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,8 @@ mode-specific summaries (scaling fits, level crossings, closed forms).
 Exit codes: 0 success, 1 usage error (no file written; this includes an
 output directory that is missing or not writable, checked before any
 solve, and an h range of more than MAX_H_POINTS = 10^6 points), 2 when
-any grid point failed to converge (recorded in its row's status field).
+any grid point failed (its row's status field is convergence_error when
+the eigensolver missed its residual gate, error for any other exception).
 The CSV is renamed into place from a temporary file in the same
 directory.
 """
@@ -35,6 +36,7 @@ CSV_HEADER = "mode,N,gamma,h,parity,energy,chi2,xi1_2,xi2_2,fisher,qcr,tl_chi2,t
 MODES = ("field-sweep", "size-scaling", "isotropic", "analytic-only")
 STATUS_OK = "ok"
 STATUS_CONVERGENCE = "convergence_error"
+STATUS_ERROR = "error"
 MAX_H_POINTS = 10**6  # points in one --h-start/--h-stop/--h-step range
 
 
@@ -64,24 +66,31 @@ def _tl_fields(h: float, gamma: float, n: int):
 
 
 def _row_task(task) -> tuple[str, str, float | None]:
-    """Compute one grid point; returns (csv_line, status, chi2 or None)."""
+    """Compute one grid point; returns (csv_line, status, chi2 or None).
+
+    A ConvergenceError gives status convergence_error, and any other
+    Exception status error, with a line on stderr; the fields computed
+    before it stay, the others are left empty.
+    """
     mode, n, gamma, h = task
-    if mode == "isotropic":
-        closed = metrology.dicke_metrics(n, analytic.isotropic_ground_m(n, h))
-        tl_chi2, tl_xi1 = closed.chi2, closed.xi1_2
-    else:
-        tl_chi2, tl_xi1 = _tl_fields(h, gamma, n)
     parity, status = "", STATUS_OK
-    energy = chi2 = xi1 = xi2 = fisher = qcr = None
-    if mode != "analytic-only":
-        try:
-            gs = solver.lmg_ground_state(ModelParams(n_spins=n, gamma=gamma, h=h))
-        except solver.ConvergenceError:
-            status = STATUS_CONVERGENCE
+    energy = chi2 = xi1 = xi2 = fisher = qcr = tl_chi2 = tl_xi1 = None
+    try:
+        if mode == "isotropic":
+            closed = metrology.dicke_metrics(n, analytic.isotropic_ground_m(n, h))
+            tl_chi2, tl_xi1 = closed.chi2, closed.xi1_2
         else:
+            tl_chi2, tl_xi1 = _tl_fields(h, gamma, n)
+        if mode != "analytic-only":
+            gs = solver.lmg_ground_state(ModelParams(n_spins=n, gamma=gamma, h=h))
             rep = metrology.report(gs)
             parity, energy = gs.parity, gs.energy
             chi2, xi1, xi2, fisher, qcr = rep.chi2, rep.xi1_2, rep.xi2_2, rep.fisher, rep.qcr
+    except solver.ConvergenceError:
+        status = STATUS_CONVERGENCE
+    except Exception as exc:  # one point's failure must not abort the sweep
+        status = STATUS_ERROR
+        print(f"error: N={n}, h={_fmt(h)}: {type(exc).__name__}: {exc}", file=sys.stderr)
     fields = [mode, n, gamma, h, parity, energy, chi2, xi1, xi2, fisher, qcr,
               tl_chi2, tl_xi1, analytic.classify_phase(h).value, status]
     return ",".join(_fmt(f) for f in fields), status, chi2
@@ -316,7 +325,7 @@ def main(argv=None) -> int:
     summary = summarize(tasks, results) if summarize else []
     lines = itertools.chain([CSV_HEADER], (line for line, _, _ in results), summary)
     _write_atomically(out, (line + "\n" for line in lines))
-    failed = any(status == STATUS_CONVERGENCE for _, status, _ in results)
+    failed = any(status != STATUS_OK for _, status, _ in results)
     return 2 if failed else 0
 
 

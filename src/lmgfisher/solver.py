@@ -2,11 +2,14 @@
 
 ground_eigenpair brackets the smallest eigenvalue by bisection on a
 positive-definiteness test, then takes the eigenvector from two
-twisted-factorization solves.  lmg_ground_state solves both parity
-blocks of one model instance and returns the lower one (even wins exact
-ties, so the reported state keeps <S_x> = <S_y> = 0).  Each block is solved on a
-window of rows around the mean-field magnetization, widened until the
-zero-padded result is certified as the ground state of the whole block.
+twisted-factorization solves; given a nearby start, it first tries
+Rayleigh-quotient passes from there and one definiteness test instead.
+lmg_ground_state solves both parity blocks of one model instance and
+returns the lower one (even wins exact ties, so the reported state keeps
+<S_x> = <S_y> = 0).  Each block is solved on a window of rows around the
+mean-field magnetization, sized and started from the Bogoliubov ground
+state and widened until the zero-padded result is certified as the
+ground state of the whole block.
 Only the rows of a window and a few rows beside it are ever built, so a
 ground state's memory follows the state, not N.
 """
@@ -19,6 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .analytic import bogoliubov_ground_energy
 from .spincore import (
     EVEN,
     ODD,
@@ -35,7 +39,8 @@ _SAFE_MIN = float(np.finfo(float).tiny)
 _BISECTION_RELTOL = 1e-13
 _RESIDUAL_FACTOR = 1e-10
 _DEGENERACY_RELTOL = 1e-12
-_WINDOW_HALF_WIDTH = 16  # first window: 33 rows
+_WINDOW_HALF_WIDTH = 16  # least first window: 33 rows
+_WARM_PASSES = 6  # Rayleigh-quotient passes before a warm start gives way to bisection
 _WINDOW_EDGE_RELTOL = 1e-17
 _SLACK_MARGIN = 0.1  # of the block tolerance; see _window_certified
 
@@ -165,13 +170,45 @@ def _twisted_vector(t: TridiagonalMatrix, diagonal, off_squared, shift, pivmin) 
     return z / np.linalg.norm(z)
 
 
-def ground_eigenpair(t: TridiagonalMatrix) -> tuple[float, np.ndarray]:
+def _twisted_solves(t: TridiagonalMatrix, off_squared, pivmin, shift, passes, reltol):
+    """Eigenpair of T near `shift` from twisted solves; (energy, vector,
+    residual), or None when the shift does not settle.
+
+    Each pass solves T - shift I at 0, and the Rayleigh quotient of its
+    vector on that matrix is the correction delta.  While |delta| exceeds
+    reltol max(1, |shift|) the shift moves by delta and the next pass
+    runs; after `passes` passes None is returned.  Then one more solve, on
+    the same T - shift I at delta, gives the vector, whose Rayleigh
+    quotient on that matrix, added to the shift, is the energy.  Near the
+    eigenvalue the shifted diagonal is small and exact, so the quotient
+    keeps the low digits that T's own (its diagonal is O(N)) would round
+    away.
+    """
+    e = t.offdiagonal
+    for _ in range(passes):
+        shifted = TridiagonalMatrix(t.diagonal - shift, e)
+        diagonal = shifted.diagonal.tolist()
+        v = _twisted_vector(shifted, diagonal, off_squared, 0.0, pivmin)
+        delta = float(v @ shifted.matvec(v))
+        if not abs(delta) > reltol * max(1.0, abs(shift)):
+            break
+        shift += delta
+    else:
+        return None
+    v = _twisted_vector(shifted, diagonal, off_squared, delta, pivmin)
+    sv = shifted.matvec(v)
+    delta = float(v @ sv)
+    return shift + delta, v, float(np.linalg.norm(sv - delta * v))
+
+
+def ground_eigenpair(t: TridiagonalMatrix, *, start: float | None = None) -> tuple[float, np.ndarray]:
     """Smallest eigenvalue and normalized eigenvector of a symmetric tridiagonal matrix.
 
     The eigenvalue is bracketed by bisection to relative tolerance 1e-13:
     x lies below it exactly when T - xI is positive definite.  A twisted
     solve at that shift gives a vector whose Rayleigh quotient shifts a
-    second, final solve; rounding leaves nothing for a third.  The vector
+    second, final solve; while the gap above the eigenvalue is large
+    against the bisection width, a third gains nothing.  The vector
     is positive at its twist row (z_r = 1 before normalization), so with a
     non-positive off-diagonal, as in every LMG block, all of its
     amplitudes are >= 0 (Perron-Frobenius).  The result must satisfy
@@ -179,25 +216,34 @@ def ground_eigenpair(t: TridiagonalMatrix) -> tuple[float, np.ndarray]:
         || T v - E v ||_2 <= 1e-10 max(1, ||diag||_inf + 2 ||off||_inf),
 
     otherwise ConvergenceError carries the residual.
+
+    Given a `start` near the smallest eigenvalue, Rayleigh-quotient passes
+    from it first settle on the eigenvalue E nearest it, to relative 1e-13
+    (at most _WARM_PASSES passes).  That pair is returned when it meets
+    the gate and T - (E - m) I is positive definite, m = 1e-13 max(1, |E|):
+    then no eigenvalue lies more than m below E, so E is the smallest one,
+    resolved as finely as bisection resolves it.  (A margin of the whole
+    gate would not do: at h = 1 and N = 1e8 the second level of a block
+    lies 3.4e-3 above the first, inside the gate of 7.5e-3.)  Otherwise
+    bisection runs as without a start.
     """
     e = t.offdiagonal
     off_squared = (e * e).tolist()
     pivmin = _pivot_floor(e)
+    tol = _residual_tolerance(t)
+    if start is not None:
+        pair = _twisted_solves(t, off_squared, pivmin, start, _WARM_PASSES, _BISECTION_RELTOL)
+        if pair is not None:
+            energy, v, residual = pair
+            x = energy - _BISECTION_RELTOL * max(1.0, abs(energy))
+            if residual <= tol and _definite(t.diagonal.tolist(), off_squared, x, pivmin):
+                return energy, v
     shift = _bisect_smallest(t, off_squared, pivmin)
-    # Both solves work on T - shift I.  Near the ground state its diagonal
-    # is small and exact, so the Rayleigh quotient on it keeps the low
-    # digits that T's own (its diagonal is O(N)) would round away.
-    shifted = TridiagonalMatrix(t.diagonal - shift, e)
-    diagonal = shifted.diagonal.tolist()
-    delta = 0.0
-    for _ in range(2):
-        v = _twisted_vector(shifted, diagonal, off_squared, delta, pivmin)
-        sv = shifted.matvec(v)
-        delta = float(v @ sv)
-    residual = float(np.linalg.norm(sv - delta * v))
-    if not residual <= _residual_tolerance(t):
+    # The bisection shift is taken as it is: one pass, whatever its correction.
+    energy, v, residual = _twisted_solves(t, off_squared, pivmin, shift, 1, math.inf)
+    if not residual <= tol:
         raise ConvergenceError("twisted solve missed the residual target", residual)
-    return shift + delta, v
+    return energy, v
 
 
 class _Block:
@@ -293,17 +339,20 @@ def _window_certified(block, ext: TridiagonalMatrix, lo: int, hi: int, x: float,
     return _definite(diagonal, (w * w).tolist(), x, _pivot_floor(w))
 
 
-def _window_eigenpair(block, centre: int) -> tuple[int, float, np.ndarray]:
+def _window_eigenpair(block, centre: int, half: int = _WINDOW_HALF_WIDTH,
+                      start: float | None = None) -> tuple[int, float, np.ndarray]:
     """Ground eigenpair of a block, solved on a window of rows around row
     `centre`; returns (offset of the window, energy, window vector).
 
     The window is the 2w + 1 rows centred on `centre`, shifted inward
-    where the block ends, with w = 16 at first.  Only its rows and two
-    more on each side are built.  Its pair, zero-padded to the whole
-    block, is accepted when (a) each window edge inside the block has
-    |amplitude| <= 1e-17 of the peak, and (b) `_window_certified` proves,
-    from those rows and the block's slack floor, that the block has no
-    eigenvalue below E - tol, tol being `block.tolerance()`.  Cauchy
+    where the block ends, with w = `half` at first.  Only its rows and two
+    more on each side are built.  The first solve starts from `start`, when
+    given, and each later one from the energy of the window before, which
+    by interlacing is not below the wider window's.  Its pair, zero-padded
+    to the whole block, is accepted when (a) each window edge inside the
+    block has |amplitude| <= 1e-17 of the peak, and (b)
+    `_window_certified` proves, from those rows and the block's slack
+    floor, that the block has no eigenvalue below E - tol, tol being `block.tolerance()`.  Cauchy
     interlacing gives E >= the block's minimum, so (b) rules out a lower
     eigenvalue.  The padded vector's residual on the whole block is the
     window's, which met its own (smaller) gate, plus the two edge
@@ -312,37 +361,73 @@ def _window_eigenpair(block, centre: int) -> tuple[int, float, np.ndarray]:
     amplitude, w doubles, and the solve repeats, as it does when (b) is
     inconclusive.  A window of more than half the block would save little
     over the whole block and could fail again, so the whole block, built
-    and solved exactly as without a window, takes its place and ends the
-    widening.  A window solve that misses its own residual gate raises
+    and solved as without a window (from the same start), takes its place
+    and ends the widening.  A window solve that misses its own residual gate raises
     ConvergenceError.
     """
     n = block.dimension
     tol = block.tolerance()
-    half = _WINDOW_HALF_WIDTH
     while True:
         size = 2 * half + 1
         if 2 * size > n:
-            return (0, *ground_eigenpair(block.rows(0, n)))
+            return (0, *ground_eigenpair(block.rows(0, n), start=start))
         lo = min(max(0, centre - half), n - size)
         hi = lo + size
         elo = max(lo - 2, 0)
         ext = block.rows(elo, min(hi + 2, n))
         energy, v = ground_eigenpair(
-            TridiagonalMatrix(ext.diagonal[lo - elo:hi - elo], ext.offdiagonal[lo - elo:hi - elo - 1]))
+            TridiagonalMatrix(ext.diagonal[lo - elo:hi - elo], ext.offdiagonal[lo - elo:hi - elo - 1]),
+            start=start)
         edge = _WINDOW_EDGE_RELTOL * float(np.max(np.abs(v)))
         if (lo == 0 or abs(v[0]) <= edge) and (hi == n or abs(v[-1]) <= edge):
             if _window_certified(block, ext, lo, hi, energy - tol, tol):
                 return lo, energy, v
         centre = lo + int(np.argmax(np.abs(v)))
         half *= 2
+        start = energy
+
+
+def _first_window(params: ModelParams) -> tuple[int, dict[str, float | None]]:
+    """Half-width of both blocks' first window, and each block's warm start.
+
+    The starts come from the Holstein-Primakoff/Bogoliubov expansion, one
+    boson mode of frequency w, which gives each block's lowest level to
+    O(1/N) away from h = 1: the ground energy E_B
+    (`analytic.bogoliubov_ground_energy`) for the even block, and for the
+    odd one E_B in the broken phase (the two blocks are degenerate there)
+    and E_B + w, w = sqrt((h-1)(h-gamma)), the one-boson level, in the
+    symmetric phase.  A block's levels lie O(1) apart there, so its lowest
+    level is its level nearest its start.  There is no start at h = 1,
+    and none at gamma = 1, where the blocks are diagonal: bisection needs
+    no step on them, while a start could land on a level O(1/N) above the
+    lowest and fall back.
+
+    In the broken phase Var(S_z) = (N/4) sqrt((1-h^2)(1-gamma)) to the
+    same order, and an amplitude falls to 1e-17 of the peak about
+    3.13 sqrt(N sqrt((1-h^2)(1-gamma))) rows from it; the half-width
+    4 sqrt(N sqrt((1-h^2)(1-gamma))), at least 16, covers that in one
+    window.  Elsewhere the first half-width is 16.
+    """
+    p = params
+    starts = {EVEN: None, ODD: None}
+    if p.h != 1.0 and p.gamma < 1.0:
+        energy = bogoliubov_ground_energy(p.n_spins, p.gamma, p.h)
+        boson = math.sqrt(p.h - 1.0) * math.sqrt(p.h - p.gamma) if p.h > 1.0 else 0.0
+        starts = {EVEN: energy, ODD: energy + boson}
+    half = _WINDOW_HALF_WIDTH
+    if p.h < 1.0:
+        spread = p.n_spins * math.sqrt((1.0 - p.h * p.h) * (1.0 - p.gamma))
+        half = max(half, math.ceil(4.0 * math.sqrt(spread)))
+    return half, starts
 
 
 def lmg_ground_state(params: ModelParams) -> GroundState:
     """Ground state over both parity blocks; exact ties resolve to even parity."""
+    half, starts = _first_window(params)
     solved = {}
     for parity in (EVEN, ODD):
         block = _Block(params, parity)
-        solved[parity] = _window_eigenpair(block, block.centre)
+        solved[parity] = _window_eigenpair(block, block.centre, half, starts[parity])
     (o_even, e_even, v_even), (o_odd, e_odd, v_odd) = solved[EVEN], solved[ODD]
     tie = _DEGENERACY_RELTOL * max(1.0, abs(e_even), abs(e_odd))
     if e_odd < e_even - tie:

@@ -57,7 +57,7 @@ def ground_report(n, gamma, h):
 
 def criterion_2_fields(n):
     """Plateau midpoints (off every crossing) plus symmetric-phase points."""
-    crossings = isotropic_level_crossings(n)
+    crossings = list(isotropic_level_crossings(n))
     mids = [0.5 * (a + b) for a, b in zip(crossings, crossings[1:])]
     step = max(1, len(mids) // 8)
     sampled = mids[::step][:8]

@@ -80,6 +80,42 @@ def test_convergence_error_carries_residual(monkeypatch):
     assert math.isfinite(err.value.residual)
 
 
+@pytest.mark.parametrize("t", [
+    TridiagonalMatrix(np.array([0.0, 1.0, 5.0, 6.0]), np.full(3, -0.1)),
+    # A double well: its two levels lie 4e-11 apart, inside the residual
+    # gate of 5e-10 but far above the bisection width of 1e-13.
+    TridiagonalMatrix(np.array([0.0, 5.0, 0.0]), np.full(2, -1e-5)),
+], ids=["separated", "inside-the-gate"])
+def test_warm_start_on_an_excited_level_returns_the_lowest(t):
+    # Started on the second level, the Rayleigh-quotient passes settle
+    # there and meet the residual gate; only the isolation test sees the
+    # level below, and bisection then finds it.
+    levels, vectors = np.linalg.eigh(t.to_dense())
+    e = t.offdiagonal
+    settled = solver._twisted_solves(t, (e * e).tolist(), solver._pivot_floor(e), float(levels[1]),
+                                     solver._WARM_PASSES, solver._BISECTION_RELTOL)
+    assert settled[0] == pytest.approx(levels[1], abs=1e-15)
+    assert settled[2] <= solver._residual_tolerance(t)
+    energy, vec = ground_eigenpair(t, start=float(levels[1]))
+    assert energy == pytest.approx(levels[0], abs=1e-15)
+    assert abs(float(vec @ vectors[:, 0])) == pytest.approx(1.0, abs=1e-9)
+
+
+def test_warm_starts_anywhere_give_the_smallest_eigenpair():
+    # Starts below, inside and above the spectrum: each solve either keeps
+    # the refined pair or falls back to bisection, and both end on the
+    # smallest eigenpair.
+    rng = np.random.default_rng(20261018)
+    for _ in range(100):
+        t = random_tridiagonal(rng, int(rng.integers(1, 33)))
+        e_ref, v_ref = oracles.tridiagonal_ground(t)
+        levels = np.linalg.eigvalsh(t.to_dense())
+        for start in (float(rng.uniform(levels[0] - 3.0, levels[-1] + 3.0)), float(levels[0]) + 1e-9):
+            energy, vec = ground_eigenpair(t, start=start)
+            assert energy == pytest.approx(e_ref, abs=1e-10 * max(1.0, abs(e_ref)))
+            assert abs(float(vec @ v_ref)) == pytest.approx(1.0, abs=1e-8)
+
+
 def test_lmg_ground_state_n2_isotropic():
     gs = lmg_ground_state(ModelParams(2, 1.0, 2.0))
     assert gs.parity == EVEN
@@ -192,9 +228,9 @@ def record_block_rows(monkeypatch):
     rows = []
     solve = solver.ground_eigenpair
 
-    def recording(t):
+    def recording(t, **kwargs):
         rows.append(t.dimension)
-        return solve(t)
+        return solve(t, **kwargs)
 
     monkeypatch.setattr(solver, "ground_eigenpair", recording)
     return rows
@@ -460,6 +496,50 @@ def test_isotropic_large_n_accepts_the_first_window(monkeypatch, h):
     rows = record_block_rows(monkeypatch)
     lmg_ground_state(ModelParams(10**8, 1.0, h))
     assert rows == [33, 33]
+
+
+def test_broken_phase_first_window_holds_the_state(monkeypatch):
+    # The first half-width, 4 sqrt(N sqrt((1-h^2)(1-gamma))) rows, is about
+    # 8 standard deviations of the exact state's M; the amplitudes fall to
+    # 1e-17 of the peak within about 6.25 of them.  So each parity block
+    # accepts its first window, one solve each.
+    rows = record_block_rows(monkeypatch)
+    rng = np.random.default_rng(20261018)
+    for _ in range(24):
+        params = ModelParams(int(10 ** rng.uniform(2.5, 5.5)), float(rng.choice([0.0, rng.uniform(), 0.99])),
+                             float(rng.uniform(0.0, 0.95)))
+        rows.clear()
+        gs = lmg_ground_state(params)
+        m, p = gs.sector().m_values, gs.amplitudes ** 2
+        sigma = math.sqrt(float(p @ (m - p @ m) ** 2))
+        half = solver._first_window(params)[0]
+        assert half >= 6.0 * sigma, params
+        assert len(rows) == 2, params
+
+
+@pytest.mark.parametrize("h", [0.5, 1.5])
+def test_large_n_solves_one_window_per_block_without_bisection(monkeypatch, h):
+    # Each block's one window solve starts from its Bogoliubov level (the
+    # odd block's is one boson up in the symmetric phase) and keeps its
+    # refined pair: no bisection runs, and the definiteness tests
+    # (isolation and certificate, two per block) read twice the rows of
+    # the two accepted windows.
+    rows = record_block_rows(monkeypatch)
+    counted = []
+    definite = solver._definite
+
+    def recording(diagonal, off_squared, x, pivmin):
+        counted.append(len(diagonal))
+        return definite(diagonal, off_squared, x, pivmin)
+
+    def no_bisection(*args):
+        raise AssertionError("bisection ran")
+
+    monkeypatch.setattr(solver, "_definite", recording)
+    monkeypatch.setattr(solver, "_bisect_smallest", no_bisection)
+    lmg_ground_state(ModelParams(10**6, 0.5, h))
+    assert len(rows) == 2
+    assert sum(counted) <= 2 * sum(rows)
 
 
 def test_critical_point_work_stays_sublinear(monkeypatch):
