@@ -17,6 +17,12 @@ any grid point failed (its row's status field is convergence_error when
 the eigensolver missed its residual gate, error for any other exception).
 The CSV is renamed into place from a temporary file in the same
 directory.
+
+--jobs J computes the grid's points in W = min(J, points) processes:
+this one and W - 1 children forked from it, each taking every W-th point
+(serially where os.fork does not exist).  A child that dies gives each of its
+rows status error, with only mode, N, gamma, h and phase, and one line
+on stderr.
 """
 
 from __future__ import annotations
@@ -25,6 +31,7 @@ import argparse
 import itertools
 import math
 import os
+import pickle
 import sys
 import tempfile
 from collections.abc import Iterable, Iterator
@@ -65,6 +72,14 @@ def _tl_fields(h: float, gamma: float, n: int):
     return tl.chi2, tl.xi1_2
 
 
+def _row(task, status: str, values=(None,) * 9) -> tuple[str, str, float | None]:
+    """(csv_line, status, chi2 or None) of one grid point; `values` are the
+    fields from parity to tl_xi1_2, None where unavailable."""
+    mode, n, gamma, h = task
+    fields = [mode, n, gamma, h, *values, analytic.classify_phase(h).value, status]
+    return ",".join(_fmt(f) for f in fields), status, values[2]
+
+
 def _row_task(task) -> tuple[str, str, float | None]:
     """Compute one grid point; returns (csv_line, status, chi2 or None).
 
@@ -73,7 +88,7 @@ def _row_task(task) -> tuple[str, str, float | None]:
     before it stay, the others are left empty.
     """
     mode, n, gamma, h = task
-    parity, status = "", STATUS_OK
+    parity, status = None, STATUS_OK
     energy = chi2 = xi1 = xi2 = fisher = qcr = tl_chi2 = tl_xi1 = None
     try:
         if mode == "isotropic":
@@ -91,21 +106,97 @@ def _row_task(task) -> tuple[str, str, float | None]:
     except Exception as exc:  # one point's failure must not abort the sweep
         status = STATUS_ERROR
         print(f"error: N={n}, h={_fmt(h)}: {type(exc).__name__}: {exc}", file=sys.stderr)
-    fields = [mode, n, gamma, h, parity, energy, chi2, xi1, xi2, fisher, qcr,
-              tl_chi2, tl_xi1, analytic.classify_phase(h).value, status]
-    return ",".join(_fmt(f) for f in fields), status, chi2
+    return _row(task, status, (parity, energy, chi2, xi1, xi2, fisher, qcr, tl_chi2, tl_xi1))
 
 
-def _execute(tasks: list[tuple], jobs: int):
-    # Under fork the pool starts all of its workers at the first submit.
+def _worker(tasks: list[tuple], write_fd: int) -> None:
+    """A forked child's whole life: its rows, as one pickle, into the pipe.
+
+    It never returns into the stack it shares with the parent: it leaves by
+    os._exit, 0 once the pickle is written and 1 otherwise, so that none
+    of the parent's exception handlers, atexit hooks or buffers run twice.
+    """
+    code = 1
+    try:
+        rows = [_row_task(t) for t in tasks]
+        with open(write_fd, "wb") as pipe:
+            pipe.write(pickle.dumps(rows, pickle.HIGHEST_PROTOCOL))
+        code = 0
+    finally:
+        sys.stderr.flush()
+        os._exit(code)
+
+
+def _worker_rows(status: int, data: bytes, count: int) -> tuple[list | None, str]:
+    """(rows, "") from a child's wait status and the bytes it sent, or
+    (None, what went wrong)."""
+    if os.WIFSIGNALED(status):
+        return None, f"killed by signal {os.WTERMSIG(status)}"
+    if os.WEXITSTATUS(status):
+        return None, f"exited with code {os.WEXITSTATUS(status)}"
+    try:
+        rows = pickle.loads(data)
+    except Exception:
+        rows = None
+    if not isinstance(rows, list) or len(rows) != count:
+        return None, f"sent {len(data)} bytes that are not its rows"
+    return rows, ""
+
+
+def _execute(tasks: list[tuple], jobs: int) -> list[tuple[str, str, float | None]]:
+    """The rows of `tasks`, in order, from W = min(jobs, len(tasks)) processes.
+
+    This process and W - 1 children forked from it compute; process k
+    takes tasks[k::W], and a child sends its rows back as one pickle
+    through a pipe.  Each row of a child that dies, or sends anything but
+    its rows, gets status error, and the child one line on stderr.  Every
+    child is killed if still running and reaped before this returns or
+    raises.  Without os.fork, and for each child that fork cannot make,
+    the tasks run here, one after the other.
+    """
     workers = min(jobs, len(tasks))
-    if workers <= 1:
+    if workers <= 1 or not hasattr(os, "fork"):
         return [_row_task(t) for t in tasks]
-    # Imported here: it costs serial runs ~20 ms of start-up and loads multiprocessing.
-    from concurrent.futures import ProcessPoolExecutor
+    results = [None] * len(tasks)
+    pids, pipes = {}, {}  # worker k -> pid until reaped, read end until read
+    sys.stdout.flush()  # a child must not inherit buffered lines and print them again
+    sys.stderr.flush()
+    try:
+        for k in range(1, workers):
+            read_fd, write_fd = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:  # no process to be had: this one takes the rest
+                os.close(read_fd)
+                os.close(write_fd)
+                break
+            if pid == 0:
+                _worker(tasks[k::workers], write_fd)
+            os.close(write_fd)
+            pids[k], pipes[k] = pid, read_fd
+        for k in range(workers):
+            if k not in pids:
+                results[k::workers] = [_row_task(t) for t in tasks[k::workers]]
+        for k in list(pids):
+            with open(pipes.pop(k), "rb") as pipe:
+                data = pipe.read()
+            status = os.waitpid(pids.pop(k), 0)[1]
+            owned = tasks[k::workers]
+            rows, failure = _worker_rows(status, data, len(owned))
+            if rows is None:
+                print(f"error: worker {k} ({len(owned)} rows) {failure}", file=sys.stderr)
+                rows = [_row(t, STATUS_ERROR) for t in owned]
+            results[k::workers] = rows
+    finally:
+        for read_fd in pipes.values():
+            os.close(read_fd)
+        if pids:  # only after an exception; signal is not otherwise imported
+            import signal
 
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(_row_task, tasks))
+            for pid in pids.values():
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+    return results
 
 
 def _size_scaling_summary(tasks, results) -> list[str]:
@@ -193,7 +284,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--h-step", type=float)
     parser.add_argument("--out", help="output CSV path")
     parser.add_argument("--config", help="key=value config file; flags override it")
-    parser.add_argument("--jobs", type=int, help="parallel worker processes (default 1)")
+    parser.add_argument("--jobs", type=int,
+                        help="processes computing the grid, this one included (default 1); "
+                             "the output does not depend on it")
     return parser
 
 

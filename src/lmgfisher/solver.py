@@ -1,9 +1,10 @@
 """Ground-state eigensolvers for real symmetric tridiagonal matrices.
 
 ground_eigenpair brackets the smallest eigenvalue by bisection on a
-positive-definiteness test, then takes the eigenvector from two
-twisted-factorization solves; given a nearby start, it first tries
-Rayleigh-quotient passes from there and one definiteness test instead.
+positive-definiteness test, then takes the eigenvector from
+twisted-factorization solves and Rayleigh-quotient passes; given a
+nearby start, it first tries those passes from there and one
+definiteness test instead.
 lmg_ground_state solves both parity blocks of one model instance and
 returns the lower one (even wins exact ties, so the reported state keeps
 <S_x> = <S_y> = 0).  Each block is solved on a window of rows around the
@@ -33,6 +34,7 @@ from .spincore import (
     build_sector_matrix,
     sector_dimension,
     sector_row,
+    tridiagonal_matvec,
 )
 
 _SAFE_MIN = float(np.finfo(float).tiny)
@@ -148,21 +150,21 @@ def _pivots(diagonal, off_squared, shift, pivmin) -> np.ndarray:
     return np.frombuffer(out)
 
 
-def _twisted_vector(t: TridiagonalMatrix, diagonal, off_squared, shift, pivmin) -> np.ndarray:
+def _twisted_vector(d, e, diagonal, off_squared, shift, pivmin) -> np.ndarray:
     """Unit eigenvector for the eigenvalue nearest `shift`, by one twisted solve.
 
-    With top-down pivots q and bottom-up pivots p of T - shift I, the twist
-    index r minimizes |q_r + p_r - (d_r - shift)|.  Setting z_r = 1, the
+    `d` and `e` are T's diagonal and off-diagonal, `diagonal` is d as a
+    list.  With top-down pivots q and bottom-up pivots p of T - shift I,
+    the twist index r minimizes |q_r + p_r - (d_r - shift)|.  Setting z_r = 1, the
     two bidiagonal factors give z_i = -(e_i / q_i) z_(i+1) above r and
     z_(i+1) = -(e_i / p_(i+1)) z_i below it (Parlett & Dhillon, "Fernando's
     solution to Wilkinson's problem", LAA 267, 1997).
     """
-    e = t.offdiagonal
     q = _pivots(diagonal, off_squared, shift, pivmin)
     p = _pivots(diagonal[::-1], off_squared[::-1], shift, pivmin)[::-1]
     # Halved terms: the same argmin, without overflow when |q| + |p| nears the float range.
-    r = int(np.argmin(np.abs(0.5 * q + 0.5 * p - 0.5 * (t.diagonal - shift))))
-    z = np.empty(t.dimension)
+    r = int(np.argmin(np.abs(0.5 * q + 0.5 * p - 0.5 * (d - shift))))
+    z = np.empty(d.size)
     z[r] = 1.0
     z[:r] = np.cumprod((-e[:r] / q[:r])[::-1])[::-1]
     z[r + 1:] = np.cumprod(-e[r:] / p[r + 1:])
@@ -182,21 +184,22 @@ def _twisted_solves(t: TridiagonalMatrix, off_squared, pivmin, shift, passes, re
     quotient on that matrix, added to the shift, is the energy.  Near the
     eigenvalue the shifted diagonal is small and exact, so the quotient
     keeps the low digits that T's own (its diagonal is O(N)) would round
-    away.
+    away.  The shifted entries are used as they are: T was checked when it
+    was built.
     """
     e = t.offdiagonal
     for _ in range(passes):
-        shifted = TridiagonalMatrix(t.diagonal - shift, e)
-        diagonal = shifted.diagonal.tolist()
-        v = _twisted_vector(shifted, diagonal, off_squared, 0.0, pivmin)
-        delta = float(v @ shifted.matvec(v))
+        d = t.diagonal - shift
+        diagonal = d.tolist()
+        v = _twisted_vector(d, e, diagonal, off_squared, 0.0, pivmin)
+        delta = float(v @ tridiagonal_matvec(d, e, v))
         if not abs(delta) > reltol * max(1.0, abs(shift)):
             break
         shift += delta
     else:
         return None
-    v = _twisted_vector(shifted, diagonal, off_squared, delta, pivmin)
-    sv = shifted.matvec(v)
+    v = _twisted_vector(d, e, diagonal, off_squared, delta, pivmin)
+    sv = tridiagonal_matvec(d, e, v)
     delta = float(v @ sv)
     return shift + delta, v, float(np.linalg.norm(sv - delta * v))
 
@@ -207,11 +210,17 @@ def ground_eigenpair(t: TridiagonalMatrix, *, start: float | None = None) -> tup
     The eigenvalue is bracketed by bisection to relative tolerance 1e-13:
     x lies below it exactly when T - xI is positive definite.  A twisted
     solve at that shift gives a vector whose Rayleigh quotient shifts a
-    second, final solve; while the gap above the eigenvalue is large
-    against the bisection width, a third gains nothing.  The vector
-    is positive at its twist row (z_r = 1 before normalization), so with a
-    non-positive off-diagonal, as in every LMG block, all of its
-    amplitudes are >= 0 (Perron-Frobenius).  The result must satisfy
+    second solve.  That pair's vector is still off by about the bisection
+    width over the gap above the eigenvalue (2.5e-4 in chi2 at N = 1e9,
+    gamma = 0.5, h = 1), so Rayleigh-quotient passes from its energy
+    settle the shift to relative 1e-13 (at most _WARM_PASSES passes; see
+    _twisted_solves) before a last solve.  Their pair replaces it when it
+    meets the gate below and its energy lies within the bisection width
+    of the bisection shift.  (Passes from the bisection shift itself would
+    stop after one: its first correction is already inside 1e-13.)  The
+    vector is positive at its twist row (z_r = 1 before normalization),
+    so with a non-positive off-diagonal, as in every LMG block, all of
+    its amplitudes are >= 0 (Perron-Frobenius).  The result must satisfy
 
         || T v - E v ||_2 <= 1e-10 max(1, ||diag||_inf + 2 ||off||_inf),
 
@@ -241,6 +250,10 @@ def ground_eigenpair(t: TridiagonalMatrix, *, start: float | None = None) -> tup
     shift = _bisect_smallest(t, off_squared, pivmin)
     # The bisection shift is taken as it is: one pass, whatever its correction.
     energy, v, residual = _twisted_solves(t, off_squared, pivmin, shift, 1, math.inf)
+    pair = _twisted_solves(t, off_squared, pivmin, energy, _WARM_PASSES, _BISECTION_RELTOL)
+    width = _BISECTION_RELTOL * max(1.0, abs(shift))
+    if pair is not None and pair[2] <= tol and abs(pair[0] - shift) <= width:
+        energy, v, residual = pair
     if not residual <= tol:
         raise ConvergenceError("twisted solve missed the residual target", residual)
     return energy, v

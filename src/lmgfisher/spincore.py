@@ -109,11 +109,16 @@ class TridiagonalMatrix:
         return dense
 
     def matvec(self, v: np.ndarray) -> np.ndarray:
-        out = self.diagonal * v
-        if self.offdiagonal.size:
-            out[:-1] += self.offdiagonal * v[1:]
-            out[1:] += self.offdiagonal * v[:-1]
-        return out
+        return tridiagonal_matvec(self.diagonal, self.offdiagonal, v)
+
+
+def tridiagonal_matvec(diagonal: np.ndarray, offdiagonal: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """T v for the tridiagonal T with these entries, taken as given (no checks)."""
+    out = diagonal * v
+    if offdiagonal.size:
+        out[:-1] += offdiagonal * v[1:]
+        out[1:] += offdiagonal * v[:-1]
+    return out
 
 
 def spin_flip_count(total_spin: float, m: float) -> int:

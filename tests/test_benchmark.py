@@ -26,3 +26,18 @@ def test_critical_ladder_benchmark_runs_and_sees_the_solver():
     metrics = {name: entry["value"] for name, entry in result["metrics"].items()}
     assert metrics["solver.blocks"] > 0
     assert metrics["solver.convergence_errors"] == 0
+
+
+def test_jobs_benchmark_matches_its_serial_run():
+    # One untimed, untraced pass of phase-grid-j2 (about 3.5 s): its
+    # --jobs 2 command runs in fresh processes, and the harness checks the
+    # CSV row for row against a --jobs 1 run of the same grid.
+    proc = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", "phase-grid-j2",
+         "--seed", "0", "--seconds", "0", "--trace", "0"],
+        cwd=ROOT, capture_output=True, text=True, timeout=600,
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert result["correct"] is True
+    assert result["failed"] == 0

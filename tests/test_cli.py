@@ -1,7 +1,9 @@
 import math
 import os
+import signal
 import subprocess
 import sys
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -105,36 +107,128 @@ def test_parallel_schedule_independence(tmp_path):
     assert serial.read_bytes() == parallel.read_bytes()
 
 
-class _RecordingPool:
-    """Stands in for ProcessPoolExecutor: records max_workers, maps serially."""
-
-    def __init__(self, created, max_workers):
-        created.append(max_workers)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def map(self, fn, items):
-        return map(fn, items)
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
-@pytest.mark.parametrize("h_values,workers", [(["0.5", "1.0", "1.5"], [3]), (["0.5"], [])])
+@pytest.mark.parametrize("h_values,workers", [(["0.5", "1.0", "1.5"], [1, 2]), (["0.5"], [])])
 def test_jobs_are_capped_at_the_grid_size(tmp_path, monkeypatch, h_values, workers):
-    import concurrent.futures
+    # --jobs 64 on a 3-point grid runs 3 processes: this one (worker 0)
+    # and children for workers 1 and 2; one point forks nothing.
+    fork, pids = os.fork, []
 
-    created = []
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
-                        lambda max_workers: _RecordingPool(created, max_workers))
+    def counting_fork():
+        pid = fork()
+        pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counting_fork)
     out = tmp_path / "capped.csv"
     argv = ["--mode", "field-sweep", "--n", "10", "--gamma", "0.5", "--jobs", "64", "--out", str(out)]
     for h in h_values:
         argv += ["--h", h]
     assert cli.main(argv) == 0
-    assert created == workers
+    assert len(pids) == len(workers)
     assert len(data_rows(read_lines(out))) == len(h_values)
+
+
+@pytest.mark.parametrize("fork", ["missing", "second-fails"])
+def test_points_without_a_child_run_here(tmp_path, monkeypatch, fork):
+    # Without os.fork the sweep runs serially; when fork fails (no process
+    # ids left), this process computes the points of every child it could
+    # not make.  Either way the CSV is the serial one.
+    args = ["--mode", "field-sweep", "--n", "12", "--gamma", "0.5", "--h", "0.5", "--h", "1", "--h", "1.5"]
+    serial, parallel = tmp_path / "serial.csv", tmp_path / "parallel.csv"
+    assert cli.main(args + ["--out", str(serial)]) == 0
+    if fork == "missing":
+        monkeypatch.delattr(os, "fork")
+    else:
+        real_fork, calls = os.fork, []
+
+        def second_fails():
+            calls.append(None)
+            if len(calls) == 2:
+                raise BlockingIOError(11, "Resource temporarily unavailable")
+            return real_fork()
+
+        monkeypatch.setattr(os, "fork", second_fails)
+    assert cli.main(args + ["--out", str(parallel), "--jobs", "3"]) == 0
+    assert serial.read_bytes() == parallel.read_bytes()
+    assert_no_child_left()
+
+
+def test_jobs_leave_no_child_process(tmp_path):
+    out = tmp_path / "reaped.csv"
+    assert cli.main(["--mode", "field-sweep", "--n", "10", "--gamma", "0.5",
+                     "--h-start", "0", "--h-stop", "2", "--h-step", "0.5",
+                     "--out", str(out), "--jobs", "3"]) == 0
+    assert_no_child_left()
+
+
+@pytest.mark.parametrize("death,failure", [
+    ("exit", "exited with code 3"),
+    ("signal", f"killed by signal {int(signal.SIGKILL)}"),
+    ("short-pickle", "bytes that are not its rows"),
+])
+def test_dead_worker_gives_error_rows(tmp_path, monkeypatch, capfd, death, failure):
+    # The child of a --jobs 2 sweep owns the point h = 0.5 and dies there,
+    # or sends a truncated pickle: its row gets status error, the parent's
+    # rows are computed, and one line, no traceback, goes to stderr.
+    parent, solve, dumps = os.getpid(), cli.solver.lmg_ground_state, cli.pickle.dumps
+
+    def dying_at_half(params):
+        if params.h == 0.5 and os.getpid() != parent:
+            if death == "exit":
+                os._exit(3)
+            if death == "signal":
+                os.kill(os.getpid(), signal.SIGKILL)
+        return solve(params)
+
+    monkeypatch.setattr(cli.solver, "lmg_ground_state", dying_at_half)
+    if death == "short-pickle":
+        monkeypatch.setattr(cli.pickle, "dumps", lambda *args: dumps(*args)[:-4])
+    out = tmp_path / "dead.csv"
+    code = cli.main(["--mode", "field-sweep", "--n", "10", "--gamma", "0.5",
+                     "--h", "0.25", "--h", "0.5", "--h", "1.5", "--out", str(out), "--jobs", "2"])
+    assert code == 2
+    rows = [row_fields(r) for r in data_rows(read_lines(out))]
+    assert [r["status"] for r in rows] == ["ok", "error", "ok"]
+    kept = ("mode", "N", "gamma", "h", "phase", "status")
+    assert [rows[1][k] for k in kept] == ["field-sweep", "10", "0.5", "0.5", "broken", "error"]
+    assert all(v == "" for k, v in rows[1].items() if k not in kept)
+    assert all(r["chi2"] != "" for r in (rows[0], rows[2]))
+    err = capfd.readouterr().err
+    assert err.startswith("error: worker 1 (1 rows) ") and failure in err
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert_no_child_left()
+
+
+def test_parent_exception_kills_and_reaps_the_children(tmp_path, monkeypatch):
+    # An exception that ends the sweep in this process (one _row_task does
+    # not catch) must not leave a child running: here the child would
+    # otherwise sleep for a minute.
+    class Abort(BaseException):
+        pass
+
+    parent, solve = os.getpid(), cli.solver.lmg_ground_state
+
+    def stalling(params):
+        if os.getpid() != parent:
+            time.sleep(60)
+        elif params.h == 1.5:
+            raise Abort
+        return solve(params)
+
+    monkeypatch.setattr(cli.solver, "lmg_ground_state", stalling)
+    start = time.perf_counter()
+    with pytest.raises(Abort):
+        cli.main(["--mode", "field-sweep", "--n", "10", "--gamma", "0.5",
+                  "--h", "0.25", "--h", "0.5", "--h", "1.5", "--out", str(tmp_path / "x.csv"),
+                  "--jobs", "2"])
+    assert time.perf_counter() - start < 30
+    assert_no_child_left()
+    assert not (tmp_path / "x.csv").exists()
 
 
 def test_rows_ordered_by_n_then_h(tmp_path):
@@ -266,19 +360,49 @@ def test_isotropic_summary_streams_its_lines(tmp_path):
     assert crossings[-1] == f"# crossing,N=200000,j=99999,h={cli._fmt(1.0 - 199999 / 200000)}"
 
 
+def _fresh(code: str) -> subprocess.CompletedProcess:
+    """`code` run in a fresh interpreter that imports this lmgfisher."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    env.pop("PYTHONUNBUFFERED", None)  # stdout and stderr buffered, as by default
+    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          check=True)
+
+
+_UNWANTED = ("print(sorted(m for m in sys.modules"
+             " if m.split('.')[0] in ('scipy', 'concurrent', 'multiprocessing')))")
+
+
 def test_cli_import_leaves_scipy_unloaded():
     # The solver needs numpy only.  Importing scipy.linalg with
     # lmgfisher.cli took 0.46-0.56 s against 0.20-0.24 s without it, and
     # raised peak RSS from 30 MB to 56 MB (2-vCPU Xeon, Python 3.11.7,
-    # numpy 2.4.6); every CLI process would pay that.  The process pool
-    # is imported only for --jobs > 1: concurrent.futures and
-    # multiprocessing cost 17-23 ms of the import on the same host.
-    src = str(Path(cli.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    probe = ("import sys, lmgfisher.cli; print(sorted(m for m in sys.modules"
-             " if m.split('.')[0] in ('scipy', 'concurrent', 'multiprocessing')))")
-    done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
-    assert done.stdout.strip() == "[]"
+    # numpy 2.4.6); every CLI process would pay that.  numpy itself is
+    # imported here, as the benchmark's import-time split expects.
+    done = _fresh(f"import sys, lmgfisher.cli; {_UNWANTED}; print('numpy' in sys.modules)")
+    assert done.stdout == "[]\nTrue\n"
+
+
+def test_jobs_sweep_loads_no_pool_modules(tmp_path):
+    # --jobs forks its workers itself: concurrent.futures and
+    # multiprocessing, 24 ms of import on the host above, stay unloaded.
+    out = tmp_path / "probe.csv"
+    code = ("import sys, lmgfisher.cli; assert lmgfisher.cli.main(['--mode', 'field-sweep', '--n', '10',"
+            f" '--gamma', '0.5', '--h', '0.5', '--h', '1.5', '--jobs', '2', '--out', {str(out)!r}]) == 0; "
+            + _UNWANTED)
+    assert _fresh(code).stdout == "[]\n"
+    assert len(data_rows(read_lines(out))) == 2
+
+
+def test_jobs_print_buffered_output_once(tmp_path):
+    # Text still buffered when the sweep forks is flushed before it, so a
+    # child's own flush of stderr cannot print it a second time.
+    out = tmp_path / "buffered.csv"
+    code = ("import sys, lmgfisher.cli; sys.stdout.write('out:'); sys.stderr.write('err:'); "
+            "print(lmgfisher.cli.main(['--mode', 'field-sweep', '--n', '10', '--gamma', '0.5',"
+            f" '--h', '0.5', '--h', '1.5', '--jobs', '2', '--out', {str(out)!r}]))")
+    done = _fresh(code)
+    assert (done.stdout, done.stderr) == ("out:0\n", "err:")
 
 
 def test_size_scaling_summary(tmp_path):

@@ -116,6 +116,24 @@ def test_warm_starts_anywhere_give_the_smallest_eigenpair():
             assert abs(float(vec @ v_ref)) == pytest.approx(1.0, abs=1e-8)
 
 
+def test_bisection_pair_is_the_eigenvector_at_large_n():
+    # At N = 1e9, h = 1 the bisection shift is 5e-5 from the lowest level
+    # and the next one lies 1.6e-3 above it: one twisted pass from there
+    # left chi2 2.5e-4 off.  Without a start, on the rows of the window
+    # that lmg_ground_state accepts, the pair must be scipy's.
+    linalg = pytest.importorskip("scipy.linalg")
+    params = ModelParams(n_spins=10**9, gamma=0.5, h=1.0)
+    gs = lmg_ground_state(params)
+    t = build_sector_matrix(params, gs.sector())
+    energy, vec = ground_eigenpair(t)
+    _, ref = linalg.eigh_tridiagonal(t.diagonal, t.offdiagonal, select="i", select_range=(0, 0))
+
+    def chi2(v):
+        return metrology.report(dataclasses.replace(gs, amplitudes=v)).chi2
+
+    assert chi2(vec) == pytest.approx(chi2(ref[:, 0]), rel=1e-8)
+
+
 def test_lmg_ground_state_n2_isotropic():
     gs = lmg_ground_state(ModelParams(2, 1.0, 2.0))
     assert gs.parity == EVEN
