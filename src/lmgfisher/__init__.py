@@ -44,7 +44,6 @@ from .spincore import (
     TridiagonalMatrix,
     build_sector,
     build_sector_matrix,
-    parity_of,
     sector_dimension,
     sector_row,
 )
@@ -84,7 +83,6 @@ __all__ = [
     "lmg_ground_state",
     "local_exponents",
     "mean_field_angle",
-    "parity_of",
     "report",
     "sector_dimension",
     "sector_row",

@@ -118,31 +118,6 @@ def hp_epsilon(h: float, gamma: float) -> float:
     return eps
 
 
-def bogoliubov_ground_energy(n_spins: int, gamma: float, h: float) -> float:
-    """Ground energy to O(1) from the Holstein-Primakoff expansion with one
-    Bogoliubov mode (Dusuel & Vidal, PRL 93, 237204 (2004)):
-
-        broken (h < 1):     E_B = -(N/4)(1+h^2) + (sqrt((1-h^2)(1-gamma)) - 1)/2,
-        symmetric (h > 1):  E_B = -hN/2 + (sqrt(h-1) sqrt(h-gamma) - h)/2.
-
-    The exact ground energy is E_B + O(1/N).  The symmetric form is
-    evaluated as -hN/2 - (1 + gamma - gamma/h) / (2 (1 + sqrt((1-1/h)(1-gamma/h)))),
-    the same value without the cancellation or overflow of
-    sqrt(h-1) sqrt(h-gamma) - h at large h.  h = 1 raises CriticalPointError.
-    """
-    if not 0.0 <= gamma <= 1.0:
-        raise ValueError(f"gamma must lie in [0, 1], got {gamma}")
-    _check_field(h)
-    check_n_spins(n_spins)
-    n = float(n_spins)
-    if h == 1.0:
-        raise CriticalPointError("the Bogoliubov mode is soft at h = 1")
-    if h < 1.0:
-        return -0.25 * n * (1.0 + h * h) + 0.5 * (math.sqrt((1.0 - h * h) * (1.0 - gamma)) - 1.0)
-    root = math.sqrt((1.0 - 1.0 / h) * (1.0 - gamma / h))
-    return -0.5 * h * n - (1.0 + gamma - gamma / h) / (2.0 * (1.0 + root))
-
-
 @dataclass(frozen=True)
 class TlPrediction:
     """Thermodynamic-limit moments and parameters at one (h, gamma, N);

@@ -56,7 +56,7 @@ class ModelParams:
         if not 0.0 <= self.gamma <= 1.0:
             raise ValueError(f"gamma must lie in [0, 1], got {self.gamma}")
         # The block diagonal spans about h N (-h M for M in [-S, S]); past
-        # the float range the solver's shifts overflow.
+        # the float range the solver's eigenvalue bounds overflow.
         if not (self.h >= 0.0 and math.isfinite(self.h * float(self.n_spins))):
             raise ValueError(f"h must be >= 0 with h N finite, got h = {self.h} at N = {self.n_spins}")
 
@@ -102,15 +102,6 @@ class TridiagonalMatrix:
     def dimension(self) -> int:
         return int(self.diagonal.size)
 
-    def to_dense(self) -> np.ndarray:
-        dense = np.diag(self.diagonal)
-        if self.offdiagonal.size:
-            dense += np.diag(self.offdiagonal, 1) + np.diag(self.offdiagonal, -1)
-        return dense
-
-    def matvec(self, v: np.ndarray) -> np.ndarray:
-        return tridiagonal_matvec(self.diagonal, self.offdiagonal, v)
-
 
 def tridiagonal_matvec(diagonal: np.ndarray, offdiagonal: np.ndarray, v: np.ndarray) -> np.ndarray:
     """T v for the tridiagonal T with these entries, taken as given (no checks)."""
@@ -136,11 +127,6 @@ def double_raising_element(total_spin: float, m: np.ndarray) -> np.ndarray:
     """<S,M+2| S+^2 |S,M> = sqrt((S(S+1) - M(M+1)) (S(S+1) - (M+1)(M+2))), elementwise in M."""
     casimir = total_spin * (total_spin + 1.0)
     return np.sqrt((casimir - m * (m + 1.0)) * (casimir - (m + 1.0) * (m + 2.0)))
-
-
-def parity_of(total_spin: float, m: float) -> str:
-    """Spin-flip parity (-1)^(S-M) of the Dicke state |S,M>."""
-    return EVEN if spin_flip_count(total_spin, m) % 2 == 0 else ODD
 
 
 def sector_dimension(params: ModelParams, parity: str) -> int:

@@ -14,6 +14,8 @@ The first two order the Dicke basis by descending M, like the package.
 import numpy as np
 from math import comb
 
+from lmgfisher.spincore import sector_dimension
+
 SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex) / 2.0
 SY = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex) / 2.0
 SZ = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex) / 2.0
@@ -83,10 +85,44 @@ def dense_block_hamiltonian(n, gamma, h):
     return m, ham
 
 
+def to_dense(t):
+    """A TridiagonalMatrix as a dense array."""
+    dense = np.diag(t.diagonal)
+    if t.offdiagonal.size:
+        dense += np.diag(t.offdiagonal, 1) + np.diag(t.offdiagonal, -1)
+    return dense
+
+
+def matvec(t, v):
+    """T v for a TridiagonalMatrix t, through its dense form."""
+    return to_dense(t) @ v
+
+
 def tridiagonal_ground(t):
-    """Smallest eigenpair of a TridiagonalMatrix via numpy.linalg.eigh on t.to_dense()."""
-    w, v = np.linalg.eigh(t.to_dense())
+    """Smallest eigenpair of a TridiagonalMatrix via numpy.linalg.eigh on to_dense(t)."""
+    w, v = np.linalg.eigh(to_dense(t))
     return float(w[0]), v[:, 0]
+
+
+def block_amplitudes(gs):
+    """A GroundState's amplitudes over its whole parity block, zero outside the support."""
+    vec = np.zeros(sector_dimension(gs.params, gs.parity))
+    vec[gs.offset:gs.offset + gs.amplitudes.size] = gs.amplitudes
+    return vec
+
+
+def bogoliubov_ground_energy(n, gamma, h):
+    """Ground energy to O(1) from the Holstein-Primakoff expansion with one
+    Bogoliubov mode, away from h = 1 (Dusuel & Vidal, PRL 93, 237204 (2004)):
+
+        broken (h < 1):     E_B = -(N/4)(1+h^2) + (sqrt((1-h^2)(1-gamma)) - 1)/2,
+        symmetric (h > 1):  E_B = -hN/2 + (sqrt(h-1) sqrt(h-gamma) - h)/2.
+
+    The exact ground energy is E_B + O(1/N).
+    """
+    if h < 1.0:
+        return -0.25 * n * (1.0 + h * h) + 0.5 * (np.sqrt((1.0 - h * h) * (1.0 - gamma)) - 1.0)
+    return -0.5 * h * n + 0.5 * (np.sqrt(h - 1.0) * np.sqrt(h - gamma) - h)
 
 
 def dense_ground(n, gamma, h):
@@ -166,10 +202,12 @@ def pivot_floor(e):
 def sturm_count(diagonal, offdiagonal, x, pivmin):
     """Number of negative LDL^T pivots of T - xI, each pivot smaller than
     pivmin in magnitude clamped to -pivmin: the count of eigenvalues below
-    x, exact hits included."""
+    x, exact hits included.  Each pivot is formed as (d - x) - (e / q) e,
+    in the order LAPACK's dpttrf uses, so that verdicts at x within an ulp
+    of an eigenvalue compare bit for bit."""
     count = 0
     for i, d in enumerate(diagonal):
-        q = d - x if i == 0 else (d - x) - offdiagonal[i - 1] * offdiagonal[i - 1] / q
+        q = d - x if i == 0 else (d - x) - (offdiagonal[i - 1] / q) * offdiagonal[i - 1]
         if abs(q) < pivmin:
             q = -pivmin
         count += q < 0.0

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import oracles
-from lmgfisher import metrology, solver
+from lmgfisher import cli, metrology, solver
 from lmgfisher.solver import (
     ConvergenceError,
     GroundState,
@@ -46,7 +46,7 @@ def test_ground_eigenpair_2x2_closed_form():
     assert energy == pytest.approx(expected, rel=1e-14)
     assert np.linalg.norm(vec) == pytest.approx(1.0, abs=1e-12)
     # closed-form eigenvector direction
-    residual = t.matvec(vec) - energy * vec
+    residual = oracles.matvec(t, vec) - energy * vec
     assert np.linalg.norm(residual) < 1e-12
 
 
@@ -83,37 +83,64 @@ def test_convergence_error_carries_residual(monkeypatch):
 @pytest.mark.parametrize("t", [
     TridiagonalMatrix(np.array([0.0, 1.0, 5.0, 6.0]), np.full(3, -0.1)),
     # A double well: its two levels lie 4e-11 apart, inside the residual
-    # gate of 5e-10 but far above the bisection width of 1e-13.
+    # gate of 5e-10, so a vector of the upper level would meet the gate.
     TridiagonalMatrix(np.array([0.0, 5.0, 0.0]), np.full(2, -1e-5)),
 ], ids=["separated", "inside-the-gate"])
-def test_warm_start_on_an_excited_level_returns_the_lowest(t):
-    # Started on the second level, the Rayleigh-quotient passes settle
-    # there and meet the residual gate; only the isolation test sees the
-    # level below, and bisection then finds it.
-    levels, vectors = np.linalg.eigh(t.to_dense())
-    e = t.offdiagonal
-    settled = solver._twisted_solves(t, (e * e).tolist(), solver._pivot_floor(e), float(levels[1]),
-                                     solver._WARM_PASSES, solver._BISECTION_RELTOL)
-    assert settled[0] == pytest.approx(levels[1], abs=1e-15)
-    assert settled[2] <= solver._residual_tolerance(t)
-    energy, vec = ground_eigenpair(t, start=float(levels[1]))
+def test_ground_eigenpair_returns_the_lowest_level(t):
+    levels, vectors = np.linalg.eigh(oracles.to_dense(t))
+    energy, vec = ground_eigenpair(t)
     assert energy == pytest.approx(levels[0], abs=1e-15)
     assert abs(float(vec @ vectors[:, 0])) == pytest.approx(1.0, abs=1e-9)
 
 
-def test_warm_starts_anywhere_give_the_smallest_eigenpair():
-    # Starts below, inside and above the spectrum: each solve either keeps
-    # the refined pair or falls back to bisection, and both end on the
-    # smallest eigenpair.
+def test_smallest_eigenpair_of_random_tridiagonals():
+    # Half of the matrices have a zero off-diagonal entry, so they split
+    # into two blocks and the smallest eigenpair may lie in either.  The
+    # vector is unit, its largest |amplitude| is positive, and it meets the
+    # residual gate.
     rng = np.random.default_rng(20261018)
     for _ in range(100):
         t = random_tridiagonal(rng, int(rng.integers(1, 33)))
+        if t.offdiagonal.size and rng.integers(2):
+            t.offdiagonal[rng.integers(t.offdiagonal.size)] = 0.0
         e_ref, v_ref = oracles.tridiagonal_ground(t)
-        levels = np.linalg.eigvalsh(t.to_dense())
-        for start in (float(rng.uniform(levels[0] - 3.0, levels[-1] + 3.0)), float(levels[0]) + 1e-9):
-            energy, vec = ground_eigenpair(t, start=start)
-            assert energy == pytest.approx(e_ref, abs=1e-10 * max(1.0, abs(e_ref)))
-            assert abs(float(vec @ v_ref)) == pytest.approx(1.0, abs=1e-8)
+        energy, vec = ground_eigenpair(t)
+        assert energy == pytest.approx(e_ref, abs=1e-10 * max(1.0, abs(e_ref)))
+        assert abs(float(vec @ v_ref)) == pytest.approx(1.0, abs=1e-8)
+        assert np.linalg.norm(vec) == pytest.approx(1.0, abs=1e-14)
+        assert vec[np.argmax(np.abs(vec))] > 0.0
+        assert np.linalg.norm(oracles.matvec(t, vec) - energy * vec) <= oracles.residual_tolerance(t)
+
+
+@pytest.mark.parametrize("routine", ["_dstebz", "_dstein"])
+def test_lapack_failure_is_a_convergence_error(monkeypatch, tmp_path, routine):
+    # The routine runs, then reports info = 1 (dstebz: an eigenvalue did
+    # not converge; dstein: the vector did not).  dstebz gives no vector,
+    # so its error carries an infinite residual.
+    call = getattr(solver, routine)
+
+    def failing(*args):
+        call(*args)
+        return 1
+
+    monkeypatch.setattr(solver, routine, failing)
+    t = TridiagonalMatrix(np.array([1.0, -2.0, 0.5]), np.array([0.3, -0.4]))
+    with pytest.raises(ConvergenceError, match=f"{routine[1:]} returned info 1") as err:
+        ground_eigenpair(t)
+    if routine == "_dstebz":
+        assert err.value.residual == math.inf
+    else:
+        assert math.isfinite(err.value.residual)
+    out = tmp_path / "failed.csv"
+    code = cli.main(["--mode", "field-sweep", "--n", "10", "--gamma", "0.5", "--h", "0.5",
+                     "--out", str(out), "--jobs", "1"])
+    assert code == 2
+    assert ",convergence_error" in out.read_text()
+
+
+def test_missing_lapack_symbol_is_an_import_error():
+    with pytest.raises(ImportError, match="scipy_LAPACKE_dnosuch64_"):
+        solver._lapacke("dnosuch")
 
 
 def test_bisection_pair_is_the_eigenvector_at_large_n():
@@ -225,7 +252,7 @@ def test_ground_state_invariants_across_grid():
                 assert gs.amplitudes.dtype == np.float64
                 assert np.linalg.norm(gs.amplitudes) == pytest.approx(1.0, abs=1e-12)
                 block = build_sector_matrix(gs.params, gs.sector())
-                residual = np.linalg.norm(block.matvec(gs.amplitudes) - gs.energy * gs.amplitudes)
+                residual = np.linalg.norm(oracles.matvec(block, gs.amplitudes) - gs.energy * gs.amplitudes)
                 bound = np.max(np.abs(block.diagonal))
                 if block.offdiagonal.size:
                     bound += 2.0 * np.max(np.abs(block.offdiagonal))
@@ -246,9 +273,9 @@ def record_block_rows(monkeypatch):
     rows = []
     solve = solver.ground_eigenpair
 
-    def recording(t, **kwargs):
+    def recording(t):
         rows.append(t.dimension)
-        return solve(t, **kwargs)
+        return solve(t)
 
     monkeypatch.setattr(solver, "ground_eigenpair", recording)
     return rows
@@ -263,8 +290,8 @@ def test_window_path_matches_dense_oracle(gamma, h):
         assert gs.energy == pytest.approx(energy, abs=1e-10 * max(1.0, abs(energy)))
         # The padded window vector meets the whole block's residual gate.
         block = build_sector_matrix(gs.params, build_sector(gs.params, gs.parity))
-        padded = gs.block_amplitudes()
-        residual = np.linalg.norm(block.matvec(padded) - gs.energy * padded)
+        padded = oracles.block_amplitudes(gs)
+        residual = np.linalg.norm(oracles.matvec(block, padded) - gs.energy * padded)
         assert residual <= oracles.residual_tolerance(block)
         full = np.zeros(n + 1)
         full[np.isin(m, gs.sector().m_values)] = gs.amplitudes
@@ -278,7 +305,7 @@ def test_symmetric_phase_solves_a_strict_sub_block(monkeypatch):
     rows = record_block_rows(monkeypatch)
     gs = lmg_ground_state(ModelParams(600, 0.5, 1.5))
     assert rows and max(rows) < 301  # each parity block has 301 or 300 rows
-    assert gs.amplitudes.size < gs.block_amplitudes().size == 301
+    assert gs.amplitudes.size < oracles.block_amplitudes(gs).size == 301
 
 
 def test_misplaced_window_widens_to_the_ground_state():
@@ -299,7 +326,7 @@ def test_window_drops_only_negligible_amplitudes(n, gamma, h):
     gs = lmg_ground_state(ModelParams(n, gamma, h))
     energy, whole = ground_eigenpair(build_sector_matrix(gs.params, build_sector(gs.params, gs.parity)))
     assert gs.energy == pytest.approx(energy, rel=1e-15)
-    np.testing.assert_allclose(gs.block_amplitudes(), whole, rtol=0.0, atol=1e-13)
+    np.testing.assert_allclose(oracles.block_amplitudes(gs), whole, rtol=0.0, atol=1e-13)
 
 
 def window_solve(block, centre):
@@ -354,11 +381,12 @@ def test_window_edge_coupling_hides_a_lower_eigenvalue(mirrored):
 
 
 def definite_matches_sturm_count(diagonal, e, x):
-    """solver._definite on T - xI, checked against a Sturm count of 0; returns it."""
-    diagonal, e = np.asarray(diagonal, dtype=float).tolist(), np.asarray(e, dtype=float)
-    pivmin = oracles.pivot_floor(e)
-    verdict = solver._definite(diagonal, (e * e).tolist(), x, pivmin)
-    assert verdict == (oracles.sturm_count(diagonal, e.tolist(), x, pivmin) == 0), (diagonal, e, x)
+    """solver._definite on T - xI, checked against a Sturm count of 0 that
+    clamps only a zero pivot; returns it."""
+    diagonal, e = np.asarray(diagonal, dtype=float), np.asarray(e, dtype=float)
+    verdict = solver._definite(diagonal - x, e)
+    least = float(np.nextafter(0.0, 1.0))  # |q| < least only for q = 0
+    assert verdict == (oracles.sturm_count(diagonal.tolist(), e.tolist(), x, least) == 0), (diagonal, e, x)
     return verdict
 
 
@@ -366,8 +394,9 @@ def test_definite_is_a_sturm_count_of_zero():
     tiny = float(np.finfo(float).tiny)
     assert not definite_matches_sturm_count([2.0], [], 2.0)  # a zero first pivot
     assert not definite_matches_sturm_count([1.0, 1.0], [1.0], 0.0)  # a zero second pivot
-    assert not definite_matches_sturm_count([1e-310], [], 0.0)  # subnormal, below the floor
-    assert definite_matches_sturm_count([tiny], [], 0.0)  # exactly the floor
+    assert definite_matches_sturm_count([1e-310], [], 0.0)  # subnormal, but > 0
+    assert not definite_matches_sturm_count([1e-310, 1.0], [1.0], 0.0)  # its successor is -inf
+    assert definite_matches_sturm_count([tiny], [], 0.0)
     assert not definite_matches_sturm_count([-tiny], [], 0.0)
     assert definite_matches_sturm_count([3.0, 2.0, 3.0], [-1.0, -1.0], 0.0)
     # LMG windows at x one ulp either side of, and at, each eigenvalue.
@@ -380,7 +409,7 @@ def test_definite_is_a_sturm_count_of_zero():
         size = int(rng.integers(1, min(block.dimension, 12) + 1))
         lo = int(rng.integers(0, block.dimension - size + 1))
         t = block.rows(lo, lo + size)
-        for value in np.linalg.eigvalsh(t.to_dense()):
+        for value in np.linalg.eigvalsh(oracles.to_dense(t)):
             for x in (np.nextafter(value, -np.inf), value, np.nextafter(value, np.inf)):
                 verdicts.add(definite_matches_sturm_count(t.diagonal, t.offdiagonal, float(x)))
     assert verdicts == {False, True}
@@ -530,34 +559,33 @@ def test_broken_phase_first_window_holds_the_state(monkeypatch):
         gs = lmg_ground_state(params)
         m, p = gs.sector().m_values, gs.amplitudes ** 2
         sigma = math.sqrt(float(p @ (m - p @ m) ** 2))
-        half = solver._first_window(params)[0]
+        half = solver._first_window(params)
         assert half >= 6.0 * sigma, params
         assert len(rows) == 2, params
 
 
-@pytest.mark.parametrize("h", [0.5, 1.5])
-def test_large_n_solves_one_window_per_block_without_bisection(monkeypatch, h):
-    # Each block's one window solve starts from its Bogoliubov level (the
-    # odd block's is one boson up in the symmetric phase) and keeps its
-    # refined pair: no bisection runs, and the definiteness tests
-    # (isolation and certificate, two per block) read twice the rows of
-    # the two accepted windows.
-    rows = record_block_rows(monkeypatch)
+def record_definite_rows(monkeypatch):
+    """Wrap solver._definite; the returned list collects each tested dimension."""
     counted = []
     definite = solver._definite
 
-    def recording(diagonal, off_squared, x, pivmin):
-        counted.append(len(diagonal))
-        return definite(diagonal, off_squared, x, pivmin)
-
-    def no_bisection(*args):
-        raise AssertionError("bisection ran")
+    def recording(d, e):
+        counted.append(len(d))
+        return definite(d, e)
 
     monkeypatch.setattr(solver, "_definite", recording)
-    monkeypatch.setattr(solver, "_bisect_smallest", no_bisection)
+    return counted
+
+
+@pytest.mark.parametrize("h", [0.5, 1.5])
+def test_large_n_solves_one_window_per_block(monkeypatch, h):
+    # Each block's first window holds its state: exactly one solve per
+    # block, and one certificate each, on the rows of the accepted window.
+    rows = record_block_rows(monkeypatch)
+    counted = record_definite_rows(monkeypatch)
     lmg_ground_state(ModelParams(10**6, 0.5, h))
     assert len(rows) == 2
-    assert sum(counted) <= 2 * sum(rows)
+    assert counted == rows
 
 
 def test_critical_point_work_stays_sublinear(monkeypatch):
@@ -566,13 +594,7 @@ def test_critical_point_work_stays_sublinear(monkeypatch):
     # whole blocks would make 50001 rows each.  A window builds two more
     # rows beside each edge.
     rows = record_block_rows(monkeypatch)
-    counted = []
-    definite = solver._definite
-
-    def recording(diagonal, off_squared, x, pivmin):
-        counted.append(len(diagonal))
-        return definite(diagonal, off_squared, x, pivmin)
-
+    counted = record_definite_rows(monkeypatch)
     built = []
     build = solver.build_sector_matrix
 
@@ -580,7 +602,6 @@ def test_critical_point_work_stays_sublinear(monkeypatch):
         built.append(sector.dimension)
         return build(params, sector)
 
-    monkeypatch.setattr(solver, "_definite", recording)
     monkeypatch.setattr(solver, "build_sector_matrix", building)
     lmg_ground_state(ModelParams(100001, 0.5, 1.0))
     assert sum(rows) < 5000

@@ -11,7 +11,6 @@ from lmgfisher.spincore import (
     ModelParams,
     build_sector,
     build_sector_matrix,
-    parity_of,
     sector_dimension,
     sector_row,
 )
@@ -53,14 +52,6 @@ def test_model_params_rejects_non_finite_h(h):
         ModelParams(4, 0.5, h)
 
 
-def test_parity_of():
-    assert parity_of(1, 1) == EVEN
-    assert parity_of(1, 0) == ODD
-    # S - M = 25 flipped spins
-    assert parity_of(50, 25) == ODD
-    assert parity_of(2.5, 0.5) == EVEN
-
-
 def test_build_sector_enumeration():
     p4 = ModelParams(4, 0.5, 0.0)
     assert build_sector(p4, EVEN).m_values.tolist() == [2.0, 0.0, -2.0]
@@ -80,7 +71,7 @@ def test_sector_completeness_and_structure(n):
         dims += m.size
         assert np.all(np.diff(m) == -2.0)
         assert np.all(np.abs(m) <= params.total_spin)
-        assert all(parity_of(params.total_spin, mv) == parity for mv in m)
+        assert np.all((params.total_spin - m) % 2 == (parity == ODD))  # (-1)^(S-M) flips
         assert m.size in ((n + 2) // 2, (n + 1) // 2)
     assert dims == n + 1
 
@@ -111,7 +102,7 @@ def test_sector_matrix_mismatch_is_an_error():
 def test_even_block_matches_pauli_projection_n4():
     params = ModelParams(4, 0.5, 0.0)
     sector = build_sector(params, EVEN)
-    block = build_sector_matrix(params, sector).to_dense()
+    block = oracles.to_dense(build_sector_matrix(params, sector))
     full = oracles.projected_pauli_block(4, 0.5, 0.0)
     rows = [int(2 - mv) for mv in sector.m_values]  # descending-M index of each sector member
     np.testing.assert_allclose(block, full[np.ix_(rows, rows)], atol=1e-12)
@@ -125,7 +116,7 @@ def test_sector_direct_sum_equals_pauli_block(n, gamma, h):
     s = params.total_spin
     for parity in (EVEN, ODD):
         sector = build_sector(params, parity)
-        block = build_sector_matrix(params, sector).to_dense()
+        block = oracles.to_dense(build_sector_matrix(params, sector))
         rows = [int(round(s - mv)) for mv in sector.m_values]
         np.testing.assert_allclose(block, full[np.ix_(rows, rows)], atol=1e-12)
     # cross-parity entries of the projected H vanish
