@@ -138,8 +138,9 @@ def ground_eigenpair(t: TridiagonalMatrix) -> tuple[float, np.ndarray]:
     d = np.ascontiguousarray(t.diagonal)
     e = _offdiagonal(t.offdiagonal, n)
     w = np.zeros(n)  # LAPACKE_dstein NaN-checks all n entries of w
-    iblock, isplit, counts = np.zeros(n, np.int64), np.zeros(n, np.int64), np.zeros(2, np.int64)
-    info = _dstebz(b"I", b"B", n, 0.0, 0.0, 1, 1, _ABSTOL, d, e, counts[:1], counts[1:], w, iblock, isplit)
+    found, nsplit = np.zeros(1, np.int64), np.zeros(1, np.int64)
+    iblock, isplit = np.zeros(n, np.int64), np.zeros(n, np.int64)
+    info = _dstebz(b"I", b"B", n, 0.0, 0.0, 1, 1, _ABSTOL, d, e, found, nsplit, w, iblock, isplit)
     if info != 0:
         raise ConvergenceError(f"dstebz returned info {info}", math.inf)
     v = np.zeros(n)
