@@ -12,12 +12,9 @@ from .analytic import (
     TlPrediction,
     classify_phase,
     critical_scaling_prediction,
-    hp_epsilon,
     isotropic_energy,
     isotropic_ground_m,
     isotropic_level_crossings,
-    mean_field_angle,
-    squeezing_boundary,
     tl_prediction,
 )
 from .metrology import (
@@ -76,17 +73,14 @@ __all__ = [
     "fit_linear",
     "fit_power_law",
     "ground_eigenpair",
-    "hp_epsilon",
     "isotropic_energy",
     "isotropic_ground_m",
     "isotropic_level_crossings",
     "lmg_ground_state",
     "local_exponents",
-    "mean_field_angle",
     "report",
     "sector_dimension",
     "sector_row",
-    "squeezing_boundary",
     "tl_prediction",
     "transverse_moments",
 ]

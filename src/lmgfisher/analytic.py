@@ -1,10 +1,10 @@
 """Closed-form results for the collective-spin model.
 
 Covers the exactly solvable isotropic limit (gamma = 1, diagonal in the
-Dicke basis), the mean-field tilt angle, the bosonic-fluctuation
-(Holstein-Primakoff + Bogoliubov) moments in the thermodynamic limit for
-gamma < 1, the per-phase chi^2 / xi1^2 parameters, and the advertised
-finite-size scaling exponents at the critical field h = 1.
+Dicke basis), the bosonic-fluctuation (Holstein-Primakoff + Bogoliubov)
+moments in the thermodynamic limit for gamma < 1, the per-phase
+chi^2 / xi1^2 parameters, and the advertised finite-size scaling
+exponents at the critical field h = 1.
 """
 
 from __future__ import annotations
@@ -87,37 +87,6 @@ def isotropic_level_crossings(n_spins: int) -> Iterator[float]:
     return (1.0 - (2 * j + 1) / n_spins for j in range(n_spins // 2))
 
 
-def mean_field_angle(h: float) -> float:
-    """Tilt theta0 of the mean-field spin direction: 0 for h >= 1, arccos h below."""
-    _check_field(h)
-    return 0.0 if h >= 1.0 else math.acos(h)
-
-
-def hp_epsilon(h: float, gamma: float) -> float:
-    """Bogoliubov rotation parameter tanh(theta) = epsilon with
-
-        epsilon = (m^2 - gamma) / (2 h m - 3 m^2 - gamma + 2),  m = cos(theta0).
-
-    |epsilon| >= 1 means the rotation (and the fluctuation expansion)
-    breaks down, signalled with CriticalPointError.
-    """
-    if not 0.0 <= gamma <= 1.0:
-        raise ValueError(f"gamma must lie in [0, 1], got {gamma}")
-    _check_field(h)
-    if gamma == 1.0 and h < 1.0:
-        # epsilon = -1 identically: the expansion has a zero mode
-        raise CriticalPointError(
-            f"no Bogoliubov rotation at h={h}, gamma=1: |epsilon| = 1"
-        )
-    m = 1.0 if h >= 1.0 else h  # cos(theta0) without the arccos round trip
-    eps = (m * m - gamma) / (2.0 * h * m - 3.0 * m * m - gamma + 2.0)
-    if abs(eps) >= 1.0:
-        raise CriticalPointError(
-            f"no Bogoliubov rotation at h={h}, gamma={gamma}: |epsilon| = {abs(eps)} >= 1"
-        )
-    return eps
-
-
 @dataclass(frozen=True)
 class TlPrediction:
     """Thermodynamic-limit moments and parameters at one (h, gamma, N);
@@ -173,13 +142,6 @@ def tl_prediction(h: float, gamma: float, n_spins: int) -> TlPrediction:
         chi2=1.0 / ((n + 2.0) * one_h2),
         xi1_2=math.sqrt(one_h2 / one_g),
     )
-
-
-def squeezing_boundary(gamma: float) -> float:
-    """Broken-phase field h = sqrt(gamma) where xi1^2 crosses 1."""
-    if not 0.0 <= gamma <= 1.0:
-        raise ValueError(f"gamma must lie in [0, 1], got {gamma}")
-    return math.sqrt(gamma)
 
 
 @dataclass(frozen=True)

@@ -52,16 +52,13 @@ class UsageError(ValueError):
 
 
 def _fmt(value) -> str:
+    """A CSV field: numbers to 17 digits, so inf stays inf and any N that
+    passed ModelParams (N <= 1e9 < 2^53) prints as an exact integer."""
     if value is None:
         return ""
     if isinstance(value, str):
         return value
-    if isinstance(value, int):
-        return str(value)
-    value = float(value)
-    if math.isinf(value):
-        return "inf" if value > 0 else "-inf"
-    return format(value, ".17g")
+    return format(float(value), ".17g")
 
 
 def _tl_fields(h: float, gamma: float, n: int):

@@ -10,12 +10,9 @@ from lmgfisher.analytic import (
     Phase,
     classify_phase,
     critical_scaling_prediction,
-    hp_epsilon,
     isotropic_energy,
     isotropic_ground_m,
     isotropic_level_crossings,
-    mean_field_angle,
-    squeezing_boundary,
     tl_prediction,
 )
 from lmgfisher.metrology import cat_state_metrics, dicke_metrics, report
@@ -36,15 +33,13 @@ def test_phase_classification():
     lambda: classify_phase(math.inf),
     lambda: tl_prediction(math.nan, 0.5, 10),
     lambda: tl_prediction(math.inf, 0.5, 10),
-    lambda: hp_epsilon(math.nan, 0.5),
-    lambda: mean_field_angle(math.nan),
     lambda: isotropic_ground_m(10, math.nan),
     lambda: isotropic_energy(10, 5, math.nan),
     lambda: isotropic_energy(10, math.inf, 0.5),
     lambda: spin_flip_count(2, math.inf),
     lambda: dicke_metrics(4, math.inf),
-], ids=["phase-nan", "phase-inf", "tl-nan", "tl-inf", "epsilon-nan", "angle-nan",
-        "ground-m-nan", "energy-h-nan", "energy-m-inf", "flips-inf", "dicke-inf"])
+], ids=["phase-nan", "phase-inf", "tl-nan", "tl-inf", "ground-m-nan",
+        "energy-h-nan", "energy-m-inf", "flips-inf", "dicke-inf"])
 def test_closed_forms_reject_non_finite_input(call):
     # a plain ValueError: not a diverging closed form, and not a nan result
     with pytest.raises(ValueError) as caught:
@@ -132,31 +127,14 @@ def test_level_crossing_tie_resolution_exact_halves():
     assert isotropic_ground_m(10, 0.5) == 3.0  # x = 2.5 exactly, larger M of the pair (3, 2)
 
 
-def test_mean_field_angle():
-    assert mean_field_angle(2.0) == 0.0
-    assert mean_field_angle(1.0) == 0.0
-    assert mean_field_angle(0.0) == pytest.approx(math.pi / 2.0, rel=1e-15)
-    assert mean_field_angle(0.5) == pytest.approx(math.pi / 3.0, rel=1e-15)
-
-
-def test_classical_energy_minimizer_matches_angle():
-    # e(theta) = -(sin^2(theta)/2 + h cos(theta)) per spin, phi = 0
-    rng = np.random.default_rng(3)
-    grid = np.linspace(0.0, math.pi, 20_001)
-    for _ in range(200):
-        h = float(rng.uniform(0.0, 2.0))
-        energy = -(0.5 * np.sin(grid) ** 2 + h * np.cos(grid))
-        theta_star = grid[int(np.argmin(energy))]
-        assert abs(theta_star - mean_field_angle(h)) < 2.0 * (grid[1] - grid[0])
-
-
-def test_hp_epsilon_values():
-    assert hp_epsilon(1.5, 1.0) == 0.0
-    assert hp_epsilon(2.0, 0.0) == pytest.approx(1.0 / 3.0, rel=1e-15)
-    with pytest.raises(CriticalPointError):
-        hp_epsilon(1.0, 0.0)
-    with pytest.raises(CriticalPointError):
-        hp_epsilon(0.5, 1.0)  # isotropic broken has no rotation either
+def test_tl_prediction_bogoliubov_squeeze_ratio():
+    # <S_x^2>/<S_y^2> = (1 + eps)/(1 - eps) with eps the Bogoliubov tanh:
+    # eps = 0 (no squeezing) at gamma = 1, eps = 1/3 at h = 2, gamma = 0
+    tl = tl_prediction(1.5, 1.0, 100)
+    assert tl.sx2 == tl.sy2 == 25.0
+    assert tl.chi2 == tl.xi1_2 == 1.0
+    tl = tl_prediction(2.0, 0.0, 100)
+    assert tl.sx2 / tl.sy2 == pytest.approx((1.0 + 1.0 / 3.0) / (1.0 - 1.0 / 3.0), rel=1e-15)
 
 
 def test_tl_prediction_symmetric():
@@ -210,11 +188,11 @@ def test_tl_symmetric_consistency_identity():
 
 
 def test_squeezing_boundary():
-    assert squeezing_boundary(0.25) == 0.5
-    assert squeezing_boundary(1.0) == 1.0
-    assert tl_prediction(squeezing_boundary(0.36), 0.36, 100).xi1_2 == pytest.approx(1.0, rel=1e-12)
-    with pytest.raises(ValueError):
-        squeezing_boundary(-0.5)
+    # broken-phase xi1^2 crosses 1 at h = sqrt(gamma)
+    for gamma, h in ((0.25, 0.5), (0.36, 0.6)):
+        assert tl_prediction(h, gamma, 100).xi1_2 == pytest.approx(1.0, rel=1e-12)
+    with pytest.raises(ValueError, match="gamma"):
+        tl_prediction(0.5, -0.5, 100)
 
 
 def test_isotropic_reduction_matches_pipeline():

@@ -562,7 +562,7 @@ def test_convergence_failure_sets_status_and_exit_code(tmp_path, monkeypatch):
 @pytest.mark.parametrize("jobs", ["1", "2"])
 def test_unexpected_exception_sets_error_status(tmp_path, monkeypatch, capfd, jobs):
     # Any other exception in one grid point marks that row, and only it,
-    # and the sweep still writes every row, serially or in a process pool.
+    # and the sweep still writes every row, serially or in forked workers.
     solve = cli.solver.lmg_ground_state
 
     def failing_at_half(params):
@@ -609,6 +609,13 @@ def test_infinity_prints_as_inf(tmp_path):
     ]) == 0
     fields = row_fields(data_rows(read_lines(out))[0])
     assert fields["xi2_2"] == "inf"
+
+
+def test_csv_field_spellings():
+    # the settled 17-digit contract: N up to 1e9 exact, infinities by name
+    spellings = {None: "", "ok": "ok", 1: "1", 10**9: "1000000000",
+                 math.inf: "inf", -math.inf: "-inf", 0.1: "0.10000000000000001"}
+    assert {value: cli._fmt(value) for value in spellings} == spellings
 
 
 def test_random_points_give_complete_rows(tmp_path):

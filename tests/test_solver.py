@@ -143,11 +143,11 @@ def test_missing_lapack_symbol_is_an_import_error():
         solver._lapacke("dnosuch")
 
 
-def test_bisection_pair_is_the_eigenvector_at_large_n():
-    # At N = 1e9, h = 1 the bisection shift is 5e-5 from the lowest level
-    # and the next one lies 1.6e-3 above it: one twisted pass from there
-    # left chi2 2.5e-4 off.  Without a start, on the rows of the window
-    # that lmg_ground_state accepts, the pair must be scipy's.
+def test_window_eigenpair_matches_scipy_at_large_n():
+    # At N = 1e9, h = 1 the next level lies only 1.6e-3 above the lowest,
+    # on a diagonal near 5e8, so any admixture of it shows in chi2.
+    # On the rows of the window that lmg_ground_state accepts, the pair
+    # from ground_eigenpair must give scipy's chi2.
     linalg = pytest.importorskip("scipy.linalg")
     params = ModelParams(n_spins=10**9, gamma=0.5, h=1.0)
     gs = lmg_ground_state(params)
