@@ -12,9 +12,10 @@ mode-specific summaries (scaling fits, level crossings, closed forms).
 
 Exit codes: 0 success, 1 usage error (no file written; this includes an
 output directory that is missing or not writable, checked before any
-solve, and an h range of more than MAX_H_POINTS = 10^6 points), 2 when
-any grid point failed (its row's status field is convergence_error when
-the eigensolver missed its residual gate, error for any other exception).
+solve, and an h range of more than MAX_H_POINTS = 10^6 points) or a CSV
+write that fails after the solve (no file written), 2 when any grid
+point failed (its row's status field is convergence_error when the
+eigensolver missed its residual gate, error for any other exception).
 The CSV is renamed into place from a temporary file in the same
 directory.
 
@@ -249,7 +250,7 @@ def _config_argv(path: str) -> list[str]:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise UsageError(f"cannot read config file {path}: {exc}") from exc
     argv = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -414,7 +415,11 @@ def main(argv=None) -> int:
     summarize = _SUMMARIES.get(mode)
     summary = summarize(tasks, results) if summarize else []
     lines = itertools.chain([CSV_HEADER], (line for line, _, _ in results), summary)
-    _write_atomically(out, (line + "\n" for line in lines))
+    try:
+        _write_atomically(out, (line + "\n" for line in lines))
+    except OSError as exc:
+        print(f"error: cannot write {out}: {exc}", file=sys.stderr)
+        return 1
     failed = any(status != STATUS_OK for _, status, _ in results)
     return 2 if failed else 0
 

@@ -68,7 +68,7 @@ _RESIDUAL_FACTOR = 1e-10
 _DEGENERACY_RELTOL = 1e-12
 _WINDOW_HALF_WIDTH = 16  # least first window: 33 rows
 _WINDOW_EDGE_RELTOL = 1e-17
-_SLACK_MARGIN = 0.1  # of the block tolerance; see _window_certified
+_SLACK_MARGIN = 0.1  # of the window's residual gate; see _window_eigenpair
 
 
 class ConvergenceError(RuntimeError):
@@ -158,8 +158,8 @@ class _Block:
     """One parity block of a model, built a row range at a time.
 
     `_window_eigenpair` reads a block only through `dimension`,
-    `rows(lo, hi)`, `tolerance()` and `slack_floor(lo, hi)`.  `centre` is
-    the row nearest M = h S, and so nearest the mean-field S min(h, 1).
+    `rows(lo, hi)` and `slack_floor(lo, hi)`.  `centre` is the row nearest
+    M = h S, and so nearest the mean-field S min(h, 1).
     """
 
     def __init__(self, params: ModelParams, parity: str):
@@ -173,19 +173,6 @@ class _Block:
         """Rows [lo, hi) of the block, bit-identical to the whole block's."""
         return build_sector_matrix(self.params, build_sector(self.params, self.parity, lo, hi))
 
-    def tolerance(self) -> float:
-        """A residual gate at least the whole block's, from a closed form.
-
-        With N = 2S, |d| <= (1+gamma)(S+1)/4 + h S, and since
-        b <= S(S+1) (AM-GM on the two factors under its root),
-        2 max|e| <= (1-gamma)(S+1)/4.  So h S + (S+1)/2 bounds the whole
-        block's max|d| + 2 max|e|.  On blocks of more than one row, the
-        only ones windowed, it is under twice that scale.
-        """
-        p = self.params
-        s = p.total_spin
-        return _RESIDUAL_FACTOR * max(1.0, p.h * s + (s + 1.0) / 2.0)
-
     def slack_floor(self, lo: int, hi: int) -> float:
         """A closed-form lower bound on the row sums d_i - |e_(i-1)| - |e_i|
         over the rows outside [lo, hi); inf when there are none.
@@ -198,7 +185,8 @@ class _Block:
         minimum at M = h S, so least on each run of outside rows at the
         run's row nearest `centre`.  Against the row sums of blocks built
         in floats (N from 2 to 1e9, gamma and h in [0, 3]) P is at most
-        0.5 below them and at most 2.2e-16 of the block's scale above.
+        0.5 below them and at most 2.2e-16 of the block's scale
+        h S + (S+1)/2 above.
         """
         p = self.params
         s, n = p.total_spin, float(p.n_spins)
@@ -210,44 +198,39 @@ class _Block:
 
 
 def _window_certified(block, ext: TridiagonalMatrix, lo: int, hi: int, x: float, tol: float) -> bool:
-    """True when a definiteness test on rows lo:hi proves the block has no
-    eigenvalue below x.
+    """True when a definiteness test on rows lo:hi and the row beside each
+    inner edge proves the block has no eigenvalue below x.
 
-    ext holds the block's rows max(lo - 2, 0):min(hi + 2, n), and tol is
-    the block's `tolerance()`, at least its residual gate.
-
-    `block.slack_floor(lo, hi)` must exceed x by a margin of 0.1 tol, far
-    above the rounding of the floor and of the entries; a result inside it
-    is inconclusive, and the window widens.  Then the rows outside the
-    window are strictly diagonally dominant in T - xI and form a positive
-    definite matrix C; when the Schur complement W - B C^-1 B^T of the
-    window W is positive definite too, so is T - xI.  That complement lowers
-    only the window's edge diagonals next to C, each by e_link^2 / q_j,
-    where q_j > d_j - x - |e_inner| > |e_link| is the pivot of C's row j
-    next to the window, eliminated from the block's end; e_inner couples
-    row j to C's next row.  Lowering a diagonal further cannot make a matrix
-    positive definite, so the bound e_link^2 / (d_j - x - |e_inner|) in
-    place of e_link^2 / q_j keeps the proof.  `_definite` accepts any
-    pivot > 0: computed pivots are the exact pivots of a matrix whose
-    off-diagonal differs by a few ulps, so a positive one, however small,
-    still proves definiteness up to the rounding of the entries, and a
-    tiny pivot whose successor overflows gives -inf and a rejection.
+    ext holds the block's rows max(lo - 2, 0):min(hi + 2, n); tol is the
+    window's residual gate.  `block.slack_floor(lo, hi)` must exceed x by
+    0.1 tol, which covers its rounding (see `_window_eigenpair`); a result
+    inside that margin is inconclusive, and the window widens.  Then the
+    rows outside the window are strictly diagonally dominant in T - xI and
+    form a positive definite C, and T - xI is positive definite when the
+    window W's Schur complement W - B C^-1 B^T is.  That lowers W's edge
+    diagonals by e_link^2 / q_j, q_j being the pivot of C's row j beside
+    the window, eliminated from the block's end: q_j > d_j - x - |e_out| >
+    |e_link|, e_out coupling row j onward.  Lowering a diagonal further
+    cannot make a matrix definite, so W is bordered by each row j with
+    d_j - x - |e_out| on its diagonal: the Schur complement on row j is W
+    so lowered, and above the window it is dpttrf's first step.
+    `_definite` accepts any pivot > 0: computed pivots are the exact pivots
+    of a matrix whose off-diagonal differs by a few ulps, so a positive
+    one, however small, still proves definiteness up to the rounding of
+    the entries, and a tiny pivot whose successor overflows gives -inf and
+    a rejection.
     """
     if not block.slack_floor(lo, hi) - x > _SLACK_MARGIN * tol:
         return False
-    n = block.dimension
     elo = max(lo - 2, 0)
-    d, ae = ext.diagonal, np.abs(ext.offdiagonal)
-    window = d[lo - elo:hi - elo] - x
-    if lo > 0:  # C's row j = lo - 1 sits above the window
-        j = lo - 1 - elo
-        inner = float(ae[j - 1]) if lo > 1 else 0.0
-        window[0] -= float(ae[j]) ** 2 / (float(d[j]) - x - inner)
-    if hi < n:  # C's row j = hi sits below it
-        j = hi - elo
-        inner = float(ae[j]) if hi < n - 1 else 0.0
-        window[-1] -= float(ae[j - 1]) ** 2 / (float(d[j]) - x - inner)
-    return _definite(window, ext.offdiagonal[lo - elo:hi - elo - 1])
+    a, b = max(lo - 1, 0) - elo, min(hi + 1, block.dimension) - elo
+    e = ext.offdiagonal
+    bordered = ext.diagonal[a:b] - x
+    if a > 0:  # row lo - 1 borders the window and couples to row lo - 2
+        bordered[0] -= abs(e[a - 1])
+    if b < ext.dimension:  # row hi borders it and couples to row hi + 1
+        bordered[-1] -= abs(e[b - 1])
+    return _definite(bordered, e[a:b - 1])
 
 
 def _window_eigenpair(block, centre: int, half: int = _WINDOW_HALF_WIDTH) -> tuple[int, float, np.ndarray]:
@@ -260,18 +243,29 @@ def _window_eigenpair(block, centre: int, half: int = _WINDOW_HALF_WIDTH) -> tup
     block, is accepted when (a) each window edge inside the block has
     |amplitude| <= 1e-17 of the peak, and (b) `_window_certified` proves,
     from those rows and the block's slack floor, that the block has no
-    eigenvalue below E - tol, tol being `block.tolerance()`.  Cauchy
-    interlacing gives E >= the block's minimum, so (b) rules out a lower
-    eigenvalue.  The padded vector's residual on the whole block is the
-    window's, which met its own (smaller) gate, plus the two edge
-    couplings that (a) holds below 1e-17 |e| of the peak; it is not
-    checked again.  Otherwise the window recentres on its largest
-    amplitude, w doubles, and the solve repeats, as it does when (b) is
-    inconclusive.  A window of more than half the block would save little
-    over the whole block and could fail again, so the whole block, built
-    and solved as without a window, takes its place and ends the
-    widening.  A solve that misses its own residual gate raises
-    ConvergenceError.
+    eigenvalue below E - tol, tol being the window's own residual gate,
+    which its solve has just met.  Cauchy interlacing gives E >= the
+    block's minimum E0, so (b) puts E within tol of it, and tol is at most
+    the whole block's gate.  The padded vector's residual on the whole
+    block is the window's, within tol, plus the two edge couplings that (a)
+    holds below 1e-17 |e| of the peak; it is not checked again.
+    Otherwise the window recentres on its largest amplitude, w doubles,
+    and the solve repeats, as it does when (b) is inconclusive.  A window
+    of more than half the block would save little over the whole block
+    and could fail again, so the whole block, built and solved as without
+    a window, takes its place and ends the widening.  A solve that misses
+    its own residual gate raises ConvergenceError.
+
+    The margin 0.1 tol of (b) covers the slack floor's rounding, at most
+    2.2e-16 of the block's scale h S + (S+1)/2.  The states M = S (odd:
+    S - 1) and the two cat states of S_x = +-S give each block
+    E0 <= -max(h (S - 1), S/2), so on a windowed block (N >= 130) that
+    scale is under 3 |E0|.  A window with E > E0/4 passes no certificate:
+    at x = E - tol > E0/4 - 1e-9 |E0| it would, with no rounding that
+    matters, also prove T - (E0/2) I definite, which is false.  On any
+    other window, Gershgorin puts the window's scale, and with it tol/1e-10,
+    at least |E| >= |E0|/4 > 1/12 of the block's scale, so 0.1 tol exceeds
+    the floor's rounding thousands of times.
 
     The vector returned is |v|.  Every LMG block has e <= 0, so its exact
     ground vector b is >= 0 (Perron-Frobenius), and since
@@ -280,7 +274,6 @@ def _window_eigenpair(block, centre: int, half: int = _WINDOW_HALF_WIDTH) -> tup
     keeps every amplitude >= 0.
     """
     n = block.dimension
-    tol = block.tolerance()
     while True:
         size = 2 * half + 1
         if 2 * size > n:
@@ -290,11 +283,12 @@ def _window_eigenpair(block, centre: int, half: int = _WINDOW_HALF_WIDTH) -> tup
         hi = lo + size
         elo = max(lo - 2, 0)
         ext = block.rows(elo, min(hi + 2, n))
-        energy, v = ground_eigenpair(
-            TridiagonalMatrix(ext.diagonal[lo - elo:hi - elo], ext.offdiagonal[lo - elo:hi - elo - 1]))
+        window = TridiagonalMatrix(ext.diagonal[lo - elo:hi - elo], ext.offdiagonal[lo - elo:hi - elo - 1])
+        energy, v = ground_eigenpair(window)
         v = np.abs(v)
         edge = _WINDOW_EDGE_RELTOL * float(np.max(v))
         if (lo == 0 or v[0] <= edge) and (hi == n or v[-1] <= edge):
+            tol = _residual_tolerance(window)
             if _window_certified(block, ext, lo, hi, energy - tol, tol):
                 return lo, energy, v
         centre = lo + int(np.argmax(v))

@@ -34,9 +34,11 @@ MAX_N_SPINS = 10**9
 
 
 def check_n_spins(n_spins) -> None:
-    """The domain of N for the model and its closed forms: an integer from 1
-    to the float maximum, since S = N/2 and h N are computed in floats."""
-    if not isinstance(n_spins, numbers.Integral) or not 1 <= n_spins <= sys.float_info.max:
+    """The domain of N for the model and its closed forms: an integer, not a
+    bool, from 1 to the float maximum, since S = N/2 and h N are computed
+    in floats."""
+    if (isinstance(n_spins, bool) or not isinstance(n_spins, numbers.Integral)
+            or not 1 <= n_spins <= sys.float_info.max):
         raise ValueError(f"n_spins must be an integer from 1 to the float maximum, got {n_spins!r}")
 
 

@@ -170,7 +170,7 @@ def pauli_ground_cross_term(n, gamma, h):
 
 
 def residual_tolerance(t):
-    """The residual gate 1e-10 max(1, ||diag||_inf + 2 ||off||_inf) of a whole block t."""
+    """The residual gate 1e-10 max(1, ||diag||_inf + 2 ||off||_inf) of t."""
     scale = float(np.max(np.abs(t.diagonal)))
     if t.offdiagonal.size:
         scale += 2.0 * float(np.max(np.abs(t.offdiagonal)))
@@ -234,8 +234,7 @@ def window_certified(t, lo, hi, x):
 
 class ArrayBlock:
     """A whole TridiagonalMatrix served the way the solver reads an LMG
-    block: `dimension`, `rows(lo, hi)`, the whole-block `tolerance()` and
-    the exact `slack_floor(lo, hi)`."""
+    block: `dimension`, `rows(lo, hi)` and the exact `slack_floor(lo, hi)`."""
 
     def __init__(self, t):
         self.t = t
@@ -243,9 +242,6 @@ class ArrayBlock:
 
     def rows(self, lo, hi):
         return type(self.t)(self.t.diagonal[lo:hi], self.t.offdiagonal[lo:hi - 1])
-
-    def tolerance(self):
-        return residual_tolerance(self.t)
 
     def slack_floor(self, lo, hi):
         return least_row_sum_outside(self.t, lo, hi)

@@ -55,10 +55,13 @@ def test_closed_forms_reject_non_finite_input(call):
     lambda: isotropic_ground_m(10**400, 0.5),
     lambda: isotropic_energy(10**400, 0, 0.5),
     lambda: isotropic_level_crossings(10**400),
+    lambda: tl_prediction(0.5, 0.5, True),
+    lambda: cat_state_metrics(True),
 ], ids=["tl-huge", "tl-fraction", "dicke-huge", "cat-huge", "ground-m-huge", "energy-huge",
-        "crossings-huge"])
+        "crossings-huge", "tl-bool", "cat-bool"])
 def test_closed_forms_take_the_model_n_rule(call):
-    # the N domain of ModelParams: an integer from 1 to the float maximum
+    # the N domain of ModelParams: an integer, not a bool, from 1 to the
+    # float maximum
     with pytest.raises(ValueError) as caught:
         call()
     assert type(caught.value) is ValueError

@@ -1,3 +1,4 @@
+import errno
 import math
 import os
 import signal
@@ -530,16 +531,36 @@ def test_config_file_out(tmp_path, flag_out):
 
 
 @pytest.mark.parametrize("text", [
-    "mode field-sweep\n",
-    "mode=field-sweep\nn=10.6\ngamma=0.5\nh=0.5\n",  # N is parsed as by --n
-    "mode=field-sweep\nn=10\ngamma=0.5\nh=0.5\njbos=2\n",  # unknown keys are not dropped
-], ids=["no-equals", "non-integer-n", "unknown-key"])
-def test_config_file_bad_line(tmp_path, text):
+    b"mode field-sweep\n",
+    b"mode=field-sweep\nn=10.6\ngamma=0.5\nh=0.5\n",  # N is parsed as by --n
+    b"mode=field-sweep\nn=10\ngamma=0.5\nh=0.5\njbos=2\n",  # unknown keys are not dropped
+    b"n=10\n\xff\n",  # not UTF-8
+], ids=["no-equals", "non-integer-n", "unknown-key", "not-utf8"])
+def test_config_file_bad_line(tmp_path, capsys, text):
     cfg = tmp_path / "bad.cfg"
-    cfg.write_text(text)
+    cfg.write_bytes(text)
     out = tmp_path / "x.csv"
     assert cli.main(["--config", str(cfg), "--out", str(out)]) == 1
     assert not out.exists()
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize("step", ["mkstemp", "replace"])
+def test_failed_csv_write_is_one_error_line(tmp_path, monkeypatch, capsys, step):
+    # A full disk, or an --out that passes the directory check but cannot
+    # be created (in a pseudo-filesystem that root may "write"): exit 1,
+    # no file left.
+    def full(*args, **kwargs):
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    monkeypatch.setattr(cli.tempfile if step == "mkstemp" else cli.os, step, full)
+    out = tmp_path / "x.csv"
+    assert cli.main(["--mode", "field-sweep", "--n", "10", "--gamma", "0.5",
+                     "--h", "0.5", "--out", str(out)]) == 1
+    assert list(tmp_path.iterdir()) == []
+    err = capsys.readouterr().err
+    assert err == f"error: cannot write {out}: [Errno {errno.ENOSPC}] No space left on device\n"
 
 
 def test_convergence_failure_sets_status_and_exit_code(tmp_path, monkeypatch):

@@ -442,10 +442,10 @@ def test_certificate_reads_the_slack_beyond_the_window_edges():
     rows = np.arange(301.0)
     t = TridiagonalMatrix(0.01 * (rows - 150.0) ** 2, np.full(300, -0.5))
     block = oracles.ArrayBlock(t)
-    tol = block.tolerance()
     x = oracles.tridiagonal_ground(t)[0] - 1e-3
     verdicts = []
     for lo in range(0, 269, 3):
+        tol = oracles.residual_tolerance(block.rows(lo, lo + 33))
         verdict = certified(block, lo, lo + 33, x, tol)
         assert verdict == oracles.window_certified(t, lo, lo + 33, x), lo
         verdicts.append(verdict)
@@ -456,22 +456,10 @@ CERTIFICATE_GRID = [(n, gamma) for n in (3, 10, 101, 600, 10001) for gamma in (0
 
 
 @pytest.mark.parametrize("n,gamma", CERTIFICATE_GRID)
-def test_block_tolerance_is_the_whole_block_gate(n, gamma):
-    # The closed form is at least the whole block's gate (up to the rounding
-    # of the entries) and at most 4 times it.
-    eps = float(np.finfo(float).eps)
-    for h in np.linspace(0.0, 3.0, 13):
-        params = ModelParams(n, gamma, float(h))
-        for parity in (EVEN, ODD):
-            gate = oracles.residual_tolerance(build_sector_matrix(params, build_sector(params, parity)))
-            assert gate * (1.0 - 4.0 * eps) <= solver._Block(params, parity).tolerance() <= 4.0 * gate
-
-
-@pytest.mark.parametrize("n,gamma", CERTIFICATE_GRID)
 def test_certificate_matches_the_whole_block_oracle(n, gamma):
     # The window certificate reads two rows beside each window edge and the
     # closed-form slack floor; the oracle tests every row of the whole
-    # block.  x is the window's own energy minus the block's tolerance, as
+    # block.  x is the window's own energy minus its own residual gate, as
     # in the solver.
     verdicts = []
     for h in np.linspace(0.0, 3.0, 13):
@@ -479,9 +467,10 @@ def test_certificate_matches_the_whole_block_oracle(n, gamma):
         for parity in (EVEN, ODD):
             block = solver._Block(params, parity)
             whole = build_sector_matrix(params, build_sector(params, parity))
-            tol = block.tolerance()
             for lo, hi in certificate_windows(block.dimension):
-                x = ground_eigenpair(block.rows(lo, hi))[0] - tol
+                window = block.rows(lo, hi)
+                tol = oracles.residual_tolerance(window)
+                x = ground_eigenpair(window)[0] - tol
                 verdict = certified(block, lo, hi, x, tol)
                 assert verdict == oracles.window_certified(whole, lo, hi, x), (h, parity, lo, hi)
                 verdicts.append(verdict)
@@ -489,8 +478,9 @@ def test_certificate_matches_the_whole_block_oracle(n, gamma):
 
 
 def block_scale(block):
-    """The block's scale h S + (S+1)/2, of which its tolerance is 1e-10."""
-    return block.tolerance() / solver._RESIDUAL_FACTOR
+    """The block's scale h S + (S+1)/2, a bound on its max|d| + 2 max|e|."""
+    s = block.params.total_spin
+    return block.params.h * s + (s + 1.0) / 2.0
 
 
 @pytest.mark.parametrize("n,gamma", CERTIFICATE_GRID)
@@ -580,19 +570,22 @@ def record_definite_rows(monkeypatch):
 @pytest.mark.parametrize("h", [0.5, 1.5])
 def test_large_n_solves_one_window_per_block(monkeypatch, h):
     # Each block's first window holds its state: exactly one solve per
-    # block, and one certificate each, on the rows of the accepted window.
+    # block, and one certificate each, on the rows of the accepted window
+    # and the row beside each edge inside the block.  At h = 0.5 the window
+    # sits inside the block; at h = 1.5 it starts at the block's first row.
     rows = record_block_rows(monkeypatch)
     counted = record_definite_rows(monkeypatch)
     lmg_ground_state(ModelParams(10**6, 0.5, h))
+    inner_edges = 2 if h < 1.0 else 1
     assert len(rows) == 2
-    assert counted == rows
+    assert counted == [r + inner_edges for r in rows]
 
 
 def test_critical_point_work_stays_sublinear(monkeypatch):
     # Whole-block solves would hand 50001 + 50001 rows to the eigensolver,
     # a whole-block certificate would test 50001 rows, and building the
     # whole blocks would make 50001 rows each.  A window builds two more
-    # rows beside each edge.
+    # rows beside each edge, and its certificate tests one of them.
     rows = record_block_rows(monkeypatch)
     counted = record_definite_rows(monkeypatch)
     built = []
@@ -605,7 +598,7 @@ def test_critical_point_work_stays_sublinear(monkeypatch):
     monkeypatch.setattr(solver, "build_sector_matrix", building)
     lmg_ground_state(ModelParams(100001, 0.5, 1.0))
     assert sum(rows) < 5000
-    assert max(counted) <= max(rows)
+    assert max(counted) <= max(rows) + 2
     assert max(built) <= max(rows) + 4
 
 

@@ -33,6 +33,8 @@ def test_model_params_rejects_non_integer_n():
         ModelParams(10.5, 0.5, 1.0)
     with pytest.raises(ValueError):
         ModelParams(10**400, 0.5, 0.0)  # past the float range
+    with pytest.raises(ValueError):
+        ModelParams(True, 0.5, 0.5)  # a bool is not an N
     assert ModelParams(np.int64(10), 0.5, 1.0).total_spin == 5.0
 
 
