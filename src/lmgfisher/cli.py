@@ -29,6 +29,8 @@ on stderr.
 from __future__ import annotations
 
 import argparse
+import atexit
+import gc
 import itertools
 import math
 import os
@@ -46,6 +48,13 @@ STATUS_OK = "ok"
 STATUS_CONVERGENCE = "convergence_error"
 STATUS_ERROR = "error"
 MAX_H_POINTS = 10**6  # points in one --h-start/--h-stop/--h-step range
+
+# Interpreter shutdown runs full garbage collections over every object
+# still alive, about 21k after this import: 25-45 ms of each process on a
+# 2-vCPU Xeon.  Freezing the heap at exit lets them skip all of it.
+# Nothing changes while main runs, and forked --jobs children leave by
+# os._exit.
+atexit.register(gc.freeze)
 
 
 class UsageError(ValueError):

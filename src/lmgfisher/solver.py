@@ -7,9 +7,9 @@ _definite tests positive definiteness with an LDL^T factorization
 lmg_ground_state solves both parity blocks of one model instance and
 returns the lower one (even wins exact ties, so the reported state keeps
 <S_x> = <S_y> = 0).  Each block is solved on a window of rows around the
-mean-field magnetization, sized from the Bogoliubov ground state and
-widened until the zero-padded result is certified as the ground state of
-the whole block.
+mean-field magnetization, sized from the Bogoliubov ground state (near
+h = 1, from the critical quartic-oscillator width) and widened until the
+zero-padded result is certified as the ground state of the whole block.
 Only the rows of a window and a few rows beside it are ever built, so a
 ground state's memory follows the state, not N.
 """
@@ -67,6 +67,7 @@ _ABSTOL = 2.0 * float(np.finfo(float).tiny)  # dstebz's most accurate setting
 _RESIDUAL_FACTOR = 1e-10
 _DEGENERACY_RELTOL = 1e-12
 _WINDOW_HALF_WIDTH = 16  # least first window: 33 rows
+_CROSSOVER_BAND = 32.0  # |h - 1| N^(2/3) up to this takes the critical width
 _WINDOW_EDGE_RELTOL = 1e-17
 _SLACK_MARGIN = 0.1  # of the window's residual gate; see _window_eigenpair
 
@@ -303,12 +304,27 @@ def _first_window(params: ModelParams) -> int:
     falls to 1e-17 of the peak about 3.13 sqrt(N sqrt((1-h^2)(1-gamma)))
     rows from it; the half-width 4 sqrt(N sqrt((1-h^2)(1-gamma))), at
     least 16, covers that in one window.  Elsewhere it is 16.
+
+    That spread vanishes at h = 1, but the state does not narrow: in the
+    crossover band |h - 1| N^(2/3) <= 32 the low levels are those of a
+    quartic oscillator whose ground state flips of order ((1-gamma)N)^(1/3)
+    spins (Dusuel & Vidal, PRL 93, 237204 (2004); PRB 71, 224420 (2005)).
+    At h = 1 the amplitudes of each block's lowest state fall to 1e-17 of
+    the peak 7.05-7.2 (even) and 7.37-7.44 (odd) ((1-gamma)N)^(1/3) rows
+    from the top row (gamma in {0, 0.5, 0.9}, N = 1e4 ... 1e9), where the
+    window starts, so inside the band the half-width is at least
+    4 ((1-gamma)N)^(1/3), a window of 8 such units of rows.  At gamma = 1
+    that is 0, and 16 stays.  The band's edge comes from counting solves
+    on seeded (N, gamma, x = (h - 1) N^(2/3)) grids: with 32, every point
+    with |x| <= 30 took one solve per block.
     """
     p = params
     half = _WINDOW_HALF_WIDTH
     if p.h < 1.0:
         spread = p.n_spins * math.sqrt((1.0 - p.h * p.h) * (1.0 - p.gamma))
         half = max(half, math.ceil(4.0 * math.sqrt(spread)))
+    if abs(p.h - 1.0) * p.n_spins ** (2.0 / 3.0) <= _CROSSOVER_BAND:
+        half = max(half, math.ceil(4.0 * ((1.0 - p.gamma) * p.n_spins) ** (1.0 / 3.0)))
     return half
 
 

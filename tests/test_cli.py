@@ -406,6 +406,27 @@ def test_jobs_print_buffered_output_once(tmp_path):
     assert (done.stdout, done.stderr) == ("out:0\n", "err:")
 
 
+_EXIT_PROBE = "import atexit, gc; atexit.register(lambda: print('frozen at exit', gc.get_freeze_count() > 0)); "
+
+
+def test_cli_freezes_the_heap_only_at_exit(tmp_path):
+    # lmgfisher.cli registers gc.freeze with atexit, so the collections of
+    # interpreter shutdown skip the heap.  A probe registered before the
+    # import runs after the freeze (atexit runs last in, first out); the
+    # sweep itself runs with nothing frozen.
+    out = tmp_path / "one.csv"
+    code = (_EXIT_PROBE + "import lmgfisher.cli as cli; solve = cli.solver.lmg_ground_state; "
+            "cli.solver.lmg_ground_state = lambda p: (print('frozen in main', gc.get_freeze_count()), solve(p))[1]; "
+            "print(cli.main(['--mode', 'field-sweep', '--n', '10', '--gamma', '0.5', '--h', '0.5',"
+            f" '--out', {str(out)!r}]))")
+    assert _fresh(code).stdout == "frozen in main 0\n0\nfrozen at exit True\n"
+    assert len(data_rows(read_lines(out))) == 1
+
+
+def test_package_import_freezes_nothing():
+    assert _fresh(_EXIT_PROBE + "import lmgfisher").stdout == "frozen at exit False\n"
+
+
 def test_size_scaling_summary(tmp_path):
     out = tmp_path / "scaling.csv"
     code = cli.main([

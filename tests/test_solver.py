@@ -567,18 +567,42 @@ def record_definite_rows(monkeypatch):
     return counted
 
 
-@pytest.mark.parametrize("h", [0.5, 1.5])
+@pytest.mark.parametrize("h", [0.5, 1.0, 1.5])
 def test_large_n_solves_one_window_per_block(monkeypatch, h):
     # Each block's first window holds its state: exactly one solve per
     # block, and one certificate each, on the rows of the accepted window
     # and the row beside each edge inside the block.  At h = 0.5 the window
-    # sits inside the block; at h = 1.5 it starts at the block's first row.
+    # sits inside the block; at h = 1 and 1.5 it starts at the block's
+    # first row.
     rows = record_block_rows(monkeypatch)
     counted = record_definite_rows(monkeypatch)
     lmg_ground_state(ModelParams(10**6, 0.5, h))
     inner_edges = 2 if h < 1.0 else 1
     assert len(rows) == 2
     assert counted == [r + inner_edges for r in rows]
+
+
+@pytest.mark.parametrize("n", [10**4, 10**6, 10**9])
+@pytest.mark.parametrize("gamma", [0.0, 0.5, 0.9])
+def test_critical_first_window_holds_the_state(monkeypatch, gamma, n):
+    # At h = 1 each block's lowest state reaches 1e-17 of its peak at most
+    # 7.44 ((1-gamma)N)^(1/3) rows from the top; the first window, 8 of
+    # those units plus one row, is accepted in each block without widening.
+    rows = record_block_rows(monkeypatch)
+    lmg_ground_state(ModelParams(n, gamma, 1.0))
+    half = math.ceil(4.0 * ((1.0 - gamma) * n) ** (1.0 / 3.0))
+    assert rows == [2 * half + 1] * 2
+
+
+@pytest.mark.parametrize("gamma,h,half", [
+    (0.0, 0.5, 117714), (0.5, 0.5, 98985), (0.9, 0.5, 66196),
+    (0.0, 1.5, 16), (0.5, 1.5, 16), (0.9, 1.5, 16),
+])
+def test_deep_phase_first_windows_are_unchanged(gamma, h, half):
+    # Far outside the crossover band |h - 1| N^(2/3) <= 32 the critical
+    # width does not apply: the first window is the Bogoliubov width
+    # (broken phase) or 16 (symmetric).
+    assert solver._first_window(ModelParams(10**9, gamma, h)) == half
 
 
 def test_critical_point_work_stays_sublinear(monkeypatch):
