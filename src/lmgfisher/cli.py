@@ -365,9 +365,12 @@ def build_config(args) -> tuple[str, list[tuple], int, str]:
     jobs = 1 if args.jobs is None else args.jobs
     if jobs < 1:
         raise UsageError("jobs must be >= 1")
-    # The model's domain is ModelParams's.  Each N is checked at h = 0
-    # and each h at the largest N, which bounds h N.
-    ns, hs = sorted(set(args.n)), sorted(set(h_values))
+    # + 0.0 turns -0.0 into 0.0, so that the CSV never reads -0 and does
+    # not depend on which of -0.0 and 0.0 a set keeps.  The model's domain
+    # is ModelParams's.  Each N is checked at h = 0 and each h at the
+    # largest N, which bounds h N.
+    gamma += 0.0
+    ns, hs = sorted(set(args.n)), sorted({h + 0.0 for h in h_values})
     try:
         for n in ns:
             ModelParams(n, gamma, 0.0)

@@ -1,9 +1,9 @@
 """Ground-state eigensolvers for real symmetric tridiagonal matrices.
 
-ground_eigenpair takes the smallest eigenvalue from LAPACK's bisection
-(dstebz) and its eigenvector from inverse iteration (dstein), and
+ground_eigenpair takes the smallest eigenvalue and its eigenvector from
+one call to LAPACK's dstevx (bisection, then inverse iteration), and
 _definite tests positive definiteness with an LDL^T factorization
-(dpttrf), all from the OpenBLAS that numpy itself loads.
+(dpttrf), both from the OpenBLAS that numpy itself loads.
 lmg_ground_state solves both parity blocks of one model instance and
 returns the lower one (even wins exact ties, so the reported state keeps
 <S_x> = <S_y> = 0).  Each block is solved on a window of rows around the
@@ -58,12 +58,11 @@ def _lapacke(name: str, *argtypes):
 
 
 _dpttrf = _lapacke("dpttrf", _INT, _DOUBLES, _DOUBLES)
-_dstebz = _lapacke("dstebz", ctypes.c_char, ctypes.c_char, _INT, ctypes.c_double, ctypes.c_double,
-                   _INT, _INT, ctypes.c_double, _DOUBLES, _DOUBLES, _INTS, _INTS, _DOUBLES, _INTS, _INTS)
-_dstein = _lapacke("dstein", ctypes.c_int, _INT, _DOUBLES, _DOUBLES, _INT, _DOUBLES, _INTS, _INTS,
+_dstevx = _lapacke("dstevx", ctypes.c_int, ctypes.c_char, ctypes.c_char, _INT, _DOUBLES, _DOUBLES,
+                   ctypes.c_double, ctypes.c_double, _INT, _INT, ctypes.c_double, _INTS, _DOUBLES,
                    _DOUBLES, _INT, _INTS)
 
-_ABSTOL = 2.0 * float(np.finfo(float).tiny)  # dstebz's most accurate setting
+_ABSTOL = 2.0 * float(np.finfo(float).tiny)  # the bisection's most accurate setting
 _RESIDUAL_FACTOR = 1e-10
 _DEGENERACY_RELTOL = 1e-12
 _WINDOW_HALF_WIDTH = 16  # least first window: 33 rows
@@ -100,58 +99,49 @@ class GroundState:
         return build_sector(self.params, self.parity, self.offset, self.offset + self.amplitudes.size)
 
 
-def _residual_tolerance(t: TridiagonalMatrix) -> float:
+def _scale(t: TridiagonalMatrix) -> float:
+    """The residual gate's unit, max(1, ||diag||_inf + 2 ||off||_inf)."""
     scale = float(np.max(np.abs(t.diagonal)))
     if t.offdiagonal.size:
         scale += 2.0 * float(np.max(np.abs(t.offdiagonal)))
-    return _RESIDUAL_FACTOR * max(1.0, scale)
-
-
-def _offdiagonal(e: np.ndarray, n: int) -> np.ndarray:
-    """A copy of e in a buffer of max(n - 1, 1) entries: a 1-row matrix still
-    needs one."""
-    out = np.zeros(max(n - 1, 1))
-    out[:n - 1] = e
-    return out
+    return max(1.0, scale)
 
 
 def _definite(d: np.ndarray, e: np.ndarray) -> bool:
     """True when the tridiagonal matrix with diagonal d and off-diagonal e is
     positive definite: dpttrf, on copies, finds every LDL^T pivot > 0."""
-    n = len(d)
-    return _dpttrf(n, np.array(d, dtype=float), _offdiagonal(e, n)) == 0
+    return _dpttrf(len(d), np.array(d, dtype=float), np.array(e, dtype=float)) == 0
 
 
 def ground_eigenpair(t: TridiagonalMatrix) -> tuple[float, np.ndarray]:
     """Smallest eigenvalue and normalized eigenvector of a symmetric tridiagonal matrix.
 
-    dstebz bisects for the smallest eigenvalue to its most accurate
-    setting (abstol 2 tiny, a few ulps of it), and dstein takes its
-    eigenvector by inverse iteration, scaled to unit norm with its
-    largest |amplitude| positive.  A nonzero LAPACK info raises
-    ConvergenceError, and so does a pair that misses
+    dstevx bisects for the smallest eigenvalue to its most accurate
+    setting (abstol 2 tiny, a few ulps of it) and takes its eigenvector
+    by inverse iteration, scaled to unit norm with its largest
+    |amplitude| positive.  It works on copies of the entries, which it
+    rescales in place when they are extreme.  A nonzero LAPACK info
+    raises ConvergenceError, and so does a pair that misses
 
         || T v - E v ||_2 <= 1e-10 max(1, ||diag||_inf + 2 ||off||_inf),
 
-    the error carrying the residual (inf when dstebz gave no eigenvalue).
+    the error carrying the residual (inf when dstevx found no eigenvalue).
+    The residual is summed in units of that scale, so that squaring its
+    entries cannot overflow.
     """
     n = t.dimension
-    d = np.ascontiguousarray(t.diagonal)
-    e = _offdiagonal(t.offdiagonal, n)
-    w = np.zeros(n)  # LAPACKE_dstein NaN-checks all n entries of w
-    found, nsplit = np.zeros(1, np.int64), np.zeros(1, np.int64)
-    iblock, isplit = np.zeros(n, np.int64), np.zeros(n, np.int64)
-    info = _dstebz(b"I", b"B", n, 0.0, 0.0, 1, 1, _ABSTOL, d, e, found, nsplit, w, iblock, isplit)
-    if info != 0:
-        raise ConvergenceError(f"dstebz returned info {info}", math.inf)
-    v = np.zeros(n)
-    info = _dstein(_COL_MAJOR, n, d, e, 1, w, iblock, isplit, v, n, np.zeros(1, np.int64))
+    found, w, v = np.zeros(1, np.int64), np.empty(n), np.empty(n)
+    info = _dstevx(_COL_MAJOR, b"V", b"I", n, np.array(t.diagonal), np.array(t.offdiagonal), 0.0, 0.0,
+                   1, 1, _ABSTOL, found, w, v, n, np.empty(n, np.int64))
+    if found[0] != 1:
+        raise ConvergenceError(f"dstevx found {found[0]} eigenvalues (info {info})", math.inf)
     energy = float(w[0])
-    residual = float(np.linalg.norm(tridiagonal_matvec(d, t.offdiagonal, v) - energy * v))
+    scale = _scale(t)
+    units = float(np.linalg.norm((tridiagonal_matvec(t.diagonal, t.offdiagonal, v) - energy * v) / scale))
     if info != 0:
-        raise ConvergenceError(f"dstein returned info {info}", residual)
-    if not residual <= _residual_tolerance(t):
-        raise ConvergenceError("eigenvector missed the residual target", residual)
+        raise ConvergenceError(f"dstevx returned info {info}", units * scale)
+    if not units <= _RESIDUAL_FACTOR:
+        raise ConvergenceError("eigenvector missed the residual target", units * scale)
     return energy, v
 
 
@@ -271,8 +261,8 @@ def _window_eigenpair(block, centre: int, half: int = _WINDOW_HALF_WIDTH) -> tup
     The vector returned is |v|.  Every LMG block has e <= 0, so its exact
     ground vector b is >= 0 (Perron-Frobenius), and since
     ||v_i| - b_i| <= |v_i - b_i| for each b_i >= 0, || |v| - b || <= || v - b ||.
-    dstein leaves noise of about 1e-50 of either sign in the tails; |v|
-    keeps every amplitude >= 0.
+    Inverse iteration leaves noise of about 1e-50 of either sign in the
+    tails; |v| keeps every amplitude >= 0.
     """
     n = block.dimension
     while True:
@@ -289,7 +279,7 @@ def _window_eigenpair(block, centre: int, half: int = _WINDOW_HALF_WIDTH) -> tup
         v = np.abs(v)
         edge = _WINDOW_EDGE_RELTOL * float(np.max(v))
         if (lo == 0 or v[0] <= edge) and (hi == n or v[-1] <= edge):
-            tol = _residual_tolerance(window)
+            tol = _RESIDUAL_FACTOR * _scale(window)
             if _window_certified(block, ext, lo, hi, energy - tol, tol):
                 return lo, energy, v
         centre = lo + int(np.argmax(v))

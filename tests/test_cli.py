@@ -243,6 +243,18 @@ def test_rows_ordered_by_n_then_h(tmp_path):
     assert keys == sorted(keys)
 
 
+def test_signed_zero_fields_write_zero_in_any_flag_order(tmp_path):
+    texts = []
+    for order in (["-0.0", "0"], ["0", "-0.0"]):
+        out = tmp_path / "zero.csv"
+        assert cli.main(["--mode", "field-sweep", "--n", "4", "--gamma", "-0",
+                         "--h", order[0], "--h", order[1], "--out", str(out)]) == 0
+        texts.append(out.read_bytes())
+    assert texts[0] == texts[1]
+    fields = row_fields(data_rows(read_lines(out))[0])
+    assert (fields["gamma"], fields["h"]) == ("0", "0")
+
+
 def test_empty_h_is_usage_error(tmp_path):
     out = tmp_path / "never.csv"
     code = cli.main(["--mode", "field-sweep", "--n", "10", "--gamma", "0.5",

@@ -112,25 +112,26 @@ def test_smallest_eigenpair_of_random_tridiagonals():
         assert np.linalg.norm(oracles.matvec(t, vec) - energy * vec) <= oracles.residual_tolerance(t)
 
 
-@pytest.mark.parametrize("routine", ["_dstebz", "_dstein"])
-def test_lapack_failure_is_a_convergence_error(monkeypatch, tmp_path, routine):
-    # The routine runs, then reports info = 1 (dstebz: an eigenvalue did
-    # not converge; dstein: the vector did not).  dstebz gives no vector,
-    # so its error carries an infinite residual.
-    call = getattr(solver, routine)
+@pytest.mark.parametrize("failure", ["info", "no-eigenvalue"])
+def test_lapack_failure_is_a_convergence_error(monkeypatch, tmp_path, failure):
+    # dstevx runs, then either reports info = 1 (the vector did not
+    # converge) or finds no eigenvalue, which leaves no vector, so that
+    # error carries an infinite residual.
+    call = solver._dstevx
 
     def failing(*args):
         call(*args)
-        return 1
+        if failure == "info":
+            return 1
+        args[11][0] = 0  # the eigenvalue count
+        return 0
 
-    monkeypatch.setattr(solver, routine, failing)
+    monkeypatch.setattr(solver, "_dstevx", failing)
     t = TridiagonalMatrix(np.array([1.0, -2.0, 0.5]), np.array([0.3, -0.4]))
-    with pytest.raises(ConvergenceError, match=f"{routine[1:]} returned info 1") as err:
+    message = "dstevx returned info 1" if failure == "info" else "dstevx found 0 eigenvalues"
+    with pytest.raises(ConvergenceError, match=message) as err:
         ground_eigenpair(t)
-    if routine == "_dstebz":
-        assert err.value.residual == math.inf
-    else:
-        assert math.isfinite(err.value.residual)
+    assert math.isfinite(err.value.residual) == (failure == "info")
     out = tmp_path / "failed.csv"
     code = cli.main(["--mode", "field-sweep", "--n", "10", "--gamma", "0.5", "--h", "0.5",
                      "--out", str(out), "--jobs", "1"])
@@ -192,6 +193,32 @@ def test_largest_accepted_field_solves(n):
     assert gs.parity == EVEN
     assert gs.energy == pytest.approx(-h * n / 2.0, rel=1e-15)
     assert gs.amplitudes[0] == 1.0
+
+
+@pytest.mark.parametrize("s", [1e160, 1e300, 1e307])
+def test_extreme_scale_matches_unit_scale(s):
+    # Past ~8e76 dstevx scales the entries down before bisecting, and past
+    # s ~ 1e171 the squares of the residual's entries would overflow if
+    # not taken in units of the gate's scale.  Measured: E/s and v within
+    # 1.2e-16 of the s = 1 pair.
+    d, e = np.array([1.0, 2.0, 3.0]), np.array([0.5, 0.25])
+    e_ref, v_ref = ground_eigenpair(TridiagonalMatrix(d, e))
+    energy, vec = ground_eigenpair(TridiagonalMatrix(s * d, s * e))
+    assert energy / s == pytest.approx(e_ref, abs=3e-16)
+    np.testing.assert_allclose(vec, v_ref, rtol=0.0, atol=3e-16)
+
+
+def test_extreme_field_n2_solves_both_parities(tmp_path):
+    params = ModelParams(2, 0.3, 1e307)
+    for parity in (EVEN, ODD):
+        t = build_sector_matrix(params, build_sector(params, parity))
+        energy, _ = ground_eigenpair(t)
+        assert math.isfinite(energy)
+    out = tmp_path / "extreme.csv"
+    code = cli.main(["--mode", "field-sweep", "--n", "2", "--gamma", "0.3", "--h", "1e307",
+                     "--out", str(out), "--jobs", "1"])
+    assert code == 0
+    assert out.read_text().splitlines()[1].endswith(",ok")
 
 
 @pytest.mark.parametrize("gamma", [0.0, 0.5, 1.0])
