@@ -36,7 +36,6 @@ from .spincore import (
     EVEN,
     MAX_N_SPINS,
     ODD,
-    DickeSector,
     ModelParams,
     TridiagonalMatrix,
     build_sector,
@@ -51,7 +50,6 @@ __all__ = [
     "CriticalExponents",
     "CriticalPointError",
     "ConvergenceError",
-    "DickeSector",
     "EVEN",
     "GroundState",
     "IsotropicBrokenError",

@@ -51,16 +51,18 @@ def classify_phase(h: float) -> Phase:
 def isotropic_energy(n_spins: int, m: float, h: float) -> float:
     """Twice the energy of |S = N/2, M> in the isotropic model, plus one:
 
-        E(M, h) = (2/N) (M - hN/2)^2 - (N/2) (1 + h^2) = 2 <H> + 1.
+        E(M, h) = 2M^2/N - 2hM - N/2 = 2 <H> + 1.
 
     At gamma = 1 the model's H = -(S^2 - S_z^2)/N - h S_z is diagonal with
     <H> = (M^2 - S(S+1))/N - h M, so E(M, h) orders the Dicke states as H
-    does, and E(M, h) = E(M', h) exactly where their energies cross.
+    does, and E(M, h) = E(M', h) exactly where their energies cross.  No
+    term grows as h^2, so E is finite wherever h N is; at h >= 1 the
+    ground state M = N/2 gives E = -h N.
     """
     _check_field(h)
     check_n_spins(n_spins)
     spin_flip_count(n_spins / 2.0, m)
-    return (2.0 / n_spins) * (m - h * n_spins / 2.0) ** 2 - (n_spins / 2.0) * (1.0 + h * h)
+    return m * (2.0 * m / n_spins) - 2.0 * h * m - n_spins / 2.0
 
 
 def isotropic_ground_m(n_spins: int, h: float) -> float:

@@ -60,11 +60,10 @@ def transverse_moments(gs: GroundState) -> ObservableSet:
     norm = float(np.linalg.norm(c))
     if abs(norm - 1.0) > _NORM_TOL:
         raise ValueError(f"state is not normalized (||amplitudes|| = {norm!r})")
-    sector = gs.sector()
-    m = sector.m_values
+    m = gs.sector()
     if c.shape != m.shape:
         raise ValueError("amplitude vector does not match the sector dimension")
-    s = sector.total_spin
+    s = gs.params.total_spin
     casimir = s * (s + 1.0)
     weights = c * c
     sz_mean = float(np.sum(weights * m))

@@ -63,6 +63,9 @@ _dstevx = _lapacke("dstevx", ctypes.c_int, ctypes.c_char, ctypes.c_char, _INT, _
                    _DOUBLES, _INT, _INTS)
 
 _ABSTOL = 2.0 * float(np.finfo(float).tiny)  # the bisection's most accurate setting
+# dstevx rescales entries whose max |.| lies outside [2^-485, 2^255.5] by a
+# factor that is not a power of two; ground_eigenpair keeps them inside.
+_UNSCALED_NORMS = (2.0 ** -484, 2.0 ** 255)
 _RESIDUAL_FACTOR = 1e-10
 _DEGENERACY_RELTOL = 1e-12
 _WINDOW_HALF_WIDTH = 16  # least first window: 33 rows
@@ -94,8 +97,8 @@ class GroundState:
     amplitudes: np.ndarray
     offset: int = 0
 
-    def sector(self):
-        """The support's rows of the parity block, one M per amplitude."""
+    def sector(self) -> np.ndarray:
+        """The M values of the support's rows, one per amplitude."""
         return build_sector(self.params, self.parity, self.offset, self.offset + self.amplitudes.size)
 
 
@@ -119,23 +122,31 @@ def ground_eigenpair(t: TridiagonalMatrix) -> tuple[float, np.ndarray]:
     dstevx bisects for the smallest eigenvalue to its most accurate
     setting (abstol 2 tiny, a few ulps of it) and takes its eigenvector
     by inverse iteration, scaled to unit norm with its largest
-    |amplitude| positive.  It works on copies of the entries, which it
-    rescales in place when they are extreme.  A nonzero LAPACK info
-    raises ConvergenceError, and so does a pair that misses
+    |amplitude| positive.  It works on copies of the entries.  Where
+    dstevx would rescale them by a factor that is not a power of two,
+    moving E by an ulp, the copies are scaled by a power of two to a max
+    |entry| in [1/2, 1) instead, and E is scaled back exactly.  A nonzero
+    LAPACK info raises ConvergenceError, and so does a pair that misses
 
         || T v - E v ||_2 <= 1e-10 max(1, ||diag||_inf + 2 ||off||_inf),
 
-    the error carrying the residual (inf when dstevx found no eigenvalue).
+    the error carrying the residual (inf when dstevx found no eigenvalue,
+    or one past the float range).
     The residual is summed in units of that scale, so that squaring its
     entries cannot overflow.
     """
     n = t.dimension
+    norm = max(np.max(np.abs(t.diagonal)), np.max(np.abs(t.offdiagonal), initial=0.0))
+    shift = 0 if _UNSCALED_NORMS[0] <= norm <= _UNSCALED_NORMS[1] else -math.frexp(norm)[1]  # 0 at norm 0
     found, w, v = np.zeros(1, np.int64), np.empty(n), np.empty(n)
-    info = _dstevx(_COL_MAJOR, b"V", b"I", n, np.array(t.diagonal), np.array(t.offdiagonal), 0.0, 0.0,
-                   1, 1, _ABSTOL, found, w, v, n, np.empty(n, np.int64))
+    info = _dstevx(_COL_MAJOR, b"V", b"I", n, np.ldexp(t.diagonal, shift), np.ldexp(t.offdiagonal, shift),
+                   0.0, 0.0, 1, 1, _ABSTOL, found, w, v, n, np.empty(n, np.int64))
     if found[0] != 1:
         raise ConvergenceError(f"dstevx found {found[0]} eigenvalues (info {info})", math.inf)
-    energy = float(w[0])
+    try:
+        energy = math.ldexp(float(w[0]), -shift)
+    except OverflowError:
+        raise ConvergenceError("the eigenvalue is past the float range", math.inf) from None
     scale = _scale(t)
     units = float(np.linalg.norm((tridiagonal_matvec(t.diagonal, t.offdiagonal, v) - energy * v) / scale))
     if info != 0:
@@ -162,7 +173,7 @@ class _Block:
 
     def rows(self, lo: int, hi: int) -> TridiagonalMatrix:
         """Rows [lo, hi) of the block, bit-identical to the whole block's."""
-        return build_sector_matrix(self.params, build_sector(self.params, self.parity, lo, hi))
+        return build_sector_matrix(self.params, self.parity, lo, hi)
 
     def slack_floor(self, lo: int, hi: int) -> float:
         """A closed-form lower bound on the row sums d_i - |e_(i-1)| - |e_i|

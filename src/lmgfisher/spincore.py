@@ -10,7 +10,9 @@ the Dicke ladder into two uncoupled M-sublattices of spacing 2.  With
 
 each parity block is real symmetric tridiagonal in the Dicke basis.
 M values are stored strictly descending, so the field-polarized state
-|S, S> is always the first coordinate of the even block.
+|S, S> is always the first coordinate of the even block.  Rows [lo, hi)
+of a block are named by (params, parity, lo, hi): `build_sector` gives
+their M values and `build_sector_matrix` their entries.
 """
 
 from __future__ import annotations
@@ -65,20 +67,6 @@ class ModelParams:
     @property
     def total_spin(self) -> float:
         return self.n_spins / 2.0
-
-
-@dataclass(frozen=True)
-class DickeSector:
-    """One spin-flip parity block, or rows [lo, hi) of it: descending M
-    values spaced by 2."""
-
-    total_spin: float
-    parity: str
-    m_values: np.ndarray
-
-    @property
-    def dimension(self) -> int:
-        return int(self.m_values.size)
 
 
 @dataclass(frozen=True)
@@ -152,34 +140,32 @@ def sector_row(params: ModelParams, parity: str, m: float) -> int:
     return int(min(max(math.ceil((block_top(params, parity) - m) / 2.0 - 0.5), 0), count - 1))
 
 
-def build_sector(params: ModelParams, parity: str, lo: int = 0, hi: int | None = None) -> DickeSector:
-    """Enumerate rows [lo, hi) of one parity block (by default all of it),
-    M descending from the block's largest member: row i holds M = top - 2i."""
+def build_sector(params: ModelParams, parity: str, lo: int = 0, hi: int | None = None) -> np.ndarray:
+    """The M values of rows [lo, hi) of one parity block (by default all of
+    it), descending from the block's largest member: row i holds M = top - 2i."""
     count = sector_dimension(params, parity)
     if hi is None:
         hi = count
     if not 0 <= lo < hi <= count:
         raise ValueError(f"rows [{lo}, {hi}) do not lie in a block of {count} rows")
-    m_values = block_top(params, parity) - 2.0 * np.arange(lo, hi)
-    return DickeSector(total_spin=params.total_spin, parity=parity, m_values=m_values)
+    return block_top(params, parity) - 2.0 * np.arange(lo, hi)
 
 
-def build_sector_matrix(params: ModelParams, sector: DickeSector) -> TridiagonalMatrix:
-    """Assemble the rows of one parity block over the sector's descending M values.
+def build_sector_matrix(params: ModelParams, parity: str, lo: int = 0, hi: int | None = None) -> TridiagonalMatrix:
+    """Rows [lo, hi) of one parity block (by default all of it), over the
+    descending M values that `build_sector` gives them.
 
     diagonal(M)      = -((1+gamma)/(2N)) (S(S+1) - M^2) - h M
     offdiag(M, M+2)  = -((1-gamma)/(4N)) sqrt((S(S+1)-M(M+1)) (S(S+1)-(M+1)(M+2)))
 
     No constant shift is added or removed; energies are those of the
-    Hamiltonian itself, consistent across M and across sectors.  Every
-    entry depends on its own M alone, so a sector of rows [lo, hi) gives
-    exactly the entries that the whole block has in those rows.
+    Hamiltonian itself, consistent across M and across blocks.  Every
+    entry depends on its own M alone, so rows [lo, hi) come out exactly
+    as the whole block has them.
     """
-    if sector.total_spin != params.total_spin:
-        raise ValueError("sector was built for different model parameters")
     n = params.n_spins
     s = params.total_spin
-    m = sector.m_values
+    m = build_sector(params, parity, lo, hi)
     casimir = s * (s + 1.0)
     diagonal = -((1.0 + params.gamma) / (2.0 * n)) * (casimir - m * m) - params.h * m
     b = double_raising_element(s, m[1:])  # m[1:] is the smaller M of each pair (M, M+2)

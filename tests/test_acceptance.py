@@ -119,7 +119,7 @@ def test_criterion_2_isotropic_exactness():
         for h in criterion_2_fields(n):
             m0 = isotropic_ground_m(n, h)
             gs = ground(n, 1.0, h)
-            m = gs.sector().m_values
+            m = gs.sector()
             peak = m[int(np.argmax(np.abs(gs.amplitudes)))]
             ok &= peak == m0
             closed = dicke_metrics(n, m0)

@@ -68,11 +68,20 @@ def test_closed_forms_take_the_model_n_rule(call):
 
 
 def test_isotropic_energy_formula():
-    # (2/N)(M - hN/2)^2 - (N/2)(1 + h^2)
+    # 2M^2/N - 2hM - N/2
     assert isotropic_energy(2, 1, 2.0) == pytest.approx(-4.0, abs=0.0)
     assert isotropic_energy(4, 0, 0.0) == pytest.approx(-2.0, abs=0.0)
     with pytest.raises(ValueError):
         isotropic_energy(4, 3, 0.0)
+
+
+@pytest.mark.parametrize("n,h", [(4, 1e300), (1001, 1e200), (2, 8.9e307)])
+def test_isotropic_energy_is_finite_wherever_h_n_is(n, h):
+    # The h^2 terms of (2/N)(M - hN/2)^2 - (N/2)(1 + h^2) cancel; squaring
+    # first overflows at h ~ 1e154.  At h >= 1, M0 = N/2 and E = -h N.
+    m0 = isotropic_ground_m(n, h)
+    assert isotropic_energy(n, m0, h) == -h * n
+    assert math.isfinite(isotropic_energy(n, -n / 2.0, h))
 
 
 def test_isotropic_energy_minimizer_matches_ground_m():

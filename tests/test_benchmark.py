@@ -1,11 +1,49 @@
 """The checked-in benchmark harness runs on this checkout."""
 
+import importlib.util
 import json
 import subprocess
 import sys
 from pathlib import Path
 
+import lmgfisher
+import lmgfisher.cli
+from lmgfisher.spincore import EVEN, ModelParams
+
 ROOT = Path(__file__).resolve().parents[1]
+
+
+def load_spans():
+    """perfbench/spans.py, loaded from its path as the harness uses it."""
+    spec = importlib.util.spec_from_file_location("spans", ROOT / "perfbench" / "spans.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        del sys.modules[spec.name]
+    return module
+
+
+def test_tracer_targets_resolve_and_count_rows():
+    # The tracer wraps each (module, attribute) of TARGETS on the package
+    # and reads a built block's rows from its result's `dimension`; this
+    # checks that contract in process, without a harness run.
+    spans = load_spans()
+    for module, attr in spans.TARGETS:
+        assert callable(getattr(getattr(lmgfisher, module), attr)), (module, attr)
+    assert lmgfisher.solver.build_sector_matrix(ModelParams(40, 0.5, 0.5), EVEN).dimension == 21
+    tracer = spans.Tracer()
+    tracer.install(lmgfisher)
+    try:
+        lmgfisher.solver.lmg_ground_state(ModelParams(40, 0.5, 0.5))
+    finally:
+        tracer.restore()
+    assert lmgfisher.solver.build_sector_matrix is lmgfisher.spincore.build_sector_matrix
+    metrics = spans.layer_metrics(tracer.spans)
+    # Blocks of 21 and 20 rows, each solved whole: one build per block.
+    assert (metrics["spincore.calls"], metrics["spincore.rows"]) == (2, 41)
+    assert (metrics["solver.blocks"], metrics["solver.block_rows"]) == (2, 41)
 
 
 def test_critical_ladder_benchmark_runs_and_sees_the_solver():

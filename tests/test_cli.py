@@ -507,6 +507,15 @@ def test_isotropic_mode(tmp_path):
     assert first["E"]  # energy field populated
 
 
+def test_isotropic_mode_at_the_largest_fields(tmp_path):
+    # The closed-form energy stays finite wherever h N is: E = -h N at h >= 1.
+    out = tmp_path / "iso.csv"
+    assert cli.main(["--mode", "isotropic", "--n", "4", "--h", "1e300", "--out", str(out)]) == 0
+    lines = read_lines(out)
+    assert row_fields(data_rows(lines)[0])["status"] == "ok"
+    assert lines[-1] == f"# closed_form,N=4,h={cli._fmt(1e300)},M0=2,E={cli._fmt(-4e300)}"
+
+
 def test_isotropic_mode_rejects_other_gamma(tmp_path):
     code = cli.main([
         "--mode", "isotropic", "--n", "20", "--gamma", "0.5",

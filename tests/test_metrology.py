@@ -19,9 +19,9 @@ def dicke_ground_state(n, m):
     """Coordinate Dicke state |S=n/2, M=m> wrapped as a GroundState."""
     params = ModelParams(n, 1.0, 0.0)
     parity = ODD if spin_flip_count(params.total_spin, m) % 2 else EVEN
-    sector = build_sector(params, parity)
-    amps = np.zeros(sector.dimension)
-    amps[int(np.nonzero(sector.m_values == m)[0][0])] = 1.0
+    m_values = build_sector(params, parity)
+    amps = np.zeros(m_values.size)
+    amps[int(np.nonzero(m_values == m)[0][0])] = 1.0
     return GroundState(params=params, parity=parity, energy=0.0, amplitudes=amps)
 
 
@@ -59,6 +59,16 @@ def test_moments_reject_unnormalized_state():
     bad = GroundState(params=gs.params, parity=gs.parity, energy=0.0,
                       amplitudes=gs.amplitudes * 2.0)
     with pytest.raises(ValueError):
+        transverse_moments(bad)
+
+
+def test_moments_reject_amplitudes_of_another_shape():
+    # A unit-norm row vector holds one amplitude per row of the support but
+    # not in the support's shape.
+    gs = dicke_ground_state(4, 0)
+    bad = GroundState(params=gs.params, parity=gs.parity, energy=0.0,
+                      amplitudes=gs.amplitudes[np.newaxis, :])
+    with pytest.raises(ValueError, match="does not match the sector dimension"):
         transverse_moments(bad)
 
 
@@ -158,7 +168,7 @@ def test_cat_state_moment_identity():
     for n in (2, 4, 10):
         s = n / 2.0
         params = ModelParams(n, 1.0, 0.0)
-        amps = np.zeros(build_sector(params, EVEN).dimension)
+        amps = np.zeros(build_sector(params, EVEN).size)
         amps[[0, -1]] = 1.0 / math.sqrt(2.0)
         gs = GroundState(params=params, parity=EVEN, energy=0.0, amplitudes=amps)
         obs = transverse_moments(gs)

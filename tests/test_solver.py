@@ -80,6 +80,14 @@ def test_convergence_error_carries_residual(monkeypatch):
     assert math.isfinite(err.value.residual)
 
 
+def test_eigenvalue_past_the_float_range_is_a_convergence_error():
+    # Finite entries whose lowest eigenvalue, about -1.97e308, is not a float.
+    t = TridiagonalMatrix(np.array([1.7e308, -1.7e308]), np.array([1e308]))
+    with pytest.raises(ConvergenceError) as err:
+        ground_eigenpair(t)
+    assert err.value.residual == math.inf
+
+
 @pytest.mark.parametrize("t", [
     TridiagonalMatrix(np.array([0.0, 1.0, 5.0, 6.0]), np.full(3, -0.1)),
     # A double well: its two levels lie 4e-11 apart, inside the residual
@@ -152,7 +160,7 @@ def test_window_eigenpair_matches_scipy_at_large_n():
     linalg = pytest.importorskip("scipy.linalg")
     params = ModelParams(n_spins=10**9, gamma=0.5, h=1.0)
     gs = lmg_ground_state(params)
-    t = build_sector_matrix(params, gs.sector())
+    t = build_sector_matrix(params, gs.parity, gs.offset, gs.offset + gs.amplitudes.size)
     energy, vec = ground_eigenpair(t)
     _, ref = linalg.eigh_tridiagonal(t.diagonal, t.offdiagonal, select="i", select_range=(0, 0))
 
@@ -171,7 +179,7 @@ def test_lmg_ground_state_n2_isotropic():
 
 def test_lmg_ground_state_isotropic_coordinate_vector():
     gs = lmg_ground_state(ModelParams(100, 1.0, 0.5))
-    m = gs.sector().m_values
+    m = gs.sector()
     peak = int(np.argmax(np.abs(gs.amplitudes)))
     assert m[peak] == 25.0
     assert gs.amplitudes[peak] == pytest.approx(1.0, abs=1e-12)
@@ -197,10 +205,10 @@ def test_largest_accepted_field_solves(n):
 
 @pytest.mark.parametrize("s", [1e160, 1e300, 1e307])
 def test_extreme_scale_matches_unit_scale(s):
-    # Past ~8e76 dstevx scales the entries down before bisecting, and past
-    # s ~ 1e171 the squares of the residual's entries would overflow if
-    # not taken in units of the gate's scale.  Measured: E/s and v within
-    # 1.2e-16 of the s = 1 pair.
+    # Past ~8e76 the entries are scaled down by a power of two before
+    # bisecting, and past s ~ 1e171 the squares of the residual's entries
+    # would overflow if not taken in units of the gate's scale.  Measured:
+    # E/s within 1.2e-16 and v within 2.3e-16 of the s = 1 pair.
     d, e = np.array([1.0, 2.0, 3.0]), np.array([0.5, 0.25])
     e_ref, v_ref = ground_eigenpair(TridiagonalMatrix(d, e))
     energy, vec = ground_eigenpair(TridiagonalMatrix(s * d, s * e))
@@ -208,17 +216,33 @@ def test_extreme_scale_matches_unit_scale(s):
     np.testing.assert_allclose(vec, v_ref, rtol=0.0, atol=3e-16)
 
 
+@pytest.mark.parametrize("k", [-600, 600])
+def test_power_of_two_scale_keeps_the_unit_scale_energy(k):
+    # Entries past dstevx's own range are scaled by a power of two before
+    # the call, and bisection commutes with that scaling: E is the
+    # unit-scale E exactly.  Inverse iteration has an absolute pivot floor,
+    # so v may differ in its last bit.
+    d, e = np.array([1.0, 2.0, 3.0]), np.array([0.5, 0.25])
+    e_ref, v_ref = ground_eigenpair(TridiagonalMatrix(d, e))
+    s = math.ldexp(1.0, k)
+    energy, vec = ground_eigenpair(TridiagonalMatrix(s * d, s * e))
+    assert energy / s == e_ref
+    np.testing.assert_allclose(vec, v_ref, rtol=0.0, atol=3e-16)
+
+
 def test_extreme_field_n2_solves_both_parities(tmp_path):
     params = ModelParams(2, 0.3, 1e307)
     for parity in (EVEN, ODD):
-        t = build_sector_matrix(params, build_sector(params, parity))
+        t = build_sector_matrix(params, parity)
         energy, _ = ground_eigenpair(t)
         assert math.isfinite(energy)
     out = tmp_path / "extreme.csv"
     code = cli.main(["--mode", "field-sweep", "--n", "2", "--gamma", "0.3", "--h", "1e307",
                      "--out", str(out), "--jobs", "1"])
     assert code == 0
-    assert out.read_text().splitlines()[1].endswith(",ok")
+    row = out.read_text().splitlines()[1].split(",")
+    assert row[-1] == "ok"
+    assert float(row[5]) == -1e307  # -h S, correctly rounded
 
 
 @pytest.mark.parametrize("gamma", [0.0, 0.5, 1.0])
@@ -246,7 +270,7 @@ def test_variational_bound(gamma, h, n):
 def test_symmetric_phase_polarized_character(gamma, h):
     for n in (10, 31):
         gs = lmg_ground_state(ModelParams(n, gamma, h))
-        m = gs.sector().m_values
+        m = gs.sector()
         assert m[0] == gs.params.total_spin  # even sector leads with M = S
         assert gs.parity == EVEN
         assert abs(gs.amplitudes[0]) > np.max(np.abs(gs.amplitudes[1:]))
@@ -263,7 +287,7 @@ def test_broken_phase_quasi_degeneracy(gamma, h):
         params = ModelParams(n, gamma, h)
         energies = {}
         for parity in (EVEN, ODD):
-            block = build_sector_matrix(params, build_sector(params, parity))
+            block = build_sector_matrix(params, parity)
             energies[parity], _ = ground_eigenpair(block)
         gaps.append(abs(energies[ODD] - energies[EVEN]))
         floors.append(1e-12 * max(1.0, abs(energies[EVEN])))
@@ -278,7 +302,7 @@ def test_ground_state_invariants_across_grid():
                 gs = lmg_ground_state(ModelParams(n, gamma, h))
                 assert gs.amplitudes.dtype == np.float64
                 assert np.linalg.norm(gs.amplitudes) == pytest.approx(1.0, abs=1e-12)
-                block = build_sector_matrix(gs.params, gs.sector())
+                block = build_sector_matrix(gs.params, gs.parity, gs.offset, gs.offset + gs.amplitudes.size)
                 residual = np.linalg.norm(oracles.matvec(block, gs.amplitudes) - gs.energy * gs.amplitudes)
                 bound = np.max(np.abs(block.diagonal))
                 if block.offdiagonal.size:
@@ -289,9 +313,10 @@ def test_ground_state_invariants_across_grid():
 
 def test_ground_state_sector_roundtrip():
     gs = lmg_ground_state(ModelParams(9, 0.3, 0.4))
-    sector = gs.sector()
-    assert sector.parity == gs.parity
-    assert sector.m_values.size == gs.amplitudes.size
+    m = gs.sector()
+    rows = slice(gs.offset, gs.offset + gs.amplitudes.size)
+    np.testing.assert_array_equal(m, build_sector(gs.params, gs.parity)[rows])
+    assert m.size == gs.amplitudes.size
     assert isinstance(gs, GroundState)
 
 
@@ -316,12 +341,12 @@ def test_window_path_matches_dense_oracle(gamma, h):
         m, energy, vec = oracles.dense_ground(n, gamma, h)
         assert gs.energy == pytest.approx(energy, abs=1e-10 * max(1.0, abs(energy)))
         # The padded window vector meets the whole block's residual gate.
-        block = build_sector_matrix(gs.params, build_sector(gs.params, gs.parity))
+        block = build_sector_matrix(gs.params, gs.parity)
         padded = oracles.block_amplitudes(gs)
         residual = np.linalg.norm(oracles.matvec(block, padded) - gs.energy * padded)
         assert residual <= oracles.residual_tolerance(block)
         full = np.zeros(n + 1)
-        full[np.isin(m, gs.sector().m_values)] = gs.amplitudes
+        full[np.isin(m, gs.sector())] = gs.amplitudes
         np.testing.assert_allclose(np.abs(full), np.abs(vec), atol=1e-8)
         parity_sign = np.where(np.round(n / 2.0 - m).astype(int) % 2 == 0, 1.0, -1.0)
         oracle_parity = EVEN if float(vec @ (parity_sign * vec)) > 0.0 else ODD
@@ -341,7 +366,7 @@ def test_misplaced_window_widens_to_the_ground_state():
     # window-local state.
     params = ModelParams(600, 0.5, 0.3)
     energy, vec = window_solve(solver._Block(params, EVEN), centre=0)
-    e_ref, v_ref = oracles.tridiagonal_ground(build_sector_matrix(params, build_sector(params, EVEN)))
+    e_ref, v_ref = oracles.tridiagonal_ground(build_sector_matrix(params, EVEN))
     assert energy == pytest.approx(e_ref, abs=1e-10 * abs(e_ref))
     assert abs(float(vec @ v_ref)) == pytest.approx(1.0, abs=1e-8)
 
@@ -351,7 +376,7 @@ def test_window_drops_only_negligible_amplitudes(n, gamma, h):
     # A window whose edges held more than 1e-17 of the peak could still pass
     # the residual gate; these points moved by up to 2e-8 when it did.
     gs = lmg_ground_state(ModelParams(n, gamma, h))
-    energy, whole = ground_eigenpair(build_sector_matrix(gs.params, build_sector(gs.params, gs.parity)))
+    energy, whole = ground_eigenpair(build_sector_matrix(gs.params, gs.parity))
     assert gs.energy == pytest.approx(energy, rel=1e-15)
     np.testing.assert_allclose(oracles.block_amplitudes(gs), whole, rtol=0.0, atol=1e-13)
 
@@ -493,7 +518,7 @@ def test_certificate_matches_the_whole_block_oracle(n, gamma):
         params = ModelParams(n, gamma, float(h))
         for parity in (EVEN, ODD):
             block = solver._Block(params, parity)
-            whole = build_sector_matrix(params, build_sector(params, parity))
+            whole = build_sector_matrix(params, parity)
             for lo, hi in certificate_windows(block.dimension):
                 window = block.rows(lo, hi)
                 tol = oracles.residual_tolerance(window)
@@ -519,7 +544,7 @@ def test_slack_floor_bounds_every_row_outside_the_window(n, gamma):
         params = ModelParams(n, gamma, float(h))
         for parity in (EVEN, ODD):
             block = solver._Block(params, parity)
-            whole = oracles.ArrayBlock(build_sector_matrix(params, build_sector(params, parity)))
+            whole = oracles.ArrayBlock(build_sector_matrix(params, parity))
             rounding = 8.0 * eps * block_scale(block)
             for lo, hi in certificate_windows(block.dimension):
                 exact = whole.slack_floor(lo, hi)
@@ -574,7 +599,7 @@ def test_broken_phase_first_window_holds_the_state(monkeypatch):
                              float(rng.uniform(0.0, 0.95)))
         rows.clear()
         gs = lmg_ground_state(params)
-        m, p = gs.sector().m_values, gs.amplitudes ** 2
+        m, p = gs.sector(), gs.amplitudes ** 2
         sigma = math.sqrt(float(p @ (m - p @ m) ** 2))
         half = solver._first_window(params)
         assert half >= 6.0 * sigma, params
@@ -642,9 +667,10 @@ def test_critical_point_work_stays_sublinear(monkeypatch):
     built = []
     build = solver.build_sector_matrix
 
-    def building(params, sector):
-        built.append(sector.dimension)
-        return build(params, sector)
+    def building(params, parity, lo=0, hi=None):
+        t = build(params, parity, lo, hi)
+        built.append(t.dimension)
+        return t
 
     monkeypatch.setattr(solver, "build_sector_matrix", building)
     lmg_ground_state(ModelParams(100001, 0.5, 1.0))
@@ -678,7 +704,7 @@ def test_random_points_match_the_dense_blocks(monkeypatch):
         rows.clear()
         gs = lmg_ground_state(params)
         windowed += max(rows) < params.n_spins // 2
-        ref = {p: oracles.tridiagonal_ground(build_sector_matrix(params, build_sector(params, p)))[0]
+        ref = {p: oracles.tridiagonal_ground(build_sector_matrix(params, p))[0]
                for p in (EVEN, ODD)}
         scale = max(1.0, abs(ref[EVEN]), abs(ref[ODD]))
         assert gs.energy == pytest.approx(min(ref.values()), abs=1e-10 * scale)

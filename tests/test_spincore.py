@@ -56,11 +56,12 @@ def test_model_params_rejects_non_finite_h(h):
 
 def test_build_sector_enumeration():
     p4 = ModelParams(4, 0.5, 0.0)
-    assert build_sector(p4, EVEN).m_values.tolist() == [2.0, 0.0, -2.0]
-    assert build_sector(p4, ODD).m_values.tolist() == [1.0, -1.0]
+    assert build_sector(p4, EVEN).tolist() == [2.0, 0.0, -2.0]
+    assert build_sector(p4, ODD).tolist() == [1.0, -1.0]
     p5 = ModelParams(5, 0.5, 0.0)
-    assert build_sector(p5, EVEN).m_values.tolist() == [2.5, 0.5, -1.5]
-    assert build_sector(p5, ODD).m_values.tolist() == [1.5, -0.5, -2.5]
+    assert build_sector(p5, EVEN).tolist() == [2.5, 0.5, -1.5]
+    assert build_sector(p5, ODD).tolist() == [1.5, -0.5, -2.5]
+    assert build_sector(p5, ODD).dtype == np.float64
 
 
 @pytest.mark.parametrize("n", range(1, 10))
@@ -68,8 +69,7 @@ def test_sector_completeness_and_structure(n):
     params = ModelParams(n, 0.3, 0.7)
     dims = 0
     for parity in (EVEN, ODD):
-        sector = build_sector(params, parity)
-        m = sector.m_values
+        m = build_sector(params, parity)
         dims += m.size
         assert np.all(np.diff(m) == -2.0)
         assert np.all(np.abs(m) <= params.total_spin)
@@ -82,31 +82,23 @@ def test_sector_matrix_isotropic_is_diagonal():
     for n in (2, 5, 12):
         params = ModelParams(n, 1.0, 0.8)
         for parity in (EVEN, ODD):
-            block = build_sector_matrix(params, build_sector(params, parity))
+            block = build_sector_matrix(params, parity)
             assert np.all(block.offdiagonal == 0.0)
 
 
 def test_sector_matrix_hand_example():
     # N=2, gamma=0, h=2, even sector {1, -1}
     params = ModelParams(2, 0.0, 2.0)
-    block = build_sector_matrix(params, build_sector(params, EVEN))
+    block = build_sector_matrix(params, EVEN)
     np.testing.assert_allclose(block.diagonal, [-0.25 - 2.0, -0.25 + 2.0], atol=0.0)
     np.testing.assert_allclose(block.offdiagonal, [-0.25], atol=0.0)
 
 
-def test_sector_matrix_mismatch_is_an_error():
-    params = ModelParams(4, 0.5, 0.0)
-    other = build_sector(ModelParams(6, 0.5, 0.0), EVEN)
-    with pytest.raises(ValueError):
-        build_sector_matrix(params, other)
-
-
 def test_even_block_matches_pauli_projection_n4():
     params = ModelParams(4, 0.5, 0.0)
-    sector = build_sector(params, EVEN)
-    block = oracles.to_dense(build_sector_matrix(params, sector))
+    block = oracles.to_dense(build_sector_matrix(params, EVEN))
     full = oracles.projected_pauli_block(4, 0.5, 0.0)
-    rows = [int(2 - mv) for mv in sector.m_values]  # descending-M index of each sector member
+    rows = [int(2 - mv) for mv in build_sector(params, EVEN)]  # descending-M index of each sector member
     np.testing.assert_allclose(block, full[np.ix_(rows, rows)], atol=1e-12)
 
 
@@ -117,13 +109,12 @@ def test_sector_direct_sum_equals_pauli_block(n, gamma, h):
     full = oracles.projected_pauli_block(n, gamma, h)
     s = params.total_spin
     for parity in (EVEN, ODD):
-        sector = build_sector(params, parity)
-        block = oracles.to_dense(build_sector_matrix(params, sector))
-        rows = [int(round(s - mv)) for mv in sector.m_values]
+        block = oracles.to_dense(build_sector_matrix(params, parity))
+        rows = [int(round(s - mv)) for mv in build_sector(params, parity)]
         np.testing.assert_allclose(block, full[np.ix_(rows, rows)], atol=1e-12)
     # cross-parity entries of the projected H vanish
-    even_rows = [int(round(s - mv)) for mv in build_sector(params, EVEN).m_values]
-    odd_rows = [int(round(s - mv)) for mv in build_sector(params, ODD).m_values]
+    even_rows = [int(round(s - mv)) for mv in build_sector(params, EVEN)]
+    odd_rows = [int(round(s - mv)) for mv in build_sector(params, ODD)]
     assert np.max(np.abs(full[np.ix_(even_rows, odd_rows)])) < 1e-12
 
 
@@ -133,19 +124,20 @@ def test_block_rows_are_the_whole_blocks_rows(n):
     # bit-identical to the same rows of the whole block.
     params = ModelParams(n, 0.3, 0.7)
     for parity in (EVEN, ODD):
-        whole_sector = build_sector(params, parity)
-        whole = build_sector_matrix(params, whole_sector)
+        whole_m = build_sector(params, parity)
+        whole = build_sector_matrix(params, parity)
         dim = sector_dimension(params, parity)
-        assert dim == whole_sector.dimension
+        assert dim == whole_m.size == whole.dimension
         for lo, hi in {(0, dim), (0, 1), (dim - 1, dim), (dim // 3, dim // 3 + 1), (dim // 4, dim - dim // 5)}:
-            sector = build_sector(params, parity, lo, hi)
-            np.testing.assert_array_equal(sector.m_values, whole_sector.m_values[lo:hi])
-            block = build_sector_matrix(params, sector)
+            np.testing.assert_array_equal(build_sector(params, parity, lo, hi), whole_m[lo:hi])
+            block = build_sector_matrix(params, parity, lo, hi)
             np.testing.assert_array_equal(block.diagonal, whole.diagonal[lo:hi])
             np.testing.assert_array_equal(block.offdiagonal, whole.offdiagonal[lo:hi - 1])
         for lo, hi in ((-1, 1), (0, dim + 1), (1, 1)):
             with pytest.raises(ValueError):
                 build_sector(params, parity, lo, hi)
+            with pytest.raises(ValueError):
+                build_sector_matrix(params, parity, lo, hi)
 
 
 @pytest.mark.parametrize("n", [1, 2, 7, 100, 1001])
@@ -155,6 +147,6 @@ def test_sector_row_is_the_nearest_row(n):
     params = ModelParams(n, 0.5, 0.0)
     s = params.total_spin
     for parity in (EVEN, ODD):
-        m_values = build_sector(params, parity).m_values
+        m_values = build_sector(params, parity)
         for m in [*np.linspace(-s - 3.0, s + 3.0, 241), *(m_values[:-1] - 1.0)]:
             assert sector_row(params, parity, m) == int(np.argmin(np.abs(m_values - m)))
