@@ -151,19 +151,17 @@ def _worker_rows(status: int, data: bytes, count: int) -> tuple[list | None, str
 
 
 def _execute(tasks: list[tuple], jobs: int) -> list[tuple[str, str, float | None]]:
-    """The rows of `tasks`, in order, from W = min(jobs, len(tasks)) processes.
+    """The rows of `tasks`, in order, from W = min(jobs, len(tasks)) processes (1 without os.fork).
 
-    This process and W - 1 children forked from it compute; process k
-    takes tasks[k::W], and a child sends its rows back as one pickle
-    through a pipe.  Each row of a child that dies, or sends anything but
-    its rows, gets status error, and the child one line on stderr.  Every
-    child is killed if still running and reaped before this returns or
-    raises.  Without os.fork, and for each child that fork cannot make,
-    the tasks run here, one after the other.
+    This process and W - 1 children forked from it compute (W = 1 forks
+    nothing); process k takes tasks[k::W], and a child sends its rows back
+    as one pickle through a pipe.  Each row of a child that dies, or sends
+    anything but its rows, gets status error, and the child one line on
+    stderr.  Every child is killed if still running and reaped before this
+    returns or raises.  The tasks of each child that fork cannot make run
+    here, one after the other.
     """
-    workers = min(jobs, len(tasks))
-    if workers <= 1 or not hasattr(os, "fork"):
-        return [_row_task(t) for t in tasks]
+    workers = min(jobs, len(tasks)) if hasattr(os, "fork") else 1
     results = [None] * len(tasks)
     pids, pipes = {}, {}  # worker k -> pid until reaped, read end until read
     sys.stdout.flush()  # a child must not inherit buffered lines and print them again
@@ -257,7 +255,7 @@ def _config_argv(path: str) -> list[str]:
     are ignored.
     """
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:
             text = fh.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise UsageError(f"cannot read config file {path}: {exc}") from exc

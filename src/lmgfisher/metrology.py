@@ -19,7 +19,7 @@ import numpy as np
 from .solver import GroundState
 from .spincore import check_n_spins, double_raising_element, spin_flip_count
 
-MEAN_SPIN_FLOOR = 1e-12  # |<S_z>| below this reports xi2^2 = inf
+MEAN_SPIN_FLOOR = 1e-12  # |<S_z>| <= this times N (rounding noise grows with N) reports xi2^2 = inf
 _NORM_TOL = 1e-12
 
 
@@ -80,7 +80,7 @@ def transverse_moments(gs: GroundState) -> ObservableSet:
 
 def _report_from_variances(n_spins: int, vmin: float, vmax: float, sz_mean: float) -> MetrologyReport:
     fisher = 4.0 * vmax
-    if abs(sz_mean) <= MEAN_SPIN_FLOOR:
+    if abs(sz_mean) <= MEAN_SPIN_FLOOR * n_spins:
         xi2 = math.inf
     else:
         xi2 = n_spins * vmin / (sz_mean * sz_mean)

@@ -63,9 +63,7 @@ _dstevx = _lapacke("dstevx", ctypes.c_int, ctypes.c_char, ctypes.c_char, _INT, _
                    _DOUBLES, _INT, _INTS)
 
 _ABSTOL = 2.0 * float(np.finfo(float).tiny)  # the bisection's most accurate setting
-# dstevx rescales entries whose max |.| lies outside [2^-485, 2^255.5] by a
-# factor that is not a power of two; ground_eigenpair keeps them inside.
-_UNSCALED_NORMS = (2.0 ** -484, 2.0 ** 255)
+_FLOAT_MAX = float(np.finfo(float).max)
 _RESIDUAL_FACTOR = 1e-10
 _DEGENERACY_RELTOL = 1e-12
 _WINDOW_HALF_WIDTH = 16  # least first window: 33 rows
@@ -103,11 +101,11 @@ class GroundState:
 
 
 def _scale(t: TridiagonalMatrix) -> float:
-    """The residual gate's unit, max(1, ||diag||_inf + 2 ||off||_inf)."""
+    """The residual gate's unit, max(1, ||diag||_inf + 2 ||off||_inf), capped at the largest float."""
     scale = float(np.max(np.abs(t.diagonal)))
     if t.offdiagonal.size:
         scale += 2.0 * float(np.max(np.abs(t.offdiagonal)))
-    return max(1.0, scale)
+    return min(max(1.0, scale), _FLOAT_MAX)
 
 
 def _definite(d: np.ndarray, e: np.ndarray) -> bool:
@@ -122,22 +120,24 @@ def ground_eigenpair(t: TridiagonalMatrix) -> tuple[float, np.ndarray]:
     dstevx bisects for the smallest eigenvalue to its most accurate
     setting (abstol 2 tiny, a few ulps of it) and takes its eigenvector
     by inverse iteration, scaled to unit norm with its largest
-    |amplitude| positive.  It works on copies of the entries.  Where
-    dstevx would rescale them by a factor that is not a power of two,
-    moving E by an ulp, the copies are scaled by a power of two to a max
-    |entry| in [1/2, 1) instead, and E is scaled back exactly.  A nonzero
-    LAPACK info raises ConvergenceError, and so does a pair that misses
+    |amplitude| positive.  It works on copies of the entries scaled by
+    2^-k to a largest |entry| in [1/2, 1) (k = 0 for the zero matrix),
+    which dstevx never rescales itself, and scales E back exactly: so
+    ground_eigenpair(2^j T) is (2^j E, v) bit for bit wherever 2^j T and
+    2^j E are exact (neither overflows nor rounds to a subnormal).  A
+    nonzero LAPACK info raises ConvergenceError, and so does a pair that
+    misses
 
         || T v - E v ||_2 <= 1e-10 max(1, ||diag||_inf + 2 ||off||_inf),
 
-    the error carrying the residual (inf when dstevx found no eigenvalue,
-    or one past the float range).
+    that scale capped at the largest float, the error carrying the residual
+    (inf when dstevx found no eigenvalue, or one past the float range).
     The residual is summed in units of that scale, so that squaring its
     entries cannot overflow.
     """
     n = t.dimension
     norm = max(np.max(np.abs(t.diagonal)), np.max(np.abs(t.offdiagonal), initial=0.0))
-    shift = 0 if _UNSCALED_NORMS[0] <= norm <= _UNSCALED_NORMS[1] else -math.frexp(norm)[1]  # 0 at norm 0
+    shift = -math.frexp(norm)[1]  # 0 at norm 0
     found, w, v = np.zeros(1, np.int64), np.empty(n), np.empty(n)
     info = _dstevx(_COL_MAJOR, b"V", b"I", n, np.ldexp(t.diagonal, shift), np.ldexp(t.offdiagonal, shift),
                    0.0, 0.0, 1, 1, _ABSTOL, found, w, v, n, np.empty(n, np.int64))

@@ -6,6 +6,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import lmgfisher
 import lmgfisher.cli
 from lmgfisher.spincore import EVEN, ModelParams
@@ -13,9 +15,9 @@ from lmgfisher.spincore import EVEN, ModelParams
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def load_spans():
-    """perfbench/spans.py, loaded from its path as the harness uses it."""
-    spec = importlib.util.spec_from_file_location("spans", ROOT / "perfbench" / "spans.py")
+def load_perfbench(name):
+    """perfbench/<name>.py, loaded from its path as the harness uses it."""
+    spec = importlib.util.spec_from_file_location(name, ROOT / "perfbench" / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     sys.modules[spec.name] = module
     try:
@@ -29,7 +31,7 @@ def test_tracer_targets_resolve_and_count_rows():
     # The tracer wraps each (module, attribute) of TARGETS on the package
     # and reads a built block's rows from its result's `dimension`; this
     # checks that contract in process, without a harness run.
-    spans = load_spans()
+    spans = load_perfbench("spans")
     for module, attr in spans.TARGETS:
         assert callable(getattr(getattr(lmgfisher, module), attr)), (module, attr)
     assert lmgfisher.solver.build_sector_matrix(ModelParams(40, 0.5, 0.5), EVEN).dimension == 21
@@ -44,6 +46,30 @@ def test_tracer_targets_resolve_and_count_rows():
     # Blocks of 21 and 20 rows, each solved whole: one build per block.
     assert (metrics["spincore.calls"], metrics["spincore.rows"]) == (2, 41)
     assert (metrics["solver.blocks"], metrics["solver.block_rows"]) == (2, 41)
+
+
+@pytest.mark.parametrize("workload,counts", [
+    ("critical-ladder", (14, 2210, 2238)),
+    ("phase-grid-j2", (36, 7676, 7772)),
+], ids=["critical-ladder", "phase-grid-j2"])
+def test_traced_work_of_the_seed_0_workloads(tmp_path, workload, counts):
+    # The harness's traced pass in miniature: the seed-0 commands, run
+    # serially through cli.main in this process.  The blocks solved, their
+    # rows and the rows built are pinned, so a change that solves or
+    # builds more (or less) shows here, not only in a benchmark run.
+    spans, workloads = load_perfbench("spans"), load_perfbench("workloads")
+    tracer = spans.Tracer()
+    tracer.install(lmgfisher)
+    try:
+        for argv in workloads.WORKLOADS[workload](0):
+            argv = workloads.serial(argv)
+            out = argv.index("--out") + 1
+            argv[out] = str(tmp_path / argv[out])
+            assert lmgfisher.cli.main(argv) == 0
+    finally:
+        tracer.restore()
+    metrics = spans.layer_metrics(tracer.spans)
+    assert (metrics["solver.blocks"], metrics["solver.block_rows"], metrics["spincore.rows"]) == counts
 
 
 def test_critical_ladder_benchmark_runs_and_sees_the_solver():

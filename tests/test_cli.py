@@ -559,6 +559,19 @@ def test_config_file_with_flag_override(tmp_path):
     assert [r["N"] for r in rows] == ["30", "30"]
 
 
+def test_config_file_with_a_byte_order_mark(tmp_path):
+    # Windows editors start a UTF-8 file with a BOM; it is not part of the first key.
+    text = "mode=field-sweep\nn=10\ngamma=0.5\nh=0.5,1.5\n"
+    plain, marked = tmp_path / "plain.cfg", tmp_path / "marked.cfg"
+    plain.write_text(text, encoding="utf-8")
+    marked.write_text(text, encoding="utf-8-sig")
+    assert marked.read_bytes().startswith(b"\xef\xbb\xbf")
+    outs = [tmp_path / "plain.csv", tmp_path / "marked.csv"]
+    for cfg, out in zip((plain, marked), outs):
+        assert cli.main(["--config", str(cfg), "--out", str(out)]) == 0
+    assert outs[0].read_bytes() == outs[1].read_bytes()
+
+
 @pytest.mark.parametrize("flag_out", [False, True], ids=["file-out", "flag-out"])
 def test_config_file_out(tmp_path, flag_out):
     cfg = tmp_path / "sweep.cfg"

@@ -103,6 +103,17 @@ def test_report_dicke_m0():
     assert math.isinf(rep.xi2_2)
 
 
+@pytest.mark.parametrize("gamma", [0.0, 0.5])
+@pytest.mark.parametrize("n", [10**4, 10**6])
+def test_zero_field_xi2_is_infinite_at_large_n(n, gamma):
+    # <S_z> = 0 by symmetry at h = 0; the computed |<S_z>| is rounding
+    # noise that grows with N (1.4e-12 to 1.9e-12 at N = 1e4, about 1.4e-9
+    # at N = 1e6, up to 2.8e-5 at N = 1e9), which the floor, relative to N,
+    # must still read as no mean spin.
+    rep = report(lmg_ground_state(ModelParams(n, gamma, 0.0)))
+    assert math.isinf(rep.xi2_2)
+
+
 def test_report_matches_dense_oracle():
     gs = lmg_ground_state(ModelParams(8, 0.5, 0.5))
     rep = report(gs)

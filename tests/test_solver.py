@@ -205,8 +205,8 @@ def test_largest_accepted_field_solves(n):
 
 @pytest.mark.parametrize("s", [1e160, 1e300, 1e307])
 def test_extreme_scale_matches_unit_scale(s):
-    # Past ~8e76 the entries are scaled down by a power of two before
-    # bisecting, and past s ~ 1e171 the squares of the residual's entries
+    # The entries are scaled by a power of two before bisecting (s itself
+    # is not one), and past s ~ 1e171 the squares of the residual's entries
     # would overflow if not taken in units of the gate's scale.  Measured:
     # E/s within 1.2e-16 and v within 2.3e-16 of the s = 1 pair.
     d, e = np.array([1.0, 2.0, 3.0]), np.array([0.5, 0.25])
@@ -216,18 +216,33 @@ def test_extreme_scale_matches_unit_scale(s):
     np.testing.assert_allclose(vec, v_ref, rtol=0.0, atol=3e-16)
 
 
-@pytest.mark.parametrize("k", [-600, 600])
+@pytest.mark.parametrize("k", [-1000, -600, -1, 1, 600, 1000])
 def test_power_of_two_scale_keeps_the_unit_scale_energy(k):
-    # Entries past dstevx's own range are scaled by a power of two before
-    # the call, and bisection commutes with that scaling: E is the
-    # unit-scale E exactly.  Inverse iteration has an absolute pivot floor,
-    # so v may differ in its last bit.
-    d, e = np.array([1.0, 2.0, 3.0]), np.array([0.5, 0.25])
-    e_ref, v_ref = ground_eigenpair(TridiagonalMatrix(d, e))
-    s = math.ldexp(1.0, k)
-    energy, vec = ground_eigenpair(TridiagonalMatrix(s * d, s * e))
-    assert energy / s == e_ref
-    np.testing.assert_allclose(vec, v_ref, rtol=0.0, atol=3e-16)
+    # Every matrix reaches dstevx scaled by a power of two to a largest
+    # |entry| in [1/2, 1), so T and 2^k T hand it the same copy:
+    # ground_eigenpair(2^k T) is (2^k E, v) bit for bit, vector included.
+    rng = np.random.default_rng(23)
+    cases = [TridiagonalMatrix(np.array([1.0, 2.0, 3.0]), np.array([0.5, 0.25]))]
+    cases += [random_tridiagonal(rng, int(rng.integers(1, 60))) for _ in range(200)]
+    for t in cases:
+        scaled = TridiagonalMatrix(np.ldexp(t.diagonal, k), np.ldexp(t.offdiagonal, k))
+        assert np.array_equal(np.ldexp(scaled.diagonal, -k), t.diagonal)  # the scaling is exact
+        assert np.array_equal(np.ldexp(scaled.offdiagonal, -k), t.offdiagonal)
+        e_ref, v_ref = ground_eigenpair(t)
+        energy, vec = ground_eigenpair(scaled)
+        assert energy == math.ldexp(e_ref, k)
+        assert np.array_equal(vec, v_ref)
+
+
+def test_residual_gate_holds_when_the_scale_overflows(monkeypatch):
+    # ||diag||_inf + 2 ||off||_inf overflows here; the gate's unit is then
+    # the largest float, not inf, and a zero tolerance (which every
+    # rounding fails) must still reject the pair.
+    monkeypatch.setattr(solver, "_RESIDUAL_FACTOR", 0.0)
+    t = TridiagonalMatrix(np.array([1.7e308, 1.2e308, -0.9e308]), np.array([1e307, 3e306]))
+    with pytest.raises(ConvergenceError) as err:
+        ground_eigenpair(t)
+    assert 0.0 < err.value.residual < math.inf
 
 
 def test_extreme_field_n2_solves_both_parities(tmp_path):
