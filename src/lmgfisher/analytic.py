@@ -12,7 +12,7 @@ from __future__ import annotations
 import enum
 import math
 from collections.abc import Iterator
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .spincore import check_n_spins, spin_flip_count
 
@@ -89,8 +89,7 @@ def isotropic_level_crossings(n_spins: int) -> Iterator[float]:
     return (1.0 - (2 * j + 1) / n_spins for j in range(n_spins // 2))
 
 
-@dataclass(frozen=True)
-class TlPrediction:
+class TlPrediction(NamedTuple):
     """Thermodynamic-limit moments and parameters at one (h, gamma, N);
     in the broken phase chi2 is the 1/((N+2)(1-h^2)) form."""
 
@@ -146,8 +145,7 @@ def tl_prediction(h: float, gamma: float, n_spins: int) -> TlPrediction:
     )
 
 
-@dataclass(frozen=True)
-class CriticalExponents:
+class CriticalExponents(NamedTuple):
     """Finite-size laws advertised at h = 1: chi^2 and xi^2 decay with
     exponent -2/3, the phase-uncertainty bound with -5/6, while the
     moment ratios 4<S_x^2>/N^2 and 4<S_y^2>/N^2 decay with -2/3 and

@@ -12,7 +12,7 @@ variances are min and max of (<S_x^2>, <S_y^2>), along x and y.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -23,8 +23,7 @@ MEAN_SPIN_FLOOR = 1e-12  # |<S_z>| <= this times N (rounding noise grows with N)
 _NORM_TOL = 1e-12
 
 
-@dataclass(frozen=True)
-class ObservableSet:
+class ObservableSet(NamedTuple):
     """Collective-spin moments of one state (first transverse moments and
     <{S_x,S_y}> vanish)."""
 
@@ -34,8 +33,7 @@ class ObservableSet:
     sy2: float
 
 
-@dataclass(frozen=True)
-class MetrologyReport:
+class MetrologyReport(NamedTuple):
     """chi^2, squeezing parameters, QFI and the phase-uncertainty bounds (nu = 1)."""
 
     chi2: float

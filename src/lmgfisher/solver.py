@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import ctypes
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -40,8 +40,7 @@ from .spincore import (
 # finds them among its dependencies without loading another library.
 _OPENBLAS = ctypes.CDLL(np._core._multiarray_umath.__file__)
 _INT = ctypes.c_int64
-_DOUBLES = np.ctypeslib.ndpointer(np.float64, flags="C_CONTIGUOUS")
-_INTS = np.ctypeslib.ndpointer(np.int64, flags="C_CONTIGUOUS")
+_PTR = ctypes.c_void_p
 _COL_MAJOR = 102
 
 
@@ -57,10 +56,19 @@ def _lapacke(name: str, *argtypes):
     return routine
 
 
-_dpttrf = _lapacke("dpttrf", _INT, _DOUBLES, _DOUBLES)
-_dstevx = _lapacke("dstevx", ctypes.c_int, ctypes.c_char, ctypes.c_char, _INT, _DOUBLES, _DOUBLES,
-                   ctypes.c_double, ctypes.c_double, _INT, _INT, ctypes.c_double, _INTS, _DOUBLES,
-                   _DOUBLES, _INT, _INTS)
+_dpttrf = _lapacke("dpttrf", _INT, _PTR, _PTR)
+_dstevx = _lapacke("dstevx", ctypes.c_int, ctypes.c_char, ctypes.c_char, _INT, _PTR, _PTR, ctypes.c_double,
+                   ctypes.c_double, _INT, _INT, ctypes.c_double, _PTR, _PTR, _PTR, _INT, _PTR)
+_BUFFER_TYPES = (np.dtype(np.float64), np.dtype(np.int64))
+
+
+def _address(a: np.ndarray, size: int) -> int:
+    """Where LAPACK, which checks nothing, reads and writes `a`: a fresh C-contiguous
+    float64 or int64 vector of `size` entries, held by the caller until LAPACK returns."""
+    if not (a.shape == (size,) and a.flags.owndata and a.flags.c_contiguous and a.dtype in _BUFFER_TYPES):
+        raise ValueError(f"LAPACK takes a fresh C-contiguous float64 or int64 vector of length {size}")
+    return a.ctypes.data
+
 
 _ABSTOL = 2.0 * float(np.finfo(float).tiny)  # the bisection's most accurate setting
 _FLOAT_MAX = float(np.finfo(float).max)
@@ -80,8 +88,7 @@ class ConvergenceError(RuntimeError):
         self.residual = residual
 
 
-@dataclass(frozen=True)
-class GroundState:
+class GroundState(NamedTuple):
     """Lowest eigenstate of one model instance.
 
     `amplitudes` covers the state's support: rows offset, offset + 1, ...
@@ -100,18 +107,19 @@ class GroundState:
         return build_sector(self.params, self.parity, self.offset, self.offset + self.amplitudes.size)
 
 
-def _scale(t: TridiagonalMatrix) -> float:
-    """The residual gate's unit, max(1, ||diag||_inf + 2 ||off||_inf), capped at the largest float."""
-    scale = float(np.max(np.abs(t.diagonal)))
-    if t.offdiagonal.size:
-        scale += 2.0 * float(np.max(np.abs(t.offdiagonal)))
-    return min(max(1.0, scale), _FLOAT_MAX)
+def _scaling(t: TridiagonalMatrix) -> tuple[int, float]:
+    """From one max |diag| and max |off|: the exponent -k that scales the
+    largest |entry| into [1/2, 1) (0 for the zero matrix), and the residual
+    gate's unit, max(1, ||diag||_inf + 2 ||off||_inf), capped at the largest float."""
+    dmax, emax = float(np.max(np.abs(t.diagonal))), float(np.max(np.abs(t.offdiagonal), initial=0.0))
+    return -math.frexp(max(dmax, emax))[1], min(max(1.0, dmax + 2.0 * emax), _FLOAT_MAX)
 
 
 def _definite(d: np.ndarray, e: np.ndarray) -> bool:
     """True when the tridiagonal matrix with diagonal d and off-diagonal e is
     positive definite: dpttrf, on copies, finds every LDL^T pivot > 0."""
-    return _dpttrf(len(d), np.array(d, dtype=float), np.array(e, dtype=float)) == 0
+    d, e = np.array(d, dtype=float), np.array(e, dtype=float)
+    return _dpttrf(d.size, _address(d, d.size), _address(e, d.size - 1)) == 0
 
 
 def ground_eigenpair(t: TridiagonalMatrix) -> tuple[float, np.ndarray]:
@@ -136,18 +144,17 @@ def ground_eigenpair(t: TridiagonalMatrix) -> tuple[float, np.ndarray]:
     entries cannot overflow.
     """
     n = t.dimension
-    norm = max(np.max(np.abs(t.diagonal)), np.max(np.abs(t.offdiagonal), initial=0.0))
-    shift = -math.frexp(norm)[1]  # 0 at norm 0
-    found, w, v = np.zeros(1, np.int64), np.empty(n), np.empty(n)
-    info = _dstevx(_COL_MAJOR, b"V", b"I", n, np.ldexp(t.diagonal, shift), np.ldexp(t.offdiagonal, shift),
-                   0.0, 0.0, 1, 1, _ABSTOL, found, w, v, n, np.empty(n, np.int64))
+    shift, scale = _scaling(t)
+    d, e = np.ldexp(t.diagonal, shift), np.ldexp(t.offdiagonal, shift)
+    found, w, v, iwork = np.zeros(1, np.int64), np.empty(n), np.empty(n), np.empty(n, np.int64)
+    info = _dstevx(_COL_MAJOR, b"V", b"I", n, _address(d, n), _address(e, n - 1), 0.0, 0.0, 1, 1, _ABSTOL,
+                   _address(found, 1), _address(w, n), _address(v, n), n, _address(iwork, n))
     if found[0] != 1:
         raise ConvergenceError(f"dstevx found {found[0]} eigenvalues (info {info})", math.inf)
     try:
         energy = math.ldexp(float(w[0]), -shift)
     except OverflowError:
         raise ConvergenceError("the eigenvalue is past the float range", math.inf) from None
-    scale = _scale(t)
     units = float(np.linalg.norm((tridiagonal_matvec(t.diagonal, t.offdiagonal, v) - energy * v) / scale))
     if info != 0:
         raise ConvergenceError(f"dstevx returned info {info}", units * scale)
@@ -290,7 +297,7 @@ def _window_eigenpair(block, centre: int, half: int = _WINDOW_HALF_WIDTH) -> tup
         v = np.abs(v)
         edge = _WINDOW_EDGE_RELTOL * float(np.max(v))
         if (lo == 0 or v[0] <= edge) and (hi == n or v[-1] <= edge):
-            tol = _RESIDUAL_FACTOR * _scale(window)
+            tol = _RESIDUAL_FACTOR * _scaling(window)[1]
             if _window_certified(block, ext, lo, hi, energy - tol, tol):
                 return lo, energy, v
         centre = lo + int(np.argmax(v))

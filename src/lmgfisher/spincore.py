@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 import numbers
 import sys
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -44,49 +44,46 @@ def check_n_spins(n_spins) -> None:
         raise ValueError(f"n_spins must be an integer from 1 to the float maximum, got {n_spins!r}")
 
 
-@dataclass(frozen=True)
-class ModelParams:
+class ModelParams(NamedTuple("ModelParams", [("n_spins", int), ("gamma", float), ("h", float)])):
     """One model instance: 1 <= N <= MAX_N_SPINS spins, anisotropy
     0 <= gamma <= 1, field h >= 0 with h N finite."""
 
-    n_spins: int
-    gamma: float
-    h: float
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # _replace builds through it: both validate
 
-    def __post_init__(self):
-        check_n_spins(self.n_spins)
-        if self.n_spins > MAX_N_SPINS:
-            raise ValueError(f"n_spins must be at most {MAX_N_SPINS}, got {self.n_spins}")
-        if not 0.0 <= self.gamma <= 1.0:
-            raise ValueError(f"gamma must lie in [0, 1], got {self.gamma}")
+    def __new__(cls, n_spins: int, gamma: float, h: float):
+        check_n_spins(n_spins)
+        if n_spins > MAX_N_SPINS:
+            raise ValueError(f"n_spins must be at most {MAX_N_SPINS}, got {n_spins}")
+        if not 0.0 <= gamma <= 1.0:
+            raise ValueError(f"gamma must lie in [0, 1], got {gamma}")
         # The block diagonal spans about h N (-h M for M in [-S, S]); past
         # the float range the solver's eigenvalue bounds overflow.
-        if not (self.h >= 0.0 and math.isfinite(self.h * float(self.n_spins))):
-            raise ValueError(f"h must be >= 0 with h N finite, got h = {self.h} at N = {self.n_spins}")
+        if not (h >= 0.0 and math.isfinite(h * float(n_spins))):
+            raise ValueError(f"h must be >= 0 with h N finite, got h = {h} at N = {n_spins}")
+        return super().__new__(cls, n_spins, gamma, h)
 
     @property
     def total_spin(self) -> float:
         return self.n_spins / 2.0
 
 
-@dataclass(frozen=True)
-class TridiagonalMatrix:
+class TridiagonalMatrix(NamedTuple("TridiagonalMatrix",
+                                   [("diagonal", np.ndarray), ("offdiagonal", np.ndarray)])):
     """Real symmetric tridiagonal matrix: main diagonal and one shared off-diagonal."""
 
-    diagonal: np.ndarray
-    offdiagonal: np.ndarray
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # _replace builds through it: both validate
 
-    def __post_init__(self):
-        d = np.asarray(self.diagonal, dtype=float)
-        e = np.asarray(self.offdiagonal, dtype=float)
-        object.__setattr__(self, "diagonal", d)
-        object.__setattr__(self, "offdiagonal", e)
+    def __new__(cls, diagonal, offdiagonal):
+        d, e = np.asarray(diagonal, dtype=float), np.asarray(offdiagonal, dtype=float)
         if d.ndim != 1 or d.size < 1:
             raise ValueError("diagonal must be a vector of length >= 1")
         if e.shape != (d.size - 1,):
             raise ValueError("offdiagonal must have length len(diagonal) - 1")
         if not (np.all(np.isfinite(d)) and np.all(np.isfinite(e))):
             raise ValueError("matrix entries must be finite")
+        return super().__new__(cls, d, e)
 
     @property
     def dimension(self) -> int:

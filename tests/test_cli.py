@@ -382,28 +382,33 @@ def _fresh(code: str) -> subprocess.CompletedProcess:
                           check=True)
 
 
+# The modules a CLI process must not load; then whether numpy is loaded.
 _UNWANTED = ("print(sorted(m for m in sys.modules"
-             " if m.split('.')[0] in ('scipy', 'concurrent', 'multiprocessing')))")
+             " if m.split('.')[0] in ('scipy', 'concurrent', 'multiprocessing', 'dataclasses')"
+             " or m.startswith('numpy.ctypeslib')), 'numpy' in sys.modules)")
 
 
 def test_cli_import_leaves_scipy_unloaded():
     # The solver needs numpy only.  Importing scipy.linalg with
     # lmgfisher.cli took 0.46-0.56 s against 0.20-0.24 s without it, and
     # raised peak RSS from 30 MB to 56 MB (2-vCPU Xeon, Python 3.11.7,
-    # numpy 2.4.6); every CLI process would pay that.  numpy itself is
-    # imported here, as the benchmark's import-time split expects.
-    done = _fresh(f"import sys, lmgfisher.cli; {_UNWANTED}; print('numpy' in sys.modules)")
-    assert done.stdout == "[]\nTrue\n"
+    # numpy 2.4.6); every CLI process would pay that.  The records are
+    # NamedTuples and LAPACK takes raw addresses, so dataclasses and
+    # numpy.ctypeslib stay unloaded too: with the 8 dataclass definitions
+    # they took about 16 ms of each start after numpy on that host.  numpy
+    # itself is imported here, as the benchmark's import-time split expects.
+    assert _fresh(f"import sys, lmgfisher.cli; {_UNWANTED}").stdout == "[] True\n"
 
 
 def test_jobs_sweep_loads_no_pool_modules(tmp_path):
     # --jobs forks its workers itself: concurrent.futures and
-    # multiprocessing, 24 ms of import on the host above, stay unloaded.
+    # multiprocessing, 24 ms of import on the host above, stay unloaded,
+    # and so do the modules the import above leaves out.
     out = tmp_path / "probe.csv"
     code = ("import sys, lmgfisher.cli; assert lmgfisher.cli.main(['--mode', 'field-sweep', '--n', '10',"
             f" '--gamma', '0.5', '--h', '0.5', '--h', '1.5', '--jobs', '2', '--out', {str(out)!r}]) == 0; "
             + _UNWANTED)
-    assert _fresh(code).stdout == "[]\n"
+    assert _fresh(code).stdout == "[] True\n"
     assert len(data_rows(read_lines(out))) == 2
 
 

@@ -3,8 +3,11 @@ import re
 import types
 from pathlib import Path
 
+import numpy as np
+import pytest
+
 import lmgfisher
-from lmgfisher import solver
+from lmgfisher import analytic, metrology, scaling, solver
 
 
 def test_star_import_matches_public_names():
@@ -22,3 +25,28 @@ def test_readme_lists_the_lapack_symbols_solver_binds():
     listed = set(re.findall(r"scipy_LAPACKE_\w+64_", text[start:text.index("\n\n", start)]))
     bound = {value.__name__ for value in vars(solver).values() if isinstance(value, ctypes._CFuncPtr)}
     assert listed == bound
+
+
+def _records():
+    """One instance of each of the package's records."""
+    params = lmgfisher.ModelParams(40, 0.5, 0.8)
+    gs = solver.lmg_ground_state(params)
+    fit = scaling.fit_power_law([(10, 1.0), (20, 0.5), (40, 0.25)])
+    return [params, lmgfisher.TridiagonalMatrix(np.ones(2), np.ones(1)), gs,
+            metrology.transverse_moments(gs), metrology.report(gs), analytic.tl_prediction(0.5, 0.5, 40),
+            analytic.critical_scaling_prediction(), fit]
+
+
+@pytest.mark.parametrize("record", _records(), ids=lambda record: type(record).__name__)
+def test_records_are_immutable(record):
+    for field in record._fields:
+        with pytest.raises(AttributeError):
+            setattr(record, field, getattr(record, field))
+    with pytest.raises(AttributeError):
+        record.extra = 0  # no instance dict to hold it
+
+
+def test_every_record_is_listed():
+    # The 8 records: a new one joins _records() above, so its immutability is tested.
+    records = {name for name in lmgfisher.__all__ if hasattr(getattr(lmgfisher, name), "_fields")}
+    assert records == {type(record).__name__ for record in _records()}

@@ -1,5 +1,6 @@
-import dataclasses
+import ctypes
 import math
+import pickle
 import tracemalloc
 
 import numpy as np
@@ -31,6 +32,80 @@ def test_tridiagonal_validation():
         TridiagonalMatrix(diagonal=np.array([1.0, 2.0]), offdiagonal=np.array([]))
     with pytest.raises(ValueError):
         TridiagonalMatrix(diagonal=np.array([np.inf]), offdiagonal=np.array([]))
+
+
+def test_tridiagonal_validation_covers_make_and_replace():
+    t = TridiagonalMatrix(np.array([1.0, 2.0]), np.array([0.5]))
+    for bad, message in (({"offdiagonal": np.array([])}, "offdiagonal must have length"),
+                         ({"diagonal": np.array([1.0, np.nan])}, "entries must be finite"),
+                         ({"diagonal": np.array([[1.0, 2.0]])}, "diagonal must be a vector")):
+        with pytest.raises(ValueError, match=message):
+            TridiagonalMatrix(**{**t._asdict(), **bad})
+        with pytest.raises(ValueError, match=message):
+            t._replace(**bad)
+        with pytest.raises(ValueError, match=message):
+            TridiagonalMatrix._make({**t._asdict(), **bad}.values())
+    coerced = t._replace(diagonal=[3, 4])
+    assert type(coerced) is TridiagonalMatrix and coerced.diagonal.dtype == np.float64
+
+
+def test_ground_state_survives_a_pickle_round_trip():
+    gs = lmg_ground_state(ModelParams(40, 0.5, 0.8))
+    back = pickle.loads(pickle.dumps(gs, pickle.HIGHEST_PROTOCOL))
+    assert type(back) is GroundState and type(back.params) is ModelParams
+    for field in ("params", "parity", "energy", "offset"):
+        assert getattr(back, field) == getattr(gs, field)
+    assert np.array_equal(back.amplitudes, gs.amplitudes)
+    assert np.array_equal(back.sector(), gs.sector())
+
+
+def _strided(values):
+    """`values` as a float64 view with stride 3 that owns no data."""
+    base = np.zeros(3 * len(values))
+    base[::3] = values
+    return base[::3]
+
+
+# Each way of handing a buffer that LAPACK must not see as it is, beside
+# the contiguous float64 copy that it gets instead.
+_BUFFER_FORMS = {
+    "strided": _strided,
+    "reversed": lambda values: np.array(values[::-1], dtype=float)[::-1],
+    "integer list": lambda values: [int(x) for x in values],
+}
+
+
+@pytest.mark.parametrize("form", sorted(_BUFFER_FORMS))
+def test_lapack_gets_contiguous_float64_copies(form):
+    # ground_eigenpair and _definite pass LAPACK raw addresses, so they must
+    # give the same bits on any array-like as on a contiguous float64 copy.
+    make = _BUFFER_FORMS[form]
+    rng = np.random.default_rng(24)
+    for dim in (1, 2, 7, 40):
+        d = rng.integers(-9, 10, dim).astype(float)
+        e = rng.integers(-9, 10, dim - 1).astype(float)
+        viewed = TridiagonalMatrix(make(d), make(e))
+        e_ref, v_ref = ground_eigenpair(TridiagonalMatrix(d.copy(), e.copy()))
+        energy, vec = ground_eigenpair(viewed)
+        assert energy == e_ref and np.array_equal(vec, v_ref)
+        verdicts = set()
+        for x in (np.min(d) - 20.0, 0.0, math.floor(e_ref), math.ceil(e_ref)):  # integer shifts
+            verdict = solver._definite(make(d - x), make(e))
+            assert verdict == solver._definite((d - x).copy(), e.copy())
+            verdicts.add(verdict)
+        assert verdicts == {True, False}
+
+
+def test_lapack_address_takes_only_fresh_contiguous_buffers():
+    for good in (np.zeros(3), np.zeros(3, np.int64), np.ldexp(np.ones(6)[::2], 1)):
+        assert solver._address(good, 3) == good.ctypes.data
+    owner = np.zeros(6)
+    for bad in (owner[::2], owner[3:], np.zeros(3, np.int32), np.zeros(3, np.float32), np.zeros(4),
+                np.zeros((3, 1))):
+        with pytest.raises(ValueError, match="fresh C-contiguous"):
+            solver._address(bad, 3)
+    with pytest.raises(ValueError, match="vector of length 2"):  # dpttrf would read past a short off-diagonal
+        solver._definite([1.0, 2.0, 3.0], [0.5])
 
 
 def test_ground_eigenpair_trivial_1x1():
@@ -131,7 +206,7 @@ def test_lapack_failure_is_a_convergence_error(monkeypatch, tmp_path, failure):
         call(*args)
         if failure == "info":
             return 1
-        args[11][0] = 0  # the eigenvalue count
+        ctypes.c_int64.from_address(args[11]).value = 0  # the eigenvalue count, by its address
         return 0
 
     monkeypatch.setattr(solver, "_dstevx", failing)
@@ -165,7 +240,7 @@ def test_window_eigenpair_matches_scipy_at_large_n():
     _, ref = linalg.eigh_tridiagonal(t.diagonal, t.offdiagonal, select="i", select_range=(0, 0))
 
     def chi2(v):
-        return metrology.report(dataclasses.replace(gs, amplitudes=v)).chi2
+        return metrology.report(gs._replace(amplitudes=v)).chi2
 
     assert chi2(vec) == pytest.approx(chi2(ref[:, 0]), rel=1e-8)
 
@@ -732,5 +807,5 @@ def test_random_points_match_the_dense_blocks(monkeypatch):
             assert gs.parity == (ODD if gap < -tie else EVEN)
         assert np.all(gs.amplitudes >= 0.0)
         rep = metrology.report(gs)
-        assert all(math.isfinite(getattr(rep, f.name)) for f in dataclasses.fields(rep))
+        assert all(math.isfinite(getattr(rep, f)) for f in rep._fields)
     assert windowed >= 1

@@ -1,4 +1,5 @@
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -26,6 +27,25 @@ def test_model_params_validation():
         ModelParams(4, 1.1, 1.0)
     with pytest.raises(ValueError):
         ModelParams(4, 0.5, -0.5)
+
+
+def test_model_params_validation_covers_make_replace_and_pickle():
+    # Every way of building the record runs the constructor's checks.
+    p = ModelParams(10, 0.5, 0.7)
+    for bad, message in (({"h": -1.0}, "h must be >= 0"), ({"gamma": 1.5}, "gamma must lie"),
+                         ({"n_spins": 0}, "n_spins must be an integer"),
+                         ({"n_spins": MAX_N_SPINS + 1}, "n_spins must be at most")):
+        with pytest.raises(ValueError, match=message):
+            ModelParams(**{**p._asdict(), **bad})
+        with pytest.raises(ValueError, match=message):
+            p._replace(**bad)
+        with pytest.raises(ValueError, match=message):
+            ModelParams._make({**p._asdict(), **bad}.values())
+    assert p._replace(h=1.5) == ModelParams(10, 0.5, 1.5)
+    assert type(ModelParams._make([10, 0.5, 0.7])) is ModelParams
+    back = pickle.loads(pickle.dumps(p, pickle.HIGHEST_PROTOCOL))
+    assert type(back) is ModelParams and back == p and back.total_spin == 5.0
+    assert p == (10, 0.5, 0.7)  # a NamedTuple: equal to the plain tuple of its fields
 
 
 def test_model_params_rejects_non_integer_n():
