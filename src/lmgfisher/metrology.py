@@ -55,7 +55,8 @@ def transverse_moments(gs: GroundState) -> ObservableSet:
     every other row of the block contributes 0.
     """
     c = np.asarray(gs.amplitudes, dtype=float)
-    norm = float(np.linalg.norm(c))
+    weights = c * c
+    norm = math.sqrt(float(np.sum(weights)))
     if abs(norm - 1.0) > _NORM_TOL:
         raise ValueError(f"state is not normalized (||amplitudes|| = {norm!r})")
     m = gs.sector()
@@ -63,7 +64,6 @@ def transverse_moments(gs: GroundState) -> ObservableSet:
         raise ValueError("amplitude vector does not match the sector dimension")
     s = gs.params.total_spin
     casimir = s * (s + 1.0)
-    weights = c * c
     sz_mean = float(np.sum(weights * m))
     sz2 = float(np.sum(weights * m * m))
     diag_part = 0.5 * float(np.sum(weights * (casimir - m * m)))

@@ -35,31 +35,31 @@ from .spincore import (
     tridiagonal_matvec,
 )
 
-# numpy's wheel links the scipy-openblas64 build of OpenBLAS, whose LAPACKE
-# entry points take 64-bit integers.  Opening numpy's own extension module
-# finds them among its dependencies without loading another library.
+# numpy's wheel links the scipy-openblas64 build of OpenBLAS, whose Fortran
+# LAPACK entry points take 64-bit integers.  Opening numpy's own extension
+# module finds them among its dependencies without loading another library.
 _OPENBLAS = ctypes.CDLL(np._core._multiarray_umath.__file__)
-_INT = ctypes.c_int64
-_PTR = ctypes.c_void_p
-_COL_MAJOR = 102
 
 
-def _lapacke(name: str, *argtypes):
-    """The LAPACKE routine `name`, returning its info."""
-    symbol = f"scipy_LAPACKE_{name}64_"
+def _lapack(name: str, arguments: int, characters: int = 0):
+    """The Fortran LAPACK routine `name`: its `arguments` by reference, then the
+    hidden lengths of its `characters` CHARACTER arguments by value."""
+    symbol = f"scipy_{name}_64_"
     try:
         routine = getattr(_OPENBLAS, symbol)
     except AttributeError:
         raise ImportError(f"numpy's OpenBLAS does not export {symbol}, which lmgfisher needs") from None
-    routine.argtypes = argtypes
-    routine.restype = _INT
+    routine.argtypes = [ctypes.c_void_p] * arguments + [ctypes.c_size_t] * characters
+    routine.restype = None
     return routine
 
 
-_dpttrf = _lapacke("dpttrf", _INT, _PTR, _PTR)
-_dstevx = _lapacke("dstevx", ctypes.c_int, ctypes.c_char, ctypes.c_char, _INT, _PTR, _PTR, ctypes.c_double,
-                   ctypes.c_double, _INT, _INT, ctypes.c_double, _PTR, _PTR, _PTR, _INT, _PTR)
+_dpttrf = _lapack("dpttrf", 4)
+_dstevx = _lapack("dstevx", 18, 2)
+_ONE, _ZERO = ctypes.byref(ctypes.c_int64(1)), ctypes.byref(ctypes.c_double(0.0))  # made once, not per call
+_ABSTOL = ctypes.byref(ctypes.c_double(2.0 * float(np.finfo(float).tiny)))  # bisection's most accurate
 _BUFFER_TYPES = (np.dtype(np.float64), np.dtype(np.int64))
+_NO_BYTES = ctypes.c_char * 0  # a view of none of a buffer's bytes, at the buffer's address
 
 
 def _address(a: np.ndarray, size: int) -> int:
@@ -67,10 +67,9 @@ def _address(a: np.ndarray, size: int) -> int:
     float64 or int64 vector of `size` entries, held by the caller until LAPACK returns."""
     if not (a.shape == (size,) and a.flags.owndata and a.flags.c_contiguous and a.dtype in _BUFFER_TYPES):
         raise ValueError(f"LAPACK takes a fresh C-contiguous float64 or int64 vector of length {size}")
-    return a.ctypes.data
+    return ctypes.addressof(_NO_BYTES.from_buffer(a))  # a third of the cost of a.ctypes.data
 
 
-_ABSTOL = 2.0 * float(np.finfo(float).tiny)  # the bisection's most accurate setting
 _FLOAT_MAX = float(np.finfo(float).max)
 _RESIDUAL_FACTOR = 1e-10
 _DEGENERACY_RELTOL = 1e-12
@@ -119,7 +118,9 @@ def _definite(d: np.ndarray, e: np.ndarray) -> bool:
     """True when the tridiagonal matrix with diagonal d and off-diagonal e is
     positive definite: dpttrf, on copies, finds every LDL^T pivot > 0."""
     d, e = np.array(d, dtype=float), np.array(e, dtype=float)
-    return _dpttrf(d.size, _address(d, d.size), _address(e, d.size - 1)) == 0
+    info = ctypes.c_int64()
+    _dpttrf(ctypes.byref(ctypes.c_int64(d.size)), _address(d, d.size), _address(e, d.size - 1), ctypes.byref(info))
+    return info.value == 0
 
 
 def ground_eigenpair(t: TridiagonalMatrix) -> tuple[float, np.ndarray]:
@@ -146,18 +147,22 @@ def ground_eigenpair(t: TridiagonalMatrix) -> tuple[float, np.ndarray]:
     n = t.dimension
     shift, scale = _scaling(t)
     d, e = np.ldexp(t.diagonal, shift), np.ldexp(t.offdiagonal, shift)
-    found, w, v, iwork = np.zeros(1, np.int64), np.empty(n), np.empty(n), np.empty(n, np.int64)
-    info = _dstevx(_COL_MAJOR, b"V", b"I", n, _address(d, n), _address(e, n - 1), 0.0, 0.0, 1, 1, _ABSTOL,
-                   _address(found, 1), _address(w, n), _address(v, n), n, _address(iwork, n))
-    if found[0] != 1:
-        raise ConvergenceError(f"dstevx found {found[0]} eigenvalues (info {info})", math.inf)
+    size, found, info = ctypes.c_int64(n), ctypes.c_int64(), ctypes.c_int64()
+    w, v, work = np.empty(n), np.empty(n), np.empty(5 * n)
+    iwork, ifail = np.empty(5 * n, np.int64), np.empty(n, np.int64)
+    _dstevx(b"V", b"I", ctypes.byref(size), _address(d, n), _address(e, n - 1), _ZERO, _ZERO, _ONE, _ONE, _ABSTOL,
+            ctypes.byref(found), _address(w, n), _address(v, n), ctypes.byref(size), _address(work, 5 * n),
+            _address(iwork, 5 * n), _address(ifail, n), ctypes.byref(info), 1, 1)
+    if found.value != 1:
+        raise ConvergenceError(f"dstevx found {found.value} eigenvalues (info {info.value})", math.inf)
     try:
         energy = math.ldexp(float(w[0]), -shift)
     except OverflowError:
         raise ConvergenceError("the eigenvalue is past the float range", math.inf) from None
-    units = float(np.linalg.norm((tridiagonal_matvec(t.diagonal, t.offdiagonal, v) - energy * v) / scale))
-    if info != 0:
-        raise ConvergenceError(f"dstevx returned info {info}", units * scale)
+    r = (tridiagonal_matvec(t.diagonal, t.offdiagonal, v) - energy * v) / scale
+    units = math.sqrt(float(np.sum(r * r)))
+    if info.value != 0:
+        raise ConvergenceError(f"dstevx returned info {info.value}", units * scale)
     if not units <= _RESIDUAL_FACTOR:
         raise ConvergenceError("eigenvector missed the residual target", units * scale)
     return energy, v
@@ -292,7 +297,8 @@ def _window_eigenpair(block, centre: int, half: int = _WINDOW_HALF_WIDTH) -> tup
         hi = lo + size
         elo = max(lo - 2, 0)
         ext = block.rows(elo, min(hi + 2, n))
-        window = TridiagonalMatrix(ext.diagonal[lo - elo:hi - elo], ext.offdiagonal[lo - elo:hi - elo - 1])
+        a, b = lo - elo, hi - elo
+        window = TridiagonalMatrix._trusted(ext.diagonal[a:b], ext.offdiagonal[a:b - 1])
         energy, v = ground_eigenpair(window)
         v = np.abs(v)
         edge = _WINDOW_EDGE_RELTOL * float(np.max(v))

@@ -50,6 +50,7 @@ class ModelParams(NamedTuple("ModelParams", [("n_spins", int), ("gamma", float),
 
     __slots__ = ()
     _make = classmethod(lambda cls, fields: cls(*fields))  # _replace builds through it: both validate
+    __reduce__ = lambda self: (type(self), tuple(self))  # unpickling validates too, at every protocol
 
     def __new__(cls, n_spins: int, gamma: float, h: float):
         check_n_spins(n_spins)
@@ -74,6 +75,8 @@ class TridiagonalMatrix(NamedTuple("TridiagonalMatrix",
 
     __slots__ = ()
     _make = classmethod(lambda cls, fields: cls(*fields))  # _replace builds through it: both validate
+    __reduce__ = lambda self: (type(self), tuple(self))  # unpickling validates too, at every protocol
+    _trusted = classmethod(lambda cls, d, e: tuple.__new__(cls, (d, e)))  # unchecked: see build_sector_matrix
 
     def __new__(cls, diagonal, offdiagonal):
         d, e = np.asarray(diagonal, dtype=float), np.asarray(offdiagonal, dtype=float)
@@ -158,7 +161,8 @@ def build_sector_matrix(params: ModelParams, parity: str, lo: int = 0, hi: int |
     No constant shift is added or removed; energies are those of the
     Hamiltonian itself, consistent across M and across blocks.  Every
     entry depends on its own M alone, so rows [lo, hi) come out exactly
-    as the whole block has them.
+    as the whole block has them.  They skip TridiagonalMatrix's checks:
+    |h M| <= h N/2 is finite in a ModelParams, and the rest is O(N^2).
     """
     n = params.n_spins
     s = params.total_spin
@@ -167,4 +171,4 @@ def build_sector_matrix(params: ModelParams, parity: str, lo: int = 0, hi: int |
     diagonal = -((1.0 + params.gamma) / (2.0 * n)) * (casimir - m * m) - params.h * m
     b = double_raising_element(s, m[1:])  # m[1:] is the smaller M of each pair (M, M+2)
     offdiagonal = -((1.0 - params.gamma) / (4.0 * n)) * b
-    return TridiagonalMatrix(diagonal=diagonal, offdiagonal=offdiagonal)
+    return TridiagonalMatrix._trusted(diagonal, offdiagonal)

@@ -1,4 +1,3 @@
-import ctypes
 import math
 import pickle
 import tracemalloc
@@ -38,6 +37,7 @@ def test_tridiagonal_validation_covers_make_and_replace():
     t = TridiagonalMatrix(np.array([1.0, 2.0]), np.array([0.5]))
     for bad, message in (({"offdiagonal": np.array([])}, "offdiagonal must have length"),
                          ({"diagonal": np.array([1.0, np.nan])}, "entries must be finite"),
+                         ({"offdiagonal": np.array([-np.inf])}, "entries must be finite"),
                          ({"diagonal": np.array([[1.0, 2.0]])}, "diagonal must be a vector")):
         with pytest.raises(ValueError, match=message):
             TridiagonalMatrix(**{**t._asdict(), **bad})
@@ -109,9 +109,40 @@ def test_lapack_address_takes_only_fresh_contiguous_buffers():
 
 
 def test_ground_eigenpair_trivial_1x1():
-    energy, vec = ground_eigenpair(TridiagonalMatrix(np.array([5.0]), np.array([])))
-    assert energy == 5.0
-    np.testing.assert_array_equal(vec, [1.0])
+    # dstevx gets an empty off-diagonal and its work buffers of 5 entries.
+    for d in (5.0, -3.5, 0.0, 5e-324, -1.7e308):
+        energy, vec = ground_eigenpair(TridiagonalMatrix(np.array([d]), np.array([])))
+        assert energy == d
+        np.testing.assert_array_equal(vec, [1.0])
+
+
+@pytest.mark.parametrize("a,c,b", [(-4.25, 3.75, -0.25), (0.0, 0.0, -1.0), (1.0, 3.0, 0.5), (2.0, -1.0, 0.0),
+                                   (-1.0, 2.0, 3.0), (0.5, 0.625, 1e-3)])
+@pytest.mark.parametrize("j", [0, -1000, 1000])
+def test_ground_eigenpair_2x2_matches_its_closed_form(a, c, b, j):
+    # [[a, b], [b, c]] scaled by 2^j: E = (a + c)/2 - sqrt(((a - c)/2)^2 + b^2),
+    # and v is along (b, E - a), or (E - c, b), with its largest |amplitude| > 0.
+    t = TridiagonalMatrix(np.ldexp([a, c], j), np.ldexp([b], j))
+    energy, vec = ground_eigenpair(t)
+    expected = (a + c) / 2.0 - math.hypot((a - c) / 2.0, b)
+    along = np.array([b, expected - a]) if abs(expected - a) >= abs(expected - c) else np.array([expected - c, b])
+    along /= math.hypot(*along)
+    along *= np.sign(along[np.argmax(np.abs(along))])
+    assert math.ldexp(energy, -j) == pytest.approx(expected, rel=4e-16, abs=4e-16)
+    np.testing.assert_allclose(vec, along, rtol=0.0, atol=4e-16)
+
+
+def test_definite_matches_the_signs_of_the_ldlt_pivots():
+    # One and two rows: dpttrf's pivots are d0 and d1 - (e/d0) e, and the
+    # matrix is definite when every one is > 0 (a subnormal pivot counts).
+    for d0 in (-1.0, -5e-324, 0.0, 5e-324, 1.0, 1e308):
+        assert solver._definite([d0], []) == (d0 > 0.0)
+    values = (-2.0, 0.0, 0.25, 1.0, 3.0)
+    for d0 in values:
+        for d1 in values:
+            for e in (0.0, 0.5, -1.0, 2.0):
+                definite = d0 > 0.0 and d1 - (e / d0) * e > 0.0
+                assert solver._definite([d0, d1], [e]) == definite, (d0, d1, e)
 
 
 def test_ground_eigenpair_2x2_closed_form():
@@ -199,15 +230,16 @@ def test_smallest_eigenpair_of_random_tridiagonals():
 def test_lapack_failure_is_a_convergence_error(monkeypatch, tmp_path, failure):
     # dstevx runs, then either reports info = 1 (the vector did not
     # converge) or finds no eigenvalue, which leaves no vector, so that
-    # error carries an infinite residual.
+    # error carries an infinite residual.  Both come back through
+    # out-arguments, passed by reference: M (the count) and INFO.
     call = solver._dstevx
 
     def failing(*args):
         call(*args)
         if failure == "info":
-            return 1
-        ctypes.c_int64.from_address(args[11]).value = 0  # the eigenvalue count, by its address
-        return 0
+            args[17]._obj.value = 1  # INFO
+        else:
+            args[10]._obj.value = 0  # M, the eigenvalue count
 
     monkeypatch.setattr(solver, "_dstevx", failing)
     t = TridiagonalMatrix(np.array([1.0, -2.0, 0.5]), np.array([0.3, -0.4]))
@@ -223,8 +255,8 @@ def test_lapack_failure_is_a_convergence_error(monkeypatch, tmp_path, failure):
 
 
 def test_missing_lapack_symbol_is_an_import_error():
-    with pytest.raises(ImportError, match="scipy_LAPACKE_dnosuch64_"):
-        solver._lapacke("dnosuch")
+    with pytest.raises(ImportError, match="scipy_dnosuch_64_"):
+        solver._lapack("dnosuch", 1)
 
 
 def test_window_eigenpair_matches_scipy_at_large_n():

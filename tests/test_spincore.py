@@ -1,5 +1,7 @@
 import math
 import pickle
+import struct
+import sys
 
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ from lmgfisher.spincore import (
     MAX_N_SPINS,
     ODD,
     ModelParams,
+    TridiagonalMatrix,
     build_sector,
     build_sector_matrix,
     sector_dimension,
@@ -46,6 +49,70 @@ def test_model_params_validation_covers_make_replace_and_pickle():
     back = pickle.loads(pickle.dumps(p, pickle.HIGHEST_PROTOCOL))
     assert type(back) is ModelParams and back == p and back.total_spin == 5.0
     assert p == (10, 0.5, 0.7)  # a NamedTuple: equal to the plain tuple of its fields
+
+
+def _gamma_edited(data: bytes, protocol: int, good: float, bad: float) -> bytes:
+    """Pickle bytes with the float `good` rewritten as `bad`, as a hand edit would."""
+    old, new = (f"F{good!r}\n".encode(), f"F{bad!r}\n".encode()) if protocol == 0 else \
+        (b"G" + struct.pack(">d", good), b"G" + struct.pack(">d", bad))
+    assert data.count(old) == 1
+    return data.replace(old, new)
+
+
+@pytest.mark.parametrize("protocol", range(pickle.HIGHEST_PROTOCOL + 1))
+def test_unpickling_validates_at_every_protocol(protocol):
+    # At protocols 0 and 1 a NamedTuple's default reduction rebuilds the tuple
+    # without __new__; each record's __reduce__ makes every protocol call its
+    # constructor, so edited or forged bytes never load as an invalid record.
+    p = ModelParams(3, 0.5, 0.7)
+    t = TridiagonalMatrix(np.array([1.25, -2.0]), np.array([0.5]))
+    for record in (p, t):
+        back = pickle.loads(pickle.dumps(record, protocol))
+        assert type(back) is type(record)
+        assert all(np.array_equal(a, b) for a, b in zip(back, record))
+    with pytest.raises(ValueError, match="gamma must lie"):
+        pickle.loads(_gamma_edited(pickle.dumps(p, protocol), protocol, 0.5, 1.5))
+    if protocol == 0:  # the edit n_spins = -3, in the text protocol
+        data = pickle.dumps(p, protocol)
+        assert data.count(b"(I3\n") == 1
+        with pytest.raises(ValueError, match="n_spins must be an integer"):
+            pickle.loads(data.replace(b"(I3\n", b"(I-3\n"))
+    # Records forged past the checks, as the unchecked TridiagonalMatrix._trusted
+    # would build them from bad entries, do not load either.
+    for forged, message in ((tuple.__new__(ModelParams, (-3, 0.5, 0.7)), "n_spins must be an integer"),
+                            (TridiagonalMatrix._trusted(np.array([np.nan]), np.array([])), "must be finite"),
+                            (TridiagonalMatrix._trusted(np.array([1.0, np.inf]), np.array([0.5])),
+                             "must be finite"),
+                            (TridiagonalMatrix._trusted(np.ones(3), np.ones(1)), "offdiagonal must have")):
+        data = pickle.dumps(forged, protocol)
+        with pytest.raises(ValueError, match=message):
+            pickle.loads(data)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 10**9])
+@pytest.mark.parametrize("gamma", [0.0, 1.0])
+def test_block_rows_are_finite_by_construction(n, gamma):
+    # build_sector_matrix skips TridiagonalMatrix's checks, since a validated
+    # ModelParams keeps every entry finite.  Checked at the largest field
+    # ModelParams accepts (h N finite: float max / N, one ulp lower at N = 3),
+    # on whole blocks and, at N = 1e9, on windows at both ends and the centre.
+    largest = sys.float_info.max / n
+    while not math.isfinite(largest * n):
+        largest = math.nextafter(largest, 0.0)
+    for h in (0.0, 1.0, largest):
+        p = ModelParams(n, gamma, h)
+        for parity in (EVEN, ODD):
+            count = sector_dimension(p, parity)
+            if n < 10:
+                ranges = [(0, count)]
+            else:
+                centre = sector_row(p, parity, h * p.total_spin)
+                ranges = [(0, 64), (count - 64, count), (max(centre - 32, 0), max(centre - 32, 0) + 64)]
+            for lo, hi in ranges:
+                t = build_sector_matrix(p, parity, lo, hi)
+                assert t.diagonal.dtype == t.offdiagonal.dtype == np.float64
+                assert t.diagonal.shape == (hi - lo,) and t.offdiagonal.shape == (hi - lo - 1,)
+                assert np.all(np.isfinite(t.diagonal)) and np.all(np.isfinite(t.offdiagonal))
 
 
 def test_model_params_rejects_non_integer_n():
