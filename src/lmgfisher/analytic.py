@@ -118,6 +118,7 @@ def tl_prediction(h: float, gamma: float, n_spins: int) -> TlPrediction:
         raise ValueError(f"gamma must lie in [0, 1], got {gamma}")
     _check_field(h)
     check_n_spins(n_spins)
+    h, gamma = float(h), float(gamma)  # a numpy float32 would keep the arithmetic in float32
     if h == 1.0:
         raise CriticalPointError("thermodynamic-limit moments diverge at h = 1")
     n = float(n_spins)

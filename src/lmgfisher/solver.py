@@ -1,17 +1,17 @@
 """Ground-state eigensolvers for real symmetric tridiagonal matrices.
 
 ground_eigenpair takes the smallest eigenvalue and its eigenvector from
-one call to LAPACK's dstevx (bisection, then inverse iteration), and
-_definite tests positive definiteness with an LDL^T factorization
-(dpttrf), both from the OpenBLAS that numpy itself loads.
-lmg_ground_state solves both parity blocks of one model instance and
-returns the lower one (even wins exact ties, so the reported state keeps
-<S_x> = <S_y> = 0).  Each block is solved on a window of rows around the
-mean-field magnetization, sized from the Bogoliubov ground state (near
-h = 1, from the critical quartic-oscillator width) and widened until the
-zero-padded result is certified as the ground state of the whole block.
-Only the rows of a window and a few rows beside it are ever built, so a
-ground state's memory follows the state, not N.
+one call to LAPACK's dstevx (bisection, then inverse iteration), from the
+OpenBLAS that numpy itself loads.  lmg_ground_state solves both parity
+blocks of one model instance and returns the lower one (even wins exact
+ties, so the reported state keeps <S_x> = <S_y> = 0).  Each block is
+solved on a window of rows around the mean-field magnetization, sized
+from the Bogoliubov ground state (near h = 1, from the critical
+quartic-oscillator width), bordered by the row beside each inner edge,
+and widened until the zero-padded result is certified as the ground
+state of the whole block.  Only the rows of a window and a few rows
+beside it are ever built, so a ground state's memory follows the state,
+not N.
 """
 
 from __future__ import annotations
@@ -54,7 +54,6 @@ def _lapack(name: str, arguments: int, characters: int = 0):
     return routine
 
 
-_dpttrf = _lapack("dpttrf", 4)
 _dstevx = _lapack("dstevx", 18, 2)
 _ONE, _ZERO = ctypes.byref(ctypes.c_int64(1)), ctypes.byref(ctypes.c_double(0.0))  # made once, not per call
 _ABSTOL = ctypes.byref(ctypes.c_double(2.0 * float(np.finfo(float).tiny)))  # bisection's most accurate
@@ -76,7 +75,7 @@ _DEGENERACY_RELTOL = 1e-12
 _WINDOW_HALF_WIDTH = 16  # least first window: 33 rows
 _CROSSOVER_BAND = 32.0  # |h - 1| N^(2/3) up to this takes the critical width
 _WINDOW_EDGE_RELTOL = 1e-17
-_SLACK_MARGIN = 0.1  # of the window's residual gate; see _window_eigenpair
+_SLACK_MARGIN = 0.1  # of the bordered window's residual gate; see _window_eigenpair
 
 
 class ConvergenceError(RuntimeError):
@@ -91,8 +90,8 @@ class GroundState(NamedTuple):
     """Lowest eigenstate of one model instance.
 
     `amplitudes` covers the state's support: rows offset, offset + 1, ...
-    of its parity block (the accepted window, or the whole block).  Every
-    other row of the block has amplitude 0.
+    of its parity block (the accepted window with its border rows, or the
+    whole block).  Every other row of the block has amplitude 0.
     """
 
     params: ModelParams
@@ -112,15 +111,6 @@ def _scaling(t: TridiagonalMatrix) -> tuple[int, float]:
     gate's unit, max(1, ||diag||_inf + 2 ||off||_inf), capped at the largest float."""
     dmax, emax = float(np.max(np.abs(t.diagonal))), float(np.max(np.abs(t.offdiagonal), initial=0.0))
     return -math.frexp(max(dmax, emax))[1], min(max(1.0, dmax + 2.0 * emax), _FLOAT_MAX)
-
-
-def _definite(d: np.ndarray, e: np.ndarray) -> bool:
-    """True when the tridiagonal matrix with diagonal d and off-diagonal e is
-    positive definite: dpttrf, on copies, finds every LDL^T pivot > 0."""
-    d, e = np.array(d, dtype=float), np.array(e, dtype=float)
-    info = ctypes.c_int64()
-    _dpttrf(ctypes.byref(ctypes.c_int64(d.size)), _address(d, d.size), _address(e, d.size - 1), ctypes.byref(info))
-    return info.value == 0
 
 
 def ground_eigenpair(t: TridiagonalMatrix) -> tuple[float, np.ndarray]:
@@ -172,7 +162,7 @@ class _Block:
     """One parity block of a model, built a row range at a time.
 
     `_window_eigenpair` reads a block only through `dimension`,
-    `rows(lo, hi)` and `slack_floor(lo, hi)`.  `centre` is the row nearest
+    `rows(lo, hi)`, whose arrays it changes, and `slack_floor(lo, hi)`.  `centre` is the row nearest
     M = h S, and so nearest the mean-field S min(h, 1).
     """
 
@@ -184,7 +174,7 @@ class _Block:
         self._top = block_top(params, parity)
 
     def rows(self, lo: int, hi: int) -> TridiagonalMatrix:
-        """Rows [lo, hi) of the block, bit-identical to the whole block's."""
+        """Rows [lo, hi) of the block in fresh arrays, bit-identical to the whole block's."""
         return build_sector_matrix(self.params, self.parity, lo, hi)
 
     def slack_floor(self, lo: int, hi: int) -> float:
@@ -211,64 +201,45 @@ class _Block:
         return floor
 
 
-def _window_certified(block, ext: TridiagonalMatrix, lo: int, hi: int, x: float, tol: float) -> bool:
-    """True when a definiteness test on rows lo:hi and the row beside each
-    inner edge proves the block has no eigenvalue below x.
-
-    ext holds the block's rows max(lo - 2, 0):min(hi + 2, n); tol is the
-    window's residual gate.  `block.slack_floor(lo, hi)` must exceed x by
-    0.1 tol, which covers its rounding (see `_window_eigenpair`); a result
-    inside that margin is inconclusive, and the window widens.  Then the
-    rows outside the window are strictly diagonally dominant in T - xI and
-    form a positive definite C, and T - xI is positive definite when the
-    window W's Schur complement W - B C^-1 B^T is.  That lowers W's edge
-    diagonals by e_link^2 / q_j, q_j being the pivot of C's row j beside
-    the window, eliminated from the block's end: q_j > d_j - x - |e_out| >
-    |e_link|, e_out coupling row j onward.  Lowering a diagonal further
-    cannot make a matrix definite, so W is bordered by each row j with
-    d_j - x - |e_out| on its diagonal: the Schur complement on row j is W
-    so lowered, and above the window it is dpttrf's first step.
-    `_definite` accepts any pivot > 0: computed pivots are the exact pivots
-    of a matrix whose off-diagonal differs by a few ulps, so a positive
-    one, however small, still proves definiteness up to the rounding of
-    the entries, and a tiny pivot whose successor overflows gives -inf and
-    a rejection.
-    """
-    if not block.slack_floor(lo, hi) - x > _SLACK_MARGIN * tol:
-        return False
-    elo = max(lo - 2, 0)
-    a, b = max(lo - 1, 0) - elo, min(hi + 1, block.dimension) - elo
-    e = ext.offdiagonal
-    bordered = ext.diagonal[a:b] - x
-    if a > 0:  # row lo - 1 borders the window and couples to row lo - 2
-        bordered[0] -= abs(e[a - 1])
-    if b < ext.dimension:  # row hi borders it and couples to row hi + 1
-        bordered[-1] -= abs(e[b - 1])
-    return _definite(bordered, e[a:b - 1])
-
-
 def _window_eigenpair(block, centre: int, half: int = _WINDOW_HALF_WIDTH) -> tuple[int, float, np.ndarray]:
-    """Ground eigenpair of a block, solved on a window of rows around row
-    `centre`; returns (offset of the window, energy, window vector).
+    """Ground eigenpair of a block, solved on a bordered window of rows
+    around row `centre`; returns (offset of the solved rows, energy, vector).
 
-    The window is the 2w + 1 rows centred on `centre`, shifted inward
-    where the block ends, with w = `half` at first.  Only its rows and two
-    more on each side are built.  Its pair, zero-padded to the whole
-    block, is accepted when (a) each window edge inside the block has
-    |amplitude| <= 1e-17 of the peak, and (b) `_window_certified` proves,
-    from those rows and the block's slack floor, that the block has no
-    eigenvalue below E - tol, tol being the window's own residual gate,
-    which its solve has just met.  Cauchy interlacing gives E >= the
-    block's minimum E0, so (b) puts E within tol of it, and tol is at most
-    the whole block's gate.  The padded vector's residual on the whole
-    block is the window's, within tol, plus the two edge couplings that (a)
-    holds below 1e-17 |e| of the peak; it is not checked again.
-    Otherwise the window recentres on its largest amplitude, w doubles,
-    and the solve repeats, as it does when (b) is inconclusive.  A window
-    of more than half the block would save little over the whole block
-    and could fail again, so the whole block, built and solved as without
-    a window, takes its place and ends the widening.  A solve that misses
-    its own residual gate raises ConvergenceError.
+    The window is rows [lo, hi), the 2w + 1 rows centred on `centre`,
+    shifted inward where the block ends, with w = `half` at first.  A
+    window of more than half the block would save little and could fail
+    again, so it is the whole block, lo, hi = 0, n.  Only its rows and two
+    more on each side are built.  The solve is on B, the window bordered
+    by the row beside each inner edge, each border row's diagonal lowered
+    by |e_out|, its coupling to the row beyond, where that row exists.
+    B's pair, zero-padded to the whole block, is accepted when (a) each
+    border row has |amplitude| <= 1e-17 of the peak, and (b) the block's
+    slack floor, a bound on d_i - |e_(i-1)| - |e_i| over every row outside
+    [lo, hi), exceeds x = E - tol by 0.1 tol, tol being B's own residual
+    gate, which its solve has just met.  Otherwise the window recentres on
+    the largest amplitude, w doubles, and the solve repeats.  The whole
+    block has no border and a slack floor of inf, so it is accepted, and
+    it is the same matrix, with the same bits, as
+    `ground_eigenpair(block.rows(0, n))`.  A solve that misses its own
+    residual gate raises ConvergenceError.
+
+    Why E - tol is a lower bound.  Take any x' below both B's least
+    eigenvalue and the slack floor, as x is.  The rows outside the window
+    are strictly diagonally dominant in T - x'I and form a positive
+    definite C, and T - x'I is positive definite when the window W's Schur
+    complement W - L C^-1 L^T is, L coupling W to C.  That lowers W's edge
+    diagonals by e_link^2 / q_j, q_j being the pivot of C's border row j,
+    eliminated from the block's end: q_j > d_j - x' - |e_out| > |e_link|.
+    Lowering a diagonal further cannot make a matrix definite, and
+    eliminating row j from B - x'I, which is positive definite, lowers W's
+    edge by e_link^2 / (d_j - x' - |e_out|); so T - x'I is positive
+    definite.  Hence the block's least eigenvalue E0 exceeds E - tol, and,
+    where the slack floor lies above E as well, E0 is at least E, to within
+    the rounding of E and of the floor.  The padded vector's residual on the
+    block is B's, within tol, plus sqrt(2) |e_out| times the border
+    amplitude on each side, which (a) holds below 1e-17 |e| of the peak;
+    so E0 lies in (E - tol, E + that residual], and the residual is not
+    checked again.
 
     The margin 0.1 tol of (b) covers the slack floor's rounding, at most
     2.2e-16 of the block's scale h S + (S+1)/2.  The states M = S (odd:
@@ -276,10 +247,10 @@ def _window_eigenpair(block, centre: int, half: int = _WINDOW_HALF_WIDTH) -> tup
     E0 <= -max(h (S - 1), S/2), so on a windowed block (N >= 130) that
     scale is under 3 |E0|.  A window with E > E0/4 passes no certificate:
     at x = E - tol > E0/4 - 1e-9 |E0| it would, with no rounding that
-    matters, also prove T - (E0/2) I definite, which is false.  On any
-    other window, Gershgorin puts the window's scale, and with it tol/1e-10,
-    at least |E| >= |E0|/4 > 1/12 of the block's scale, so 0.1 tol exceeds
-    the floor's rounding thousands of times.
+    matters, also prove T - (E0/2) I definite, which is false.  On any other
+    window, Gershgorin puts B's scale, and with it tol/1e-10, at least
+    |E| >= |E0|/4 > 1/12 of the block's scale, so 0.1 tol exceeds the
+    floor's rounding thousands of times.
 
     The vector returned is |v|.  Every LMG block has e <= 0, so its exact
     ground vector b is >= 0 (Perron-Frobenius), and since
@@ -290,23 +261,27 @@ def _window_eigenpair(block, centre: int, half: int = _WINDOW_HALF_WIDTH) -> tup
     n = block.dimension
     while True:
         size = 2 * half + 1
-        if 2 * size > n:
-            energy, v = ground_eigenpair(block.rows(0, n))
-            return 0, energy, np.abs(v)
-        lo = min(max(0, centre - half), n - size)
-        hi = lo + size
+        lo, hi = 0, n
+        if 2 * size <= n:
+            lo = min(max(0, centre - half), n - size)
+            hi = lo + size
         elo = max(lo - 2, 0)
-        ext = block.rows(elo, min(hi + 2, n))
-        a, b = lo - elo, hi - elo
-        window = TridiagonalMatrix._trusted(ext.diagonal[a:b], ext.offdiagonal[a:b - 1])
-        energy, v = ground_eigenpair(window)
+        ext = block.rows(elo, min(hi + 2, n))  # fresh arrays: the borders are lowered in place
+        a, b = max(lo - 1, 0) - elo, min(hi + 1, n) - elo
+        d, e = ext.diagonal, ext.offdiagonal
+        if a > 0:  # row lo - 1 borders the window and couples to row lo - 2
+            d[a] -= abs(e[a - 1])
+        if b < ext.dimension:  # row hi borders it and couples to row hi + 1
+            d[b - 1] -= abs(e[b - 1])
+        bordered = TridiagonalMatrix._trusted(d[a:b], e[a:b - 1])
+        energy, v = ground_eigenpair(bordered)
         v = np.abs(v)
         edge = _WINDOW_EDGE_RELTOL * float(np.max(v))
-        if (lo == 0 or v[0] <= edge) and (hi == n or v[-1] <= edge):
-            tol = _RESIDUAL_FACTOR * _scaling(window)[1]
-            if _window_certified(block, ext, lo, hi, energy - tol, tol):
-                return lo, energy, v
-        centre = lo + int(np.argmax(v))
+        tol = _RESIDUAL_FACTOR * _scaling(bordered)[1]
+        if ((lo == 0 or v[0] <= edge) and (hi == n or v[-1] <= edge)
+                and block.slack_floor(lo, hi) - (energy - tol) > _SLACK_MARGIN * tol):
+            return elo + a, energy, v
+        centre = elo + a + int(np.argmax(v))
         half *= 2
 
 

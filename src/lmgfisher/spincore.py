@@ -44,9 +44,16 @@ def check_n_spins(n_spins) -> None:
         raise ValueError(f"n_spins must be an integer from 1 to the float maximum, got {n_spins!r}")
 
 
+def _real(x) -> bool:
+    """A real number and not a bool: numpy's floats and integers count."""
+    return isinstance(x, numbers.Real) and not isinstance(x, bool)
+
+
 class ModelParams(NamedTuple("ModelParams", [("n_spins", int), ("gamma", float), ("h", float)])):
     """One model instance: 1 <= N <= MAX_N_SPINS spins, anisotropy
-    0 <= gamma <= 1, field h >= 0 with h N finite."""
+    0 <= gamma <= 1, field h >= 0 with h N finite.  The fields are stored
+    as int(N), float(gamma) and float(h), so that a numpy float32 given
+    for gamma or h does not carry the Hamiltonian into float32."""
 
     __slots__ = ()
     _make = classmethod(lambda cls, fields: cls(*fields))  # _replace builds through it: both validate
@@ -56,13 +63,13 @@ class ModelParams(NamedTuple("ModelParams", [("n_spins", int), ("gamma", float),
         check_n_spins(n_spins)
         if n_spins > MAX_N_SPINS:
             raise ValueError(f"n_spins must be at most {MAX_N_SPINS}, got {n_spins}")
-        if not 0.0 <= gamma <= 1.0:
+        if not (_real(gamma) and 0.0 <= gamma <= 1.0):
             raise ValueError(f"gamma must lie in [0, 1], got {gamma}")
         # The block diagonal spans about h N (-h M for M in [-S, S]); past
         # the float range the solver's eigenvalue bounds overflow.
-        if not (h >= 0.0 and math.isfinite(h * float(n_spins))):
+        if not (_real(h) and h >= 0.0 and math.isfinite(float(h) * float(n_spins))):
             raise ValueError(f"h must be >= 0 with h N finite, got h = {h} at N = {n_spins}")
-        return super().__new__(cls, n_spins, gamma, h)
+        return super().__new__(cls, int(n_spins), float(gamma), float(h))
 
     @property
     def total_spin(self) -> float:

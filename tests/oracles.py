@@ -193,55 +193,17 @@ def dominant_outside(t, lo, hi, x):
     return least_row_sum_outside(t, lo, hi, x) > 0.0
 
 
-def pivot_floor(e):
-    """Pivots smaller than this in magnitude are clamped: the smallest normal
-    float, times max(1, max e^2)."""
-    return float(np.finfo(float).tiny) * max(1.0, float(np.max(np.square(e), initial=0.0)))
-
-
-def sturm_count(diagonal, offdiagonal, x, pivmin):
-    """Number of negative LDL^T pivots of T - xI, each pivot smaller than
-    pivmin in magnitude clamped to -pivmin: the count of eigenvalues below
-    x, exact hits included.  Each pivot is formed as (d - x) - (e / q) e,
-    in the order LAPACK's dpttrf uses, so that verdicts at x within an ulp
-    of an eigenvalue compare bit for bit."""
-    count = 0
-    for i, d in enumerate(diagonal):
-        q = d - x if i == 0 else (d - x) - (offdiagonal[i - 1] / q) * offdiagonal[i - 1]
-        if abs(q) < pivmin:
-            q = -pivmin
-        count += q < 0.0
-    return count
-
-
-def window_certified(t, lo, hi, x):
-    """The window certificate read off the whole block t: `dominant_outside`,
-    then the Sturm count of the window with its edge diagonals lowered by
-    the Schur bound, which must be 0 (see solver._window_certified)."""
-    if not dominant_outside(t, lo, hi, x):
-        return False
-    d, ae = t.diagonal, np.abs(t.offdiagonal)
-    diagonal = d[lo:hi].tolist()
-    if lo > 0:
-        inner = float(ae[lo - 2]) if lo > 1 else 0.0
-        diagonal[0] -= float(ae[lo - 1]) ** 2 / (float(d[lo - 1]) - x - inner)
-    if hi < d.size:
-        inner = float(ae[hi]) if hi < ae.size else 0.0
-        diagonal[-1] -= float(ae[hi - 1]) ** 2 / (float(d[hi]) - x - inner)
-    w = t.offdiagonal[lo:hi - 1].tolist()
-    return sturm_count(diagonal, w, x, pivot_floor(w)) == 0
-
-
 class ArrayBlock:
     """A whole TridiagonalMatrix served the way the solver reads an LMG
-    block: `dimension`, `rows(lo, hi)` and the exact `slack_floor(lo, hi)`."""
+    block: `dimension`, `rows(lo, hi)` in fresh arrays and the exact
+    `slack_floor(lo, hi)`."""
 
     def __init__(self, t):
         self.t = t
         self.dimension = t.dimension
 
     def rows(self, lo, hi):
-        return type(self.t)(self.t.diagonal[lo:hi], self.t.offdiagonal[lo:hi - 1])
+        return type(self.t)(self.t.diagonal[lo:hi].copy(), self.t.offdiagonal[lo:hi - 1].copy())
 
     def slack_floor(self, lo, hi):
         return least_row_sum_outside(self.t, lo, hi)

@@ -244,3 +244,13 @@ def test_critical_scaling_prediction_fields():
     assert exps.qcr_exponent == pytest.approx(-5.0 / 6.0, abs=0.0)
     assert exps.sx2_moment_exponent == pytest.approx(-2.0 / 3.0, abs=0.0)
     assert exps.sy2_moment_exponent == pytest.approx(-4.0 / 3.0, abs=0.0)
+
+
+@pytest.mark.parametrize("h", [0.5, 1.5])
+def test_tl_prediction_computes_in_float64(h):
+    # numpy float32 fields give the Python-float result, in Python floats:
+    # computed in float32 (NEP 50), chi2 was 1.7e-8 off at h = 1.5.
+    h32, g32 = np.float32(h), np.float32(0.3)
+    got = tl_prediction(h32, g32, 1000)
+    assert got == tl_prediction(float(h32), float(g32), 1000)
+    assert all(type(value) is float for value in got)

@@ -49,8 +49,8 @@ def test_tracer_targets_resolve_and_count_rows():
 
 
 @pytest.mark.parametrize("workload,counts", [
-    ("critical-ladder", (14, 2210, 2238)),
-    ("phase-grid-j2", (36, 7676, 7772)),
+    ("critical-ladder", (14, 2224, 2238)),
+    ("phase-grid-j2", (36, 7724, 7772)),
 ], ids=["critical-ladder", "phase-grid-j2"])
 def test_traced_work_of_the_seed_0_workloads(tmp_path, workload, counts):
     # The harness's traced pass in miniature: the seed-0 commands, run

@@ -59,6 +59,30 @@ def test_ground_state_survives_a_pickle_round_trip():
     assert np.array_equal(back.sector(), gs.sector())
 
 
+def test_numpy_fields_solve_with_the_float64_bits():
+    # ModelParams stores int(N), float(gamma) and float(h).  Kept as numpy
+    # float32, gamma and h would carry the Hamiltonian's coefficients into
+    # float32 (NEP 50), which moved E by 6e-9 and chi2 by 6e-8 relative.
+    # The constructor, _replace and unpickling (here of a record forged with
+    # numpy fields) give the Python-float bits;
+    # a bool or a non-real gamma or h is rejected like an out-of-range one.
+    g32, h32 = np.float32(0.3), np.float32(0.7)
+    for n in (10, 1000):
+        ref = ModelParams(n, float(g32), float(h32))
+        expected = (lmg_ground_state(ref).energy, metrology.report(lmg_ground_state(ref)))
+        for params in (ModelParams(np.int64(n), g32, h32), ModelParams(n, 0.5, 0.5)._replace(gamma=g32, h=h32),
+                       pickle.loads(pickle.dumps(tuple.__new__(ModelParams, (np.int64(n), g32, h32))))):
+            assert [type(field) for field in params] == [int, float, float] and params == ref
+            gs = lmg_ground_state(params)
+            assert (gs.energy, metrology.report(gs)) == expected
+    base = ModelParams(10, 0.5, 0.5)
+    for bad, message in (({"gamma": True}, "gamma must lie"), ({"gamma": np.True_}, "gamma must lie"),
+                         ({"gamma": 0.5 + 0j}, "gamma must lie"), ({"h": True}, "h must be"),
+                         ({"h": np.False_}, "h must be"), ({"h": "0.5"}, "h must be")):
+        with pytest.raises(ValueError, match=message):
+            base._replace(**bad)
+
+
 def _strided(values):
     """`values` as a float64 view with stride 3 that owns no data."""
     base = np.zeros(3 * len(values))
@@ -77,8 +101,8 @@ _BUFFER_FORMS = {
 
 @pytest.mark.parametrize("form", sorted(_BUFFER_FORMS))
 def test_lapack_gets_contiguous_float64_copies(form):
-    # ground_eigenpair and _definite pass LAPACK raw addresses, so they must
-    # give the same bits on any array-like as on a contiguous float64 copy.
+    # ground_eigenpair passes LAPACK raw addresses, so it must give the
+    # same bits on any array-like as on a contiguous float64 copy.
     make = _BUFFER_FORMS[form]
     rng = np.random.default_rng(24)
     for dim in (1, 2, 7, 40):
@@ -88,12 +112,6 @@ def test_lapack_gets_contiguous_float64_copies(form):
         e_ref, v_ref = ground_eigenpair(TridiagonalMatrix(d.copy(), e.copy()))
         energy, vec = ground_eigenpair(viewed)
         assert energy == e_ref and np.array_equal(vec, v_ref)
-        verdicts = set()
-        for x in (np.min(d) - 20.0, 0.0, math.floor(e_ref), math.ceil(e_ref)):  # integer shifts
-            verdict = solver._definite(make(d - x), make(e))
-            assert verdict == solver._definite((d - x).copy(), e.copy())
-            verdicts.add(verdict)
-        assert verdicts == {True, False}
 
 
 def test_lapack_address_takes_only_fresh_contiguous_buffers():
@@ -104,8 +122,8 @@ def test_lapack_address_takes_only_fresh_contiguous_buffers():
                 np.zeros((3, 1))):
         with pytest.raises(ValueError, match="fresh C-contiguous"):
             solver._address(bad, 3)
-    with pytest.raises(ValueError, match="vector of length 2"):  # dpttrf would read past a short off-diagonal
-        solver._definite([1.0, 2.0, 3.0], [0.5])
+    with pytest.raises(ValueError, match="vector of length 3"):  # LAPACK would read past a short buffer
+        solver._address(np.zeros(2), 3)
 
 
 def test_ground_eigenpair_trivial_1x1():
@@ -130,19 +148,6 @@ def test_ground_eigenpair_2x2_matches_its_closed_form(a, c, b, j):
     along *= np.sign(along[np.argmax(np.abs(along))])
     assert math.ldexp(energy, -j) == pytest.approx(expected, rel=4e-16, abs=4e-16)
     np.testing.assert_allclose(vec, along, rtol=0.0, atol=4e-16)
-
-
-def test_definite_matches_the_signs_of_the_ldlt_pivots():
-    # One and two rows: dpttrf's pivots are d0 and d1 - (e/d0) e, and the
-    # matrix is definite when every one is > 0 (a subnormal pivot counts).
-    for d0 in (-1.0, -5e-324, 0.0, 5e-324, 1.0, 1e308):
-        assert solver._definite([d0], []) == (d0 > 0.0)
-    values = (-2.0, 0.0, 0.25, 1.0, 3.0)
-    for d0 in values:
-        for d1 in values:
-            for e in (0.0, 0.5, -1.0, 2.0):
-                definite = d0 > 0.0 and d1 - (e / d0) * e > 0.0
-                assert solver._definite([d0, d1], [e]) == definite, (d0, d1, e)
 
 
 def test_ground_eigenpair_2x2_closed_form():
@@ -554,45 +559,54 @@ def test_window_edge_coupling_hides_a_lower_eigenvalue(mirrored):
     assert abs(float(vec @ v_ref)) == pytest.approx(1.0, abs=1e-8)
 
 
-def definite_matches_sturm_count(diagonal, e, x):
-    """solver._definite on T - xI, checked against a Sturm count of 0 that
-    clamps only a zero pivot; returns it."""
-    diagonal, e = np.asarray(diagonal, dtype=float), np.asarray(e, dtype=float)
-    verdict = solver._definite(diagonal - x, e)
-    least = float(np.nextafter(0.0, 1.0))  # |q| < least only for q = 0
-    assert verdict == (oracles.sturm_count(diagonal.tolist(), e.tolist(), x, least) == 0), (diagonal, e, x)
-    return verdict
+class _Widened(Exception):
+    """A second solve: the window loop did not accept its first window."""
 
 
-def test_definite_is_a_sturm_count_of_zero():
-    tiny = float(np.finfo(float).tiny)
-    assert not definite_matches_sturm_count([2.0], [], 2.0)  # a zero first pivot
-    assert not definite_matches_sturm_count([1.0, 1.0], [1.0], 0.0)  # a zero second pivot
-    assert definite_matches_sturm_count([1e-310], [], 0.0)  # subnormal, but > 0
-    assert not definite_matches_sturm_count([1e-310, 1.0], [1.0], 0.0)  # its successor is -inf
-    assert definite_matches_sturm_count([tiny], [], 0.0)
-    assert not definite_matches_sturm_count([-tiny], [], 0.0)
-    assert definite_matches_sturm_count([3.0, 2.0, 3.0], [-1.0, -1.0], 0.0)
-    # LMG windows at x one ulp either side of, and at, each eigenvalue.
-    rng = np.random.default_rng(20261018)
-    verdicts = set()
-    for _ in range(200):
-        params = ModelParams(int(rng.integers(2, 400)), float(rng.uniform(0.0, 1.0)),
-                             float(rng.uniform(0.0, 3.0)))
-        block = solver._Block(params, EVEN if rng.integers(2) else ODD)
-        size = int(rng.integers(1, min(block.dimension, 12) + 1))
-        lo = int(rng.integers(0, block.dimension - size + 1))
-        t = block.rows(lo, lo + size)
-        for value in np.linalg.eigvalsh(oracles.to_dense(t)):
-            for x in (np.nextafter(value, -np.inf), value, np.nextafter(value, np.inf)):
-                verdicts.add(definite_matches_sturm_count(t.diagonal, t.offdiagonal, float(x)))
-    assert verdicts == {False, True}
+def first_pass(block, lo, hi):
+    """One pass of solver._window_eigenpair over rows [lo, hi), which must
+    have an odd count: whether it is accepted, and the bordered window
+    solved, with its energy."""
+    solved = []
+    solve = solver.ground_eigenpair
+
+    def once(t):
+        if solved:
+            raise _Widened
+        solved.append((t, *solve(t)))
+        return solved[0][1:]
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(solver, "ground_eigenpair", once)
+        try:
+            solver._window_eigenpair(block, (lo + hi) // 2, (hi - lo) // 2)
+        except _Widened:
+            return False, solved[0][0], solved[0][1]
+    return True, solved[0][0], solved[0][1]
 
 
-def certified(block, lo, hi, x, tol):
-    """solver._window_certified on rows lo:hi, given the rows it reads."""
-    ext = block.rows(max(lo - 2, 0), min(hi + 2, block.dimension))
-    return solver._window_certified(block, ext, lo, hi, x, tol)
+def check_lower_bound(block, whole, least, windows):
+    """Check (b) alone on each window of `windows`, one pass each.  Where it
+    accepts, the bordered window's energy E is at most the whole block's
+    least eigenvalue, within 2 ulps of the block's scale: the certificate
+    proves E - tol, and on these windows E itself is a lower bound.  Where
+    a row of the whole block outside the window is not diagonally dominant
+    at the certificate's x = E - tol, it rejects.  Returns the verdicts on
+    the windows whose bordered rows are a strict part of the block."""
+    scale = np.max(np.abs(whole.diagonal)) + 2.0 * np.max(np.abs(whole.offdiagonal), initial=0.0)
+    ulps = 2.0 * float(np.finfo(float).eps) * scale
+    verdicts = []
+    for lo, hi in windows:
+        if 2 * (hi - lo) > block.dimension:  # the solver takes the whole block instead
+            lo, hi = 0, block.dimension
+        accepted, bordered, energy = first_pass(block, lo, hi)
+        if accepted:
+            assert energy <= least + ulps, (lo, hi, energy - least)
+        if not oracles.dominant_outside(whole, lo, hi, energy - oracles.residual_tolerance(bordered)):
+            assert not accepted, (lo, hi)
+        if bordered.dimension < block.dimension:
+            verdicts.append(accepted)
+    return verdicts
 
 
 def certificate_windows(dim):
@@ -607,22 +621,18 @@ def certificate_windows(dim):
     return sorted(out)
 
 
-def test_certificate_reads_the_slack_beyond_the_window_edges():
-    # A steep convex well whose non-dominant rows R lie within a few rows of
+def test_certificate_reads_the_slack_beyond_the_window_edges(monkeypatch):
+    # A steep convex well whose non-dominant rows lie within a few rows of
     # row 150.  A window away from it has dominant rows beside its edges,
     # but rows further beyond one edge are not dominant, so the slack floor
-    # over the rows outside it stays below x and the window is not
-    # certified.
+    # over the rows outside it stays below x = E - tol and the window is
+    # not certified.  The edge test (a) is made vacuous, so that (b) alone
+    # decides.
+    monkeypatch.setattr(solver, "_WINDOW_EDGE_RELTOL", math.inf)
     rows = np.arange(301.0)
     t = TridiagonalMatrix(0.01 * (rows - 150.0) ** 2, np.full(300, -0.5))
-    block = oracles.ArrayBlock(t)
-    x = oracles.tridiagonal_ground(t)[0] - 1e-3
-    verdicts = []
-    for lo in range(0, 269, 3):
-        tol = oracles.residual_tolerance(block.rows(lo, lo + 33))
-        verdict = certified(block, lo, lo + 33, x, tol)
-        assert verdict == oracles.window_certified(t, lo, lo + 33, x), lo
-        verdicts.append(verdict)
+    least = float(np.linalg.eigvalsh(oracles.to_dense(t))[0])
+    verdicts = check_lower_bound(oracles.ArrayBlock(t), t, least, [(lo, lo + 33) for lo in range(0, 269, 3)])
     assert any(verdicts) and not all(verdicts)
 
 
@@ -630,25 +640,26 @@ CERTIFICATE_GRID = [(n, gamma) for n in (3, 10, 101, 600, 10001) for gamma in (0
 
 
 @pytest.mark.parametrize("n,gamma", CERTIFICATE_GRID)
-def test_certificate_matches_the_whole_block_oracle(n, gamma):
-    # The window certificate reads two rows beside each window edge and the
-    # closed-form slack floor; the oracle tests every row of the whole
-    # block.  x is the window's own energy minus its own residual gate, as
-    # in the solver.
+def test_certificate_matches_the_whole_block_oracle(monkeypatch, n, gamma):
+    # Check (b) reads the bordered window's rows and the closed-form slack
+    # floor; its energy must bound the whole block's least eigenvalue, from
+    # scipy's bisection on the whole block, from below, and it must reject
+    # wherever the whole block has a row outside the window that is not
+    # dominant at x = E - tol.  The edge test (a) is made vacuous, so that
+    # (b) alone decides.
+    linalg = pytest.importorskip("scipy.linalg")
+    monkeypatch.setattr(solver, "_WINDOW_EDGE_RELTOL", math.inf)
     verdicts = []
     for h in np.linspace(0.0, 3.0, 13):
         params = ModelParams(n, gamma, float(h))
         for parity in (EVEN, ODD):
             block = solver._Block(params, parity)
             whole = build_sector_matrix(params, parity)
-            for lo, hi in certificate_windows(block.dimension):
-                window = block.rows(lo, hi)
-                tol = oracles.residual_tolerance(window)
-                x = ground_eigenpair(window)[0] - tol
-                verdict = certified(block, lo, hi, x, tol)
-                assert verdict == oracles.window_certified(whole, lo, hi, x), (h, parity, lo, hi)
-                verdicts.append(verdict)
-    assert any(verdicts) and not all(verdicts)
+            least = float(linalg.eigvalsh_tridiagonal(whole.diagonal, whole.offdiagonal, select="i",
+                                                      select_range=(0, 0))[0])
+            verdicts += check_lower_bound(block, whole, least, certificate_windows(block.dimension))
+    # At N = 3 both blocks have 2 rows, so every bordered window is the whole block.
+    assert (any(verdicts) and not all(verdicts)) if n > 3 else not verdicts
 
 
 def block_scale(block):
@@ -703,10 +714,14 @@ def test_slack_floor_at_large_n_matches_built_rows(n):
 def test_isotropic_large_n_accepts_the_first_window(monkeypatch, h):
     # At gamma = 1 the ground state is one Dicke row, which the first
     # 33-row window of each block holds with room to spare, though the
-    # diagonal is nearly flat beside it: neither block should widen.
+    # diagonal is nearly flat beside it: neither block should widen.  Each
+    # solve carries the row beside each inner edge: two at h = 0.5, where
+    # the window sits inside the block, and one at h = 1, where it starts
+    # at the block's first row.
     rows = record_block_rows(monkeypatch)
     lmg_ground_state(ModelParams(10**8, 1.0, h))
-    assert rows == [33, 33]
+    inner_edges = 2 if h < 1.0 else 1
+    assert rows == [33 + inner_edges] * 2
 
 
 def test_broken_phase_first_window_holds_the_state(monkeypatch):
@@ -728,32 +743,17 @@ def test_broken_phase_first_window_holds_the_state(monkeypatch):
         assert len(rows) == 2, params
 
 
-def record_definite_rows(monkeypatch):
-    """Wrap solver._definite; the returned list collects each tested dimension."""
-    counted = []
-    definite = solver._definite
-
-    def recording(d, e):
-        counted.append(len(d))
-        return definite(d, e)
-
-    monkeypatch.setattr(solver, "_definite", recording)
-    return counted
-
-
 @pytest.mark.parametrize("h", [0.5, 1.0, 1.5])
 def test_large_n_solves_one_window_per_block(monkeypatch, h):
     # Each block's first window holds its state: exactly one solve per
-    # block, and one certificate each, on the rows of the accepted window
-    # and the row beside each edge inside the block.  At h = 0.5 the window
-    # sits inside the block; at h = 1 and 1.5 it starts at the block's
-    # first row.
+    # block, on the 2w + 1 rows of the window and the row beside each edge
+    # inside the block.  At h = 0.5 the window sits inside the block; at
+    # h = 1 and 1.5 it starts at the block's first row.
     rows = record_block_rows(monkeypatch)
-    counted = record_definite_rows(monkeypatch)
-    lmg_ground_state(ModelParams(10**6, 0.5, h))
+    params = ModelParams(10**6, 0.5, h)
+    lmg_ground_state(params)
     inner_edges = 2 if h < 1.0 else 1
-    assert len(rows) == 2
-    assert counted == [r + inner_edges for r in rows]
+    assert rows == [2 * solver._first_window(params) + 1 + inner_edges] * 2
 
 
 @pytest.mark.parametrize("n", [10**4, 10**6, 10**9])
@@ -762,10 +762,11 @@ def test_critical_first_window_holds_the_state(monkeypatch, gamma, n):
     # At h = 1 each block's lowest state reaches 1e-17 of its peak at most
     # 7.44 ((1-gamma)N)^(1/3) rows from the top; the first window, 8 of
     # those units plus one row, is accepted in each block without widening.
+    # It starts at the top row, so its solve carries one border row.
     rows = record_block_rows(monkeypatch)
     lmg_ground_state(ModelParams(n, gamma, 1.0))
     half = math.ceil(4.0 * ((1.0 - gamma) * n) ** (1.0 / 3.0))
-    assert rows == [2 * half + 1] * 2
+    assert rows == [2 * half + 2] * 2
 
 
 @pytest.mark.parametrize("gamma,h,half", [
@@ -781,11 +782,10 @@ def test_deep_phase_first_windows_are_unchanged(gamma, h, half):
 
 def test_critical_point_work_stays_sublinear(monkeypatch):
     # Whole-block solves would hand 50001 + 50001 rows to the eigensolver,
-    # a whole-block certificate would test 50001 rows, and building the
-    # whole blocks would make 50001 rows each.  A window builds two more
-    # rows beside each edge, and its certificate tests one of them.
+    # and building the whole blocks would make 50001 rows each.  A window
+    # builds two more rows beside each edge, and its solve takes one of
+    # them.
     rows = record_block_rows(monkeypatch)
-    counted = record_definite_rows(monkeypatch)
     built = []
     build = solver.build_sector_matrix
 
@@ -797,8 +797,7 @@ def test_critical_point_work_stays_sublinear(monkeypatch):
     monkeypatch.setattr(solver, "build_sector_matrix", building)
     lmg_ground_state(ModelParams(100001, 0.5, 1.0))
     assert sum(rows) < 5000
-    assert max(counted) <= max(rows) + 2
-    assert max(built) <= max(rows) + 4
+    assert max(built) <= max(rows) + 2
 
 
 def test_large_ground_state_memory_follows_the_window():
