@@ -14,7 +14,7 @@ import math
 from collections.abc import Iterator
 from typing import NamedTuple
 
-from .spincore import check_n_spins, spin_flip_count
+from .spincore import model_fields, spin_flip_count
 
 
 class Phase(enum.Enum):
@@ -32,15 +32,9 @@ class IsotropicBrokenError(ValueError):
     closed forms apply there instead."""
 
 
-def _check_field(h: float) -> None:
-    """The field domain of every closed form: h finite and >= 0."""
-    if not 0.0 <= h < math.inf:
-        raise ValueError(f"h must be finite and >= 0, got {h}")
-
-
 def classify_phase(h: float) -> Phase:
     """symmetric for h > 1, critical at h = 1, broken for 0 <= h < 1."""
-    _check_field(h)
+    h = model_fields(h=h)[2]
     if h > 1.0:
         return Phase.SYMMETRIC
     if h == 1.0:
@@ -59,9 +53,9 @@ def isotropic_energy(n_spins: int, m: float, h: float) -> float:
     term grows as h^2, so E is finite wherever h N is; at h >= 1 the
     ground state M = N/2 gives E = -h N.
     """
-    _check_field(h)
-    check_n_spins(n_spins)
-    spin_flip_count(n_spins / 2.0, m)
+    n_spins, _, h = model_fields(n_spins, h=h)
+    s = n_spins / 2.0
+    m = s - spin_flip_count(s, m)
     return m * (2.0 * m / n_spins) - 2.0 * h * m - n_spins / 2.0
 
 
@@ -71,8 +65,7 @@ def isotropic_ground_m(n_spins: int, h: float) -> float:
     M0 = N/2 for h >= 1 and N/2 - round(N(1-h)/2) below; exact half-way
     arguments (level crossings) round toward the larger M0.
     """
-    _check_field(h)
-    check_n_spins(n_spins)
+    n_spins, _, h = model_fields(n_spins, h=h)
     s = n_spins / 2.0
     if h >= 1.0:
         return s
@@ -83,7 +76,7 @@ def isotropic_ground_m(n_spins: int, h: float) -> float:
 def isotropic_level_crossings(n_spins: int) -> Iterator[float]:
     """Fields h_j = 1 - (2j+1)/N > 0 where |S, S-j> and |S, S-j-1> cross,
     for j = 0 ... N//2 - 1, made one at a time; N is checked at the call."""
-    check_n_spins(n_spins)
+    n_spins = model_fields(n_spins)[0]
     if n_spins < 2:
         raise ValueError(f"n_spins must be >= 2, got {n_spins}")
     return (1.0 - (2 * j + 1) / n_spins for j in range(n_spins // 2))
@@ -114,11 +107,7 @@ def tl_prediction(h: float, gamma: float, n_spins: int) -> TlPrediction:
         <S_y^2> = (N/4) sqrt((1-h^2)/(1-gamma)),
         xi1^2 = sqrt((1-h^2)/(1-gamma)),   chi2 = 1/((N+2)(1-h^2)).
     """
-    if not 0.0 <= gamma <= 1.0:
-        raise ValueError(f"gamma must lie in [0, 1], got {gamma}")
-    _check_field(h)
-    check_n_spins(n_spins)
-    h, gamma = float(h), float(gamma)  # a numpy float32 would keep the arithmetic in float32
+    n_spins, gamma, h = model_fields(n_spins, gamma, h)
     if h == 1.0:
         raise CriticalPointError("thermodynamic-limit moments diverge at h = 1")
     n = float(n_spins)

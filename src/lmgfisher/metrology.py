@@ -17,7 +17,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .solver import GroundState
-from .spincore import check_n_spins, double_raising_element, spin_flip_count
+from .spincore import double_raising_element, model_fields, spin_flip_count
 
 MEAN_SPIN_FLOOR = 1e-12  # |<S_z>| <= this times N (rounding noise grows with N) reports xi2^2 = inf
 _NORM_TOL = 1e-12
@@ -110,21 +110,23 @@ def dicke_metrics(n_spins: int, m: float) -> MetrologyReport:
     with equality chi2 = 1 exactly at M = +-S.  xi2^2 is infinite at
     M = 0 (no mean spin).
     """
-    check_n_spins(n_spins)
+    n_spins = model_fields(n_spins)[0]
     s = n_spins / 2.0
-    spin_flip_count(s, m)
+    m = s - spin_flip_count(s, m)
     variance = 0.5 * (s * s + s - m * m)
-    return _report_from_variances(n_spins, variance, variance, float(m))
+    return _report_from_variances(n_spins, variance, variance, m)
 
 
 def cat_state_metrics(n_spins: int) -> MetrologyReport:
     """Report for the GHZ-like superposition (|S,S> + |S,-S>)/sqrt(2).
 
-    All first moments vanish and the maximal variance is (Delta S_z)^2 =
-    S^2, giving chi2 = 1/N and a phase uncertainty of exactly 1/N; with
-    no mean spin, xi2^2 is reported infinite.
+    For N >= 2 all first moments vanish and the maximal variance is
+    (Delta S_z)^2 = S^2, giving chi2 = 1/N and a phase uncertainty of
+    exactly 1/N; with no mean spin, xi2^2 is reported infinite.  At N = 1
+    the state is the coherent state along x: its mean spin 1/2 lies along
+    x, both variances across it are 1/4, and F = xi1^2 = xi2^2 = 1.
     """
-    check_n_spins(n_spins)
+    n_spins = model_fields(n_spins)[0]
     s = n_spins / 2.0
     vmax = s * s
     transverse = 0.5 * s
@@ -133,4 +135,4 @@ def cat_state_metrics(n_spins: int) -> MetrologyReport:
         vmin = 0.0
     else:
         vmin = transverse
-    return _report_from_variances(n_spins, vmin, vmax, 0.0)
+    return _report_from_variances(n_spins, vmin, vmax, s if n_spins == 1 else 0.0)

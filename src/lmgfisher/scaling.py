@@ -18,9 +18,12 @@ class ScalingFit(NamedTuple):
 
 
 def _split(points) -> tuple[np.ndarray, np.ndarray]:
+    """The points' sizes and values as float arrays; both must be finite."""
     pts = list(points)
     x = np.array([p[0] for p in pts], dtype=float)
     y = np.array([p[1] for p in pts], dtype=float)
+    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
+        raise ValueError("sizes and values must be finite")
     return x, y
 
 

@@ -35,41 +35,40 @@ PARITIES = (EVEN, ODD)
 MAX_N_SPINS = 10**9
 
 
-def check_n_spins(n_spins) -> None:
-    """The domain of N for the model and its closed forms: an integer, not a
-    bool, from 1 to the float maximum, since S = N/2 and h N are computed
-    in floats."""
+def model_fields(n_spins=1, gamma=0.0, h=0.0) -> tuple[int, float, float]:
+    """N, gamma and h checked against the domain that the model and its
+    closed forms share, and returned as int, float and float: N an integer
+    from 1 to the float maximum, since S = N/2 and h N are computed in
+    floats; 0 <= gamma <= 1; h finite and >= 0.  A bool is no field, and
+    numpy integers and floats count, so a float32 field does not carry
+    the arithmetic into float32."""
     if (isinstance(n_spins, bool) or not isinstance(n_spins, numbers.Integral)
             or not 1 <= n_spins <= sys.float_info.max):
         raise ValueError(f"n_spins must be an integer from 1 to the float maximum, got {n_spins!r}")
-
-
-def _real(x) -> bool:
-    """A real number and not a bool: numpy's floats and integers count."""
-    return isinstance(x, numbers.Real) and not isinstance(x, bool)
+    if isinstance(gamma, bool) or not isinstance(gamma, numbers.Real) or not 0.0 <= gamma <= 1.0:
+        raise ValueError(f"gamma must lie in [0, 1], got {gamma}")
+    if isinstance(h, bool) or not isinstance(h, numbers.Real) or not 0.0 <= h < math.inf:
+        raise ValueError(f"h must be >= 0 and finite, got {h}")
+    return int(n_spins), float(gamma), float(h)
 
 
 class ModelParams(NamedTuple("ModelParams", [("n_spins", int), ("gamma", float), ("h", float)])):
-    """One model instance: 1 <= N <= MAX_N_SPINS spins, anisotropy
-    0 <= gamma <= 1, field h >= 0 with h N finite.  The fields are stored
-    as int(N), float(gamma) and float(h), so that a numpy float32 given
-    for gamma or h does not carry the Hamiltonian into float32."""
+    """One model instance: the fields of `model_fields`, with N at most
+    MAX_N_SPINS and h N finite, stored as int(N), float(gamma), float(h)."""
 
     __slots__ = ()
     _make = classmethod(lambda cls, fields: cls(*fields))  # _replace builds through it: both validate
     __reduce__ = lambda self: (type(self), tuple(self))  # unpickling validates too, at every protocol
 
     def __new__(cls, n_spins: int, gamma: float, h: float):
-        check_n_spins(n_spins)
+        n_spins, gamma, h = model_fields(n_spins, gamma, h)
         if n_spins > MAX_N_SPINS:
             raise ValueError(f"n_spins must be at most {MAX_N_SPINS}, got {n_spins}")
-        if not (_real(gamma) and 0.0 <= gamma <= 1.0):
-            raise ValueError(f"gamma must lie in [0, 1], got {gamma}")
         # The block diagonal spans about h N (-h M for M in [-S, S]); past
         # the float range the solver's eigenvalue bounds overflow.
-        if not (_real(h) and h >= 0.0 and math.isfinite(float(h) * float(n_spins))):
+        if not math.isfinite(h * n_spins):
             raise ValueError(f"h must be >= 0 with h N finite, got h = {h} at N = {n_spins}")
-        return super().__new__(cls, int(n_spins), float(gamma), float(h))
+        return super().__new__(cls, n_spins, gamma, h)
 
     @property
     def total_spin(self) -> float:
@@ -110,8 +109,9 @@ def tridiagonal_matvec(diagonal: np.ndarray, offdiagonal: np.ndarray, v: np.ndar
 
 
 def spin_flip_count(total_spin: float, m: float) -> int:
-    """Number of flipped spins S - M; validates the (S, M) pair."""
-    k = total_spin - m
+    """Number of flipped spins S - M; validates the (S, M) pair, M a real
+    number and not a bool."""
+    k = total_spin - m if isinstance(m, numbers.Real) and not isinstance(m, bool) else math.nan
     if not math.isfinite(k):
         raise ValueError(f"invalid magnetic quantum number M={m} for S={total_spin}")
     ki = int(round(k))
@@ -142,9 +142,12 @@ def block_top(params: ModelParams, parity: str) -> float:
 
 def sector_row(params: ModelParams, parity: str, m: float) -> int:
     """The row of one parity block whose M is nearest m, the upper row
-    (larger M) on a tie; m beyond the block gives its end row."""
-    count = sector_dimension(params, parity)
-    return int(min(max(math.ceil((block_top(params, parity) - m) / 2.0 - 0.5), 0), count - 1))
+    (larger M) on a tie; m beyond the block, +-inf included, gives its end
+    row."""
+    if math.isnan(m):
+        raise ValueError(f"m must be a number, got {m}")
+    row = (block_top(params, parity) - m) / 2.0 - 0.5
+    return math.ceil(min(max(row, 0), sector_dimension(params, parity) - 1))
 
 
 def build_sector(params: ModelParams, parity: str, lo: int = 0, hi: int | None = None) -> np.ndarray:
@@ -153,7 +156,8 @@ def build_sector(params: ModelParams, parity: str, lo: int = 0, hi: int | None =
     count = sector_dimension(params, parity)
     if hi is None:
         hi = count
-    if not 0 <= lo < hi <= count:
+    if (isinstance(lo, bool) or isinstance(hi, bool) or not isinstance(lo, numbers.Integral)
+            or not isinstance(hi, numbers.Integral) or not 0 <= lo < hi <= count):
         raise ValueError(f"rows [{lo}, {hi}) do not lie in a block of {count} rows")
     return block_top(params, parity) - 2.0 * np.arange(lo, hi)
 

@@ -1,4 +1,5 @@
 import math
+from collections.abc import Iterator
 
 import numpy as np
 import pytest
@@ -65,6 +66,38 @@ def test_closed_forms_take_the_model_n_rule(call):
     with pytest.raises(ValueError) as caught:
         call()
     assert type(caught.value) is ValueError
+
+
+_CLOSED_FORMS = {  # each public closed form, with one valid value of every argument
+    "phase": (classify_phase, (0.3,)),
+    "energy": (isotropic_energy, (100, 10.0, 0.3)),
+    "ground-m": (isotropic_ground_m, (100, 0.3)),
+    "crossings": (isotropic_level_crossings, (10,)),
+    "tl": (tl_prediction, (0.3, 0.5, 100)),
+    "dicke": (dicke_metrics, (100, 10.0)),
+    "cat": (cat_state_metrics, (100,)),
+}
+
+
+def _typed_bits(result):
+    """The Python type, and for a float the bits, of each value a closed form gives."""
+    values = list(result) if isinstance(result, (tuple, Iterator)) else [result]
+    return [(type(v), v.hex() if type(v) is float else v) for v in values]
+
+
+@pytest.mark.parametrize("name", _CLOSED_FORMS)
+def test_closed_forms_take_the_model_fields(name):
+    # One domain for N, gamma, h and M: a bool is none of them, and a numpy
+    # int64 or float32 is the Python int or float of its value, so the
+    # arithmetic and the results are those of the Python call, bit for bit.
+    form, args = _CLOSED_FORMS[name]
+    for i in range(len(args)):
+        with pytest.raises(ValueError) as caught:
+            form(*args[:i], True, *args[i + 1:])
+        assert type(caught.value) is ValueError
+    numpy_args = [np.int64(a) if type(a) is int else np.float32(a) for a in args]
+    python_args = [int(a) if type(a) is np.int64 else float(a) for a in numpy_args]
+    assert _typed_bits(form(*numpy_args)) == _typed_bits(form(*python_args))
 
 
 def test_isotropic_energy_formula():

@@ -173,6 +173,33 @@ def test_cat_state_metrics():
         assert cat_state_metrics(n).chi2 * n == pytest.approx(1.0, abs=0.0)
 
 
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_cat_state_metrics_match_dense_moments(n):
+    # The report's quantities on the dense cat vector: F = 4 max Var over
+    # every axis, and xi1^2, xi2^2 from the least variance across the mean
+    # spin (across z where it vanishes).  At N = 1 the cat is the coherent
+    # state along x, with mean spin 1/2.
+    _, sx, sy, sz = oracles.spin_matrices(n)
+    psi = np.zeros(n + 1)
+    psi[[0, -1]] = 1.0 / math.sqrt(2.0)
+    ops = (sx, sy, sz)
+    mean = np.array([(psi @ a @ psi).real for a in ops])
+    cov = np.array([[(psi @ (a @ b + b @ a) @ psi).real / 2.0 for b in ops] for a in ops]) - np.outer(mean, mean)
+    length = np.linalg.norm(mean)
+    axis = mean / length if length > 1e-12 else np.array([0.0, 0.0, 1.0])
+    across = np.linalg.svd(axis[None, :])[2][1:].T  # orthonormal basis of the plane across the axis
+    vmin = np.linalg.eigvalsh(across.T @ cov @ across).min()
+    fisher = 4.0 * np.linalg.eigvalsh(cov).max()
+    rep = cat_state_metrics(n)
+    assert rep.fisher == pytest.approx(fisher, abs=1e-12)
+    assert rep.chi2 == pytest.approx(n / fisher, abs=1e-12)
+    assert rep.xi1_2 == pytest.approx(4.0 * vmin / n, abs=1e-12)
+    if length > 1e-12:
+        assert rep.xi2_2 == pytest.approx(n * vmin / length**2, abs=1e-12)
+    else:
+        assert math.isinf(rep.xi2_2)
+
+
 def test_cat_state_moment_identity():
     # (|S,S> + |S,-S>)/sqrt2 lies in the even block for even N; S+^2
     # couples its two components only at N = 2

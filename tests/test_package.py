@@ -1,4 +1,6 @@
+import contextlib
 import ctypes
+import io
 import re
 import types
 from pathlib import Path
@@ -25,6 +27,24 @@ def test_readme_lists_the_lapack_symbols_solver_binds():
     listed = set(re.findall(r"scipy_\w+_64_", text[start:text.index("\n\n", start)]))
     bound = {value.__name__ for value in vars(solver).values() if isinstance(value, ctypes._CFuncPtr)}
     assert listed == bound
+
+
+def test_readme_quick_start_prints_its_documented_values():
+    # The "Library quick start" block runs as written, and each value that a
+    # print line's comment documents (0.8173... and so on) starts its output.
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    start = text.index("```python\n", text.index("## Library quick start")) + len("```python\n")
+    block = text[start:text.index("```", start)]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        exec(block, {})
+    documented = [re.findall(r"(\d+\.\d+)\.\.\.", line.partition("#")[2])
+                  for line in block.splitlines() if line.startswith("print(")]
+    printed = [line.split() for line in out.getvalue().splitlines()]
+    assert len(printed) == len(documented) == 2
+    assert [len(d) for d in documented] == [2, 1]
+    for values, prefixes in zip(printed, documented):
+        assert all(value.startswith(prefix) for value, prefix in zip(values, prefixes)), (values, prefixes)
 
 
 def _records():

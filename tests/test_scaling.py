@@ -33,6 +33,21 @@ def test_power_law_validation():
         fit_power_law([(0, 1.0), (2, 0.5), (3, 0.4)])
 
 
+@pytest.mark.parametrize("call", [
+    lambda: fit_power_law([(1, 1.0), (2, math.nan), (3, 1.0)]),
+    lambda: fit_power_law([(1, 1.0), (2, math.inf), (3, 1.0)]),
+    lambda: fit_power_law([(1, 1.0), (2, 0.5), (math.inf, 0.1)]),
+    lambda: fit_linear([(1, 1.0), (math.inf, 2.0)]),
+    lambda: fit_linear([(1, 1.0), (2, math.nan)]),
+    lambda: local_exponents([(1, 1.0), (2, math.nan)]),
+], ids=["power-value-nan", "power-value-inf", "power-size-inf", "linear-x-inf", "linear-y-nan",
+        "local-value-nan"])
+def test_fits_reject_non_finite_points(call):
+    # a ValueError, never a fit or exponent of nan
+    with pytest.raises(ValueError, match="must be finite"):
+        call()
+
+
 def test_local_exponents_exact_laws():
     inverse = [(n, 5.0 / n) for n in (8, 16, 32)]
     assert local_exponents(inverse) == pytest.approx([-1.0, -1.0], abs=1e-13)

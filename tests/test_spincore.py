@@ -220,7 +220,10 @@ def test_block_rows_are_the_whole_blocks_rows(n):
             block = build_sector_matrix(params, parity, lo, hi)
             np.testing.assert_array_equal(block.diagonal, whole.diagonal[lo:hi])
             np.testing.assert_array_equal(block.offdiagonal, whole.offdiagonal[lo:hi - 1])
-        for lo, hi in ((-1, 1), (0, dim + 1), (1, 1)):
+        np.testing.assert_array_equal(build_sector(params, parity, np.int64(0), np.int64(dim)), whole_m)
+        # bounds that are not rows: a fractional lo would name the M values
+        # of the other parity block, and a bool is no row number
+        for lo, hi in ((-1, 1), (0, dim + 1), (1, 1), (0.5, dim), (0, float(dim)), (False, dim), (0, True)):
             with pytest.raises(ValueError):
                 build_sector(params, parity, lo, hi)
             with pytest.raises(ValueError):
@@ -237,3 +240,6 @@ def test_sector_row_is_the_nearest_row(n):
         m_values = build_sector(params, parity)
         for m in [*np.linspace(-s - 3.0, s + 3.0, 241), *(m_values[:-1] - 1.0)]:
             assert sector_row(params, parity, m) == int(np.argmin(np.abs(m_values - m)))
+        assert (sector_row(params, parity, math.inf), sector_row(params, parity, -math.inf)) == (0, m_values.size - 1)
+        with pytest.raises(ValueError, match="m must"):
+            sector_row(params, parity, math.nan)
