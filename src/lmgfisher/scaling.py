@@ -1,11 +1,17 @@
-"""Finite-size scaling fits: ordinary least squares in linear and log-log coordinates."""
+"""Finite-size scaling fits: ordinary least squares in linear and log-log coordinates.
+
+The fits run on Python floats: a CLI fit has a few points, and numpy here
+would page in vector code that nothing else in a size-scaling process
+runs after its last solve.  Every sum is an exactly rounded `math.fsum`
+over deviations scaled by a power of two near their largest size, so no
+product overflows or underflows whatever the scale of the points.
+"""
 
 from __future__ import annotations
 
 import math
+from operator import mul
 from typing import NamedTuple
-
-import numpy as np
 
 
 class ScalingFit(NamedTuple):
@@ -17,25 +23,42 @@ class ScalingFit(NamedTuple):
     points_used: int
 
 
-def _split(points) -> tuple[np.ndarray, np.ndarray]:
-    """The points' sizes and values as float arrays; both must be finite."""
+def _split(points) -> tuple[list[float], list[float]]:
+    """The points' sizes and values as float lists; both must be finite."""
     pts = list(points)
-    x = np.array([p[0] for p in pts], dtype=float)
-    y = np.array([p[1] for p in pts], dtype=float)
-    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
+    x = [float(p[0]) for p in pts]
+    y = [float(p[1]) for p in pts]
+    if not all(map(math.isfinite, x + y)):
         raise ValueError("sizes and values must be finite")
     return x, y
 
 
-def _validate_scaling_points(x: np.ndarray, v: np.ndarray, minimum: int) -> None:
-    if x.size < minimum:
-        raise ValueError(f"need at least {minimum} points, got {x.size}")
-    if np.any(v <= 0.0):
+def _validate_scaling_points(x: list[float], v: list[float], minimum: int) -> None:
+    if len(x) < minimum:
+        raise ValueError(f"need at least {minimum} points, got {len(x)}")
+    if any(a <= 0.0 for a in v):
         raise ValueError("values must be positive for a power-law fit")
-    if np.any(x <= 0.0):
+    if any(a <= 0.0 for a in x):
         raise ValueError("sizes must be positive")
-    if np.any(np.diff(x) <= 0.0):
+    if any(b <= a for a, b in zip(x, x[1:])):
         raise ValueError("sizes must be strictly increasing")
+
+
+def _dot(a, b) -> float:
+    return math.fsum(map(mul, a, b))
+
+
+def _deviations(values: list[float]) -> tuple[float, float, list[float]]:
+    """(mean, s, d): the deviations from the mean are s * d, with s a power
+    of two and 1 <= max |d| < 2 (s = 0 and d all zero when the values are equal)."""
+    # the rounded quotient can leave [min, max]: 3 x 0.1 would not be constant
+    mean = min(max(math.fsum(values) / len(values), min(values)), max(values))
+    d = [v - mean for v in values]
+    top = max(map(abs, d))
+    if not top:
+        return mean, 0.0, d
+    s = math.ldexp(1.0, math.frexp(top)[1] - 1)  # dividing by it is exact
+    return mean, s, [e / s for e in d]
 
 
 def fit_linear(points) -> tuple[float, float, float]:
@@ -45,19 +68,17 @@ def fit_linear(points) -> tuple[float, float, float]:
     degenerate x variance raises ValueError.
     """
     x, y = _split(points)
-    if x.size < 2:
-        raise ValueError(f"need at least 2 points, got {x.size}")
-    xc = x - x.mean()
-    sxx = float(xc @ xc)
-    if sxx == 0.0:
+    if len(x) < 2:
+        raise ValueError(f"need at least 2 points, got {len(x)}")
+    x_mean, sx, u = _deviations(x)
+    if sx == 0.0:
         raise ValueError("x values are degenerate (zero variance)")
-    slope = float(xc @ (y - y.mean())) / sxx
-    intercept = float(y.mean()) - slope * float(x.mean())
-    resid = y - (slope * x + intercept)
-    ss_res = float(resid @ resid)
-    yc = y - y.mean()
-    ss_tot = float(yc @ yc)
-    r_squared = 1.0 if ss_tot == 0.0 else 1.0 - ss_res / ss_tot
+    y_mean, sy, w = _deviations(y)
+    b = _dot(u, w) / _dot(u, u)
+    slope = b * (sy / sx)
+    intercept = y_mean - slope * x_mean
+    resid = [q - b * p for p, q in zip(u, w)]
+    r_squared = 1.0 if sy == 0.0 else 1.0 - _dot(resid, resid) / _dot(w, w)
     return slope, intercept, r_squared
 
 
@@ -65,20 +86,22 @@ def fit_power_law(points) -> ScalingFit:
     """Least-squares power law through (ln N, ln value); needs >= 3 points."""
     x, v = _split(points)
     _validate_scaling_points(x, v, 3)
-    slope, intercept, r_squared = fit_linear(zip(np.log(x), np.log(v)))
+    slope, intercept, r_squared = fit_linear(zip(map(math.log, x), map(math.log, v)))
     return ScalingFit(
         exponent=slope,
         amplitude=math.exp(intercept),
         r_squared=r_squared,
-        points_used=int(x.size),
+        points_used=len(x),
     )
 
 
 def local_exponents(points) -> list[float]:
-    """Pairwise slopes ln(v_{k+1}/v_k) / ln(N_{k+1}/N_k) for consecutive points."""
+    """Pairwise slopes ln(v_{k+1}/v_k) / ln(N_{k+1}/N_k) for consecutive points.
+
+    Each ratio is a difference of logs, so it neither overflows nor
+    underflows however far apart the two points are.
+    """
     x, v = _split(points)
     _validate_scaling_points(x, v, 2)
-    return [
-        float(math.log(v[k + 1] / v[k]) / math.log(x[k + 1] / x[k]))
-        for k in range(x.size - 1)
-    ]
+    lx, lv = list(map(math.log, x)), list(map(math.log, v))
+    return [(lv[k + 1] - lv[k]) / (lx[k + 1] - lx[k]) for k in range(len(x) - 1)]

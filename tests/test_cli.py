@@ -384,7 +384,8 @@ def _fresh(code: str) -> subprocess.CompletedProcess:
 
 # The modules a CLI process must not load; then whether numpy is loaded.
 _UNWANTED = ("print(sorted(m for m in sys.modules"
-             " if m.split('.')[0] in ('scipy', 'concurrent', 'multiprocessing', 'dataclasses')"
+             " if m.split('.')[0] in ('scipy', 'concurrent', 'multiprocessing', 'dataclasses',"
+             " 'statistics', 'decimal', 'fractions')"
              " or m.startswith('numpy.ctypeslib')), 'numpy' in sys.modules)")
 
 
@@ -395,7 +396,9 @@ def test_cli_import_leaves_scipy_unloaded():
     # numpy 2.4.6); every CLI process would pay that.  The records are
     # NamedTuples and LAPACK takes raw addresses, so dataclasses and
     # numpy.ctypeslib stay unloaded too: with the 8 dataclass definitions
-    # they took about 16 ms of each start after numpy on that host.  numpy
+    # they took about 16 ms of each start after numpy on that host.  The
+    # scaling fits use math.fsum, not statistics: its decimal and fractions
+    # would add about 0.6 MB of peak RSS to each size-scaling process.  numpy
     # itself is imported here, as the benchmark's import-time split expects.
     assert _fresh(f"import sys, lmgfisher.cli; {_UNWANTED}").stdout == "[] True\n"
 

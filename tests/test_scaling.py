@@ -1,8 +1,11 @@
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+from lmgfisher import ModelParams, lmg_ground_state, report, scaling
 from lmgfisher.scaling import ScalingFit, fit_linear, fit_power_law, local_exponents
 
 
@@ -69,11 +72,15 @@ def test_fit_linear_constant_y():
     assert slope == 0.0
     assert intercept == 2.0
     assert r2 == 1.0
+    # the rounded mean of three 0.1s is not 0.1; the deviations must still vanish
+    assert fit_linear([(0.0, 0.1), (1.0, 0.1), (2.0, 0.1)]) == (0.0, 0.1, 1.0)
 
 
 def test_fit_linear_degenerate_x():
     with pytest.raises(ValueError):
         fit_linear([(1.0, 2.0), (1.0, 3.0)])
+    with pytest.raises(ValueError, match="degenerate"):
+        fit_linear([(0.1, 1.0), (0.1, 2.0), (0.1, 3.0)])
     with pytest.raises(ValueError):
         fit_linear([(1.0, 2.0)])
 
@@ -99,3 +106,83 @@ def test_power_law_and_linear_reparametrization_agree():
     assert fit.amplitude == pytest.approx(math.exp(intercept), rel=1e-12)
     assert fit.r_squared == pytest.approx(r2, abs=1e-12)
     assert isinstance(fit, ScalingFit)
+
+
+@pytest.mark.parametrize("points, slope", [
+    ([(1e200, 1.0), (2e200, 2.0), (3e200, 3.0)], 1e-200),
+    ([(1e-200, 1.0), (2e-200, 2.0), (3e-200, 3.0)], 1e200),
+], ids=["x-huge", "x-tiny"])
+def test_fit_linear_at_extreme_x_scales(points, slope):
+    # squares of the raw deviations would overflow to inf or underflow to 0
+    assert fit_linear(points) == pytest.approx((slope, 0.0, 1.0), rel=1e-15, abs=1e-15)
+
+
+def test_fit_linear_at_huge_y():
+    # y = 1, 2, 3.1 fits with slope 1.05, intercept -1/15 and r^2 = 1323/1324
+    slope, intercept, r2 = fit_linear([(1, 1e200), (2, 2e200), (3, 3.1e200)])
+    assert slope == pytest.approx(1.05e200, rel=1e-15)
+    assert intercept == pytest.approx(-1e200 / 15.0, rel=1e-13)
+    assert r2 == pytest.approx(1323.0 / 1324.0, rel=1e-15)
+
+
+_LOG2_1E600 = 600.0 * math.log(10.0) / math.log(2.0)
+
+
+@pytest.mark.parametrize("points, exponent", [
+    ([(1, 1e-300), (2, 1e300)], _LOG2_1E600),
+    ([(1, 1e300), (2, 1e-300)], -_LOG2_1E600),
+    ([(1e-300, 1.0), (1e300, 2.0)], 1.0 / _LOG2_1E600),
+], ids=["value-ratio-overflows", "value-ratio-underflows", "size-ratio-overflows"])
+def test_local_exponents_at_extreme_ratios(points, exponent):
+    assert local_exponents(points) == [pytest.approx(exponent, rel=1e-14)]
+
+
+def _polyfit_reference(points):
+    """(slope, intercept, r_squared) from numpy.polyfit's least squares."""
+    x, y = (np.array(c, dtype=float) for c in zip(*points))
+    slope, intercept = np.polyfit(x, y, 1)
+    resid = y - (slope * x + intercept)
+    return slope, intercept, 1.0 - (resid @ resid) / np.sum((y - y.mean()) ** 2)
+
+
+def _seeded_ladder(seed):
+    rng = np.random.default_rng(seed)
+    ns = np.cumsum(rng.integers(50, 5000, size=rng.integers(3, 8)))
+    exponent, amplitude = rng.uniform(-1.5, 0.5), rng.uniform(0.1, 10.0)
+    return [(int(n), float(amplitude * n ** exponent * math.exp(rng.normal(0.0, 0.05)))) for n in ns]
+
+
+def _readme_points(h):
+    # README fig3 (h = 0.5, broken phase) and fig4 (h = 1.5, symmetric), gamma = 0.5
+    return [(n, report(lmg_ground_state(ModelParams(n, 0.5, h))).chi2) for n in (100, 200, 300, 400)]
+
+
+@pytest.mark.parametrize("points", [
+    *(pytest.param(_seeded_ladder(seed), id=f"ladder-{seed}") for seed in range(8)),
+    pytest.param(_readme_points(0.5), id="readme-fig3"),
+    pytest.param(_readme_points(1.5), id="readme-fig4"),
+])
+def test_fits_agree_with_numpy_polyfit(points):
+    logs = [(math.log(n), math.log(v)) for n, v in points]
+    fit = fit_power_law(points)
+    assert (fit.exponent, math.log(fit.amplitude), fit.r_squared) == pytest.approx(
+        _polyfit_reference(logs), rel=1e-13)
+    inverse = [(n, 1.0 / v) for n, v in points]
+    assert fit_linear(inverse) == pytest.approx(_polyfit_reference(inverse), rel=1e-13)
+
+
+def test_scaling_module_needs_no_numpy():
+    # The fits run in every size-scaling process after its last solve; with
+    # numpy blocked the module still imports and fits, and pulls in none of
+    # the modules behind statistics.linear_regression.
+    code = (
+        "import importlib.util, sys; sys.modules['numpy'] = None; "
+        f"spec = importlib.util.spec_from_file_location('scaling', {scaling.__file__!r}); "
+        "mod = importlib.util.module_from_spec(spec); spec.loader.exec_module(mod); "
+        "fit = mod.fit_power_law([(n, 7.0 / n) for n in (10, 20, 40)]); "
+        "print(round(fit.exponent, 12), round(fit.amplitude, 12), mod.fit_linear([(0, 1), (1, 3)]), "
+        "mod.local_exponents([(1, 1.0), (2, 4.0)]), "
+        "sorted({'statistics', 'decimal', 'fractions'} & set(sys.modules)))"
+    )
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert done.stdout == "-1.0 7.0 (2.0, 1.0, 1.0) [2.0] []\n"
