@@ -21,9 +21,9 @@ directory.
 
 --jobs J computes the grid's points in W = min(J, points) processes:
 this one and W - 1 children forked from it, each taking every W-th point
-(serially where os.fork does not exist).  A child that dies gives each of its
-rows status error, with only mode, N, gamma, h and phase, and one line
-on stderr.
+(serially where os.fork does not exist, and here for each child that gets
+no pipe or process).  A child that dies gives each of its rows status
+error, with only mode, N, gamma, h and phase, and one line on stderr.
 """
 
 from __future__ import annotations
@@ -134,20 +134,14 @@ def _worker(tasks: list[tuple], write_fd: int) -> None:
         os._exit(code)
 
 
-def _worker_rows(status: int, data: bytes, count: int) -> tuple[list | None, str]:
-    """(rows, "") from a child's wait status and the bytes it sent, or
-    (None, what went wrong)."""
-    if os.WIFSIGNALED(status):
-        return None, f"killed by signal {os.WTERMSIG(status)}"
-    if os.WEXITSTATUS(status):
-        return None, f"exited with code {os.WEXITSTATUS(status)}"
+def _reap(pid: int) -> str:
+    """Wait for child `pid` to end: "" when it exited 0 or the system reaped
+    it already (SIGCHLD ignored), else how it ended."""
     try:
-        rows = pickle.loads(data)
-    except Exception:
-        rows = None
-    if not isinstance(rows, list) or len(rows) != count:
-        return None, f"sent {len(data)} bytes that are not its rows"
-    return rows, ""
+        code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+    except ChildProcessError:  # its status is gone: its pipe alone judges its rows
+        return ""
+    return f"killed by signal {-code}" if code < 0 else f"exited with code {code}" if code else ""
 
 
 def _execute(tasks: list[tuple], jobs: int) -> list[tuple[str, str, float | None]]:
@@ -158,8 +152,7 @@ def _execute(tasks: list[tuple], jobs: int) -> list[tuple[str, str, float | None
     as one pickle through a pipe.  Each row of a child that dies, or sends
     anything but its rows, gets status error, and the child one line on
     stderr.  Every child is killed if still running and reaped before this
-    returns or raises.  The tasks of each child that fork cannot make run
-    here, one after the other.
+    returns or raises; one that gets no pipe or process leaves its tasks here.
     """
     workers = min(jobs, len(tasks)) if hasattr(os, "fork") else 1
     results = [None] * len(tasks)
@@ -168,27 +161,31 @@ def _execute(tasks: list[tuple], jobs: int) -> list[tuple[str, str, float | None
     sys.stderr.flush()
     try:
         for k in range(1, workers):
-            read_fd, write_fd = os.pipe()
+            fds = []
             try:
+                fds += os.pipe()
                 pid = os.fork()
-            except OSError:  # no process to be had: this one takes the rest
-                os.close(read_fd)
-                os.close(write_fd)
+            except OSError:  # no descriptor or process to be had: this one takes the rest
+                for fd in fds:
+                    os.close(fd)
                 break
             if pid == 0:
-                _worker(tasks[k::workers], write_fd)
-            os.close(write_fd)
-            pids[k], pipes[k] = pid, read_fd
+                _worker(tasks[k::workers], fds[1])
+            os.close(fds[1])
+            pids[k], pipes[k] = pid, fds[0]
         for k in range(workers):
             if k not in pids:
                 results[k::workers] = [_row_task(t) for t in tasks[k::workers]]
         for k in list(pids):
             with open(pipes.pop(k), "rb") as pipe:
                 data = pipe.read()
-            status = os.waitpid(pids.pop(k), 0)[1]
-            owned = tasks[k::workers]
-            rows, failure = _worker_rows(status, data, len(owned))
-            if rows is None:
+            failure, owned = _reap(pids.pop(k)), tasks[k::workers]
+            try:
+                rows = None if failure else pickle.loads(data)
+            except Exception:
+                rows = None
+            if not (isinstance(rows, list) and len(rows) == len(owned)):
+                failure = failure or f"sent {len(data)} bytes that are not its rows"
                 print(f"error: worker {k} ({len(owned)} rows) {failure}", file=sys.stderr)
                 rows = [_row(t, STATUS_ERROR) for t in owned]
             results[k::workers] = rows
@@ -199,8 +196,11 @@ def _execute(tasks: list[tuple], jobs: int) -> list[tuple[str, str, float | None
             import signal
 
             for pid in pids.values():
-                os.kill(pid, signal.SIGKILL)
-                os.waitpid(pid, 0)
+                try:
+                    os.kill(pid, signal.SIGKILL)
+                except ProcessLookupError:  # the system reaped it already
+                    pass
+                _reap(pid)
     return results
 
 

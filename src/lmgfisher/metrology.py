@@ -57,7 +57,7 @@ def transverse_moments(gs: GroundState) -> ObservableSet:
     c = np.asarray(gs.amplitudes, dtype=float)
     weights = c * c
     norm = math.sqrt(float(np.sum(weights)))
-    if abs(norm - 1.0) > _NORM_TOL:
+    if not abs(norm - 1.0) <= _NORM_TOL:  # a NaN norm fails too
         raise ValueError(f"state is not normalized (||amplitudes|| = {norm!r})")
     m = gs.sector()
     if c.shape != m.shape:

@@ -51,10 +51,16 @@ def _dot(a, b) -> float:
 def _deviations(values: list[float]) -> tuple[float, float, list[float]]:
     """(mean, s, d): the deviations from the mean are s * d, with s a power
     of two and 1 <= max |d| < 2 (s = 0 and d all zero when the values are equal)."""
-    # the rounded quotient can leave [min, max]: 3 x 0.1 would not be constant
-    mean = min(max(math.fsum(values) / len(values), min(values)), max(values))
+    # summed in units of a power of two near the largest |value| (exact), so
+    # that no sum of finite values overflows; the rounded quotient can leave
+    # [min, max]: 3 x 0.1 would not be constant
+    unit = math.ldexp(1.0, math.frexp(max(map(abs, values)))[1] - 1)
+    scaled = [v / unit for v in values]
+    mean = min(max(math.fsum(scaled) / len(scaled), min(scaled)), max(scaled)) * unit
     d = [v - mean for v in values]
     top = max(map(abs, d))
+    if top == math.inf:  # finite values further apart than the float maximum
+        raise ValueError("the fit is past the float range")
     if not top:
         return mean, 0.0, d
     s = math.ldexp(1.0, math.frexp(top)[1] - 1)  # dividing by it is exact
@@ -65,7 +71,8 @@ def fit_linear(points) -> tuple[float, float, float]:
     """Ordinary least squares y = slope x + intercept; returns (slope, intercept, r_squared).
 
     Constant y fits perfectly with slope 0 (r_squared = 1 by convention);
-    degenerate x variance raises ValueError.
+    degenerate x variance, and a spread, slope or intercept past the float
+    range, raise ValueError.
     """
     x, y = _split(points)
     if len(x) < 2:
@@ -79,6 +86,8 @@ def fit_linear(points) -> tuple[float, float, float]:
     intercept = y_mean - slope * x_mean
     resid = [q - b * p for p, q in zip(u, w)]
     r_squared = 1.0 if sy == 0.0 else 1.0 - _dot(resid, resid) / _dot(w, w)
+    if not all(map(math.isfinite, (slope, intercept, r_squared))):
+        raise ValueError("the fit is past the float range")
     return slope, intercept, r_squared
 
 

@@ -39,22 +39,13 @@ from .spincore import (
 # LAPACK entry points take 64-bit integers.  Opening numpy's own extension
 # module finds them among its dependencies without loading another library.
 _OPENBLAS = ctypes.CDLL(np._core._multiarray_umath.__file__)
-
-
-def _lapack(name: str, arguments: int, characters: int = 0):
-    """The Fortran LAPACK routine `name`: its `arguments` by reference, then the
-    hidden lengths of its `characters` CHARACTER arguments by value."""
-    symbol = f"scipy_{name}_64_"
-    try:
-        routine = getattr(_OPENBLAS, symbol)
-    except AttributeError:
-        raise ImportError(f"numpy's OpenBLAS does not export {symbol}, which lmgfisher needs") from None
-    routine.argtypes = [ctypes.c_void_p] * arguments + [ctypes.c_size_t] * characters
-    routine.restype = None
-    return routine
-
-
-_dstevx = _lapack("dstevx", 18, 2)
+try:
+    _dstevx = _OPENBLAS.scipy_dstevx_64_
+except AttributeError:
+    raise ImportError("numpy's OpenBLAS does not export scipy_dstevx_64_, which lmgfisher needs") from None
+# its 18 arguments by reference, then the hidden lengths of its CHARACTER arguments JOBZ and RANGE
+_dstevx.argtypes = [ctypes.c_void_p] * 18 + [ctypes.c_size_t] * 2
+_dstevx.restype = None
 _ONE, _ZERO = ctypes.byref(ctypes.c_int64(1)), ctypes.byref(ctypes.c_double(0.0))  # made once, not per call
 _ABSTOL = ctypes.byref(ctypes.c_double(2.0 * float(np.finfo(float).tiny)))  # bisection's most accurate
 _BUFFER_TYPES = (np.dtype(np.float64), np.dtype(np.int64))

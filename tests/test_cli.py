@@ -134,26 +134,45 @@ def test_jobs_are_capped_at_the_grid_size(tmp_path, monkeypatch, h_values, worke
     assert len(data_rows(read_lines(out))) == len(h_values)
 
 
-@pytest.mark.parametrize("fork", ["missing", "second-fails"])
-def test_points_without_a_child_run_here(tmp_path, monkeypatch, fork):
+@pytest.fixture
+def sigchld_ignored():
+    # The system then reaps each child as it exits, and os.waitpid raises
+    # ChildProcessError once none is left.
+    previous = signal.signal(signal.SIGCHLD, signal.SIG_IGN)
+    yield
+    signal.signal(signal.SIGCHLD, previous)
+
+
+def fail_second_call(monkeypatch, name, error):
+    real, calls = getattr(os, name), []
+
+    def second_fails():
+        calls.append(None)
+        if len(calls) == 2:
+            raise error
+        return real()
+
+    monkeypatch.setattr(os, name, second_fails)
+
+
+@pytest.mark.parametrize("case", ["missing", "second-fails", "second-pipe-fails", "sigchld-ignored"])
+def test_points_without_a_child_run_here(tmp_path, monkeypatch, request, case):
     # Without os.fork the sweep runs serially; when fork fails (no process
-    # ids left), this process computes the points of every child it could
-    # not make.  Either way the CSV is the serial one.
+    # ids left) or pipe does (no descriptors left), this process computes
+    # the points of every child it could not make.  Under an ignored
+    # SIGCHLD no exit status is left to read, and each child's pipe alone
+    # judges its rows.  Either way the CSV is the serial one.
     args = ["--mode", "field-sweep", "--n", "12", "--gamma", "0.5", "--h", "0.5", "--h", "1", "--h", "1.5"]
     serial, parallel = tmp_path / "serial.csv", tmp_path / "parallel.csv"
     assert cli.main(args + ["--out", str(serial)]) == 0
-    if fork == "missing":
+    if case == "missing":
         monkeypatch.delattr(os, "fork")
+    elif case == "second-fails":
+        fail_second_call(monkeypatch, "fork", BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable"))
+    elif case == "second-pipe-fails":
+        fail_second_call(monkeypatch, "pipe", OSError(errno.EMFILE, "Too many open files"))
     else:
-        real_fork, calls = os.fork, []
-
-        def second_fails():
-            calls.append(None)
-            if len(calls) == 2:
-                raise BlockingIOError(11, "Resource temporarily unavailable")
-            return real_fork()
-
-        monkeypatch.setattr(os, "fork", second_fails)
+        request.getfixturevalue("sigchld_ignored")
     assert cli.main(args + ["--out", str(parallel), "--jobs", "3"]) == 0
     assert serial.read_bytes() == parallel.read_bytes()
     assert_no_child_left()
@@ -171,11 +190,13 @@ def test_jobs_leave_no_child_process(tmp_path):
     ("exit", "exited with code 3"),
     ("signal", f"killed by signal {int(signal.SIGKILL)}"),
     ("short-pickle", "bytes that are not its rows"),
+    ("no-rows", "bytes that are not its rows"),
 ])
 def test_dead_worker_gives_error_rows(tmp_path, monkeypatch, capfd, death, failure):
     # The child of a --jobs 2 sweep owns the point h = 0.5 and dies there,
-    # or sends a truncated pickle: its row gets status error, the parent's
-    # rows are computed, and one line, no traceback, goes to stderr.
+    # or sends a truncated pickle or one of no rows: its row gets status
+    # error, the parent's rows are computed, and one line, no traceback,
+    # goes to stderr.
     parent, solve, dumps = os.getpid(), cli.solver.lmg_ground_state, cli.pickle.dumps
 
     def dying_at_half(params):
@@ -189,6 +210,8 @@ def test_dead_worker_gives_error_rows(tmp_path, monkeypatch, capfd, death, failu
     monkeypatch.setattr(cli.solver, "lmg_ground_state", dying_at_half)
     if death == "short-pickle":
         monkeypatch.setattr(cli.pickle, "dumps", lambda *args: dumps(*args)[:-4])
+    if death == "no-rows":
+        monkeypatch.setattr(cli.pickle, "dumps", lambda rows, *args: dumps(rows[:0], *args))
     out = tmp_path / "dead.csv"
     code = cli.main(["--mode", "field-sweep", "--n", "10", "--gamma", "0.5",
                      "--h", "0.25", "--h", "0.5", "--h", "1.5", "--out", str(out), "--jobs", "2"])
@@ -228,6 +251,45 @@ def test_parent_exception_kills_and_reaps_the_children(tmp_path, monkeypatch):
                   "--h", "0.25", "--h", "0.5", "--h", "1.5", "--out", str(tmp_path / "x.csv"),
                   "--jobs", "2"])
     assert time.perf_counter() - start < 30
+    assert_no_child_left()
+    assert not (tmp_path / "x.csv").exists()
+
+
+def test_parent_exception_with_sigchld_ignored(tmp_path, monkeypatch, sigchld_ignored):
+    # The system reaps the killed child itself, so the kill path finds no
+    # status to wait for: the exception still propagates as itself.
+    test_parent_exception_kills_and_reaps_the_children(tmp_path, monkeypatch)
+
+
+def test_parent_exception_after_the_child_is_gone(tmp_path, monkeypatch, sigchld_ignored):
+    # Under an ignored SIGCHLD a child that has sent its rows is gone as soon
+    # as it exits, so the kill path finds no process to kill: the exception
+    # raised here after that still propagates as itself.
+    class Abort(BaseException):
+        pass
+
+    parent, solve, fork, pids = os.getpid(), cli.solver.lmg_ground_state, os.fork, []
+
+    def recording_fork():
+        pids.append(fork())
+        return pids[-1]
+
+    def abort_once_the_child_is_gone(params):
+        if os.getpid() == parent and params.h == 1.5:
+            for _ in range(3000):
+                try:
+                    os.kill(pids[0], 0)
+                except ProcessLookupError:
+                    raise Abort from None
+                time.sleep(0.01)
+        return solve(params)
+
+    monkeypatch.setattr(os, "fork", recording_fork)
+    monkeypatch.setattr(cli.solver, "lmg_ground_state", abort_once_the_child_is_gone)
+    with pytest.raises(Abort):
+        cli.main(["--mode", "field-sweep", "--n", "10", "--gamma", "0.5",
+                  "--h", "0.25", "--h", "0.5", "--h", "1.5", "--out", str(tmp_path / "x.csv"),
+                  "--jobs", "2"])
     assert_no_child_left()
     assert not (tmp_path / "x.csv").exists()
 
@@ -309,6 +371,31 @@ def test_unwritable_out_is_usage_error_before_solving(tmp_path, monkeypatch, tar
     assert cli.main(["--mode", "field-sweep", "--n", "10", "--gamma", "0.5",
                      "--h", "0.5", "--out", str(out)]) == 1
     assert sorted(p.name for p in tmp_path.iterdir()) == []
+
+
+_SWEEP = ["--mode", "field-sweep", "--n", "10", "--gamma", "0.5"]
+
+
+@pytest.mark.parametrize("argv,rule", [
+    (_SWEEP + ["--h-start", "0", "--h-stop", "1", "--h-step", "0"], "h-step must be > 0"),
+    (_SWEEP + ["--h-start", "1", "--h-stop", "0", "--h-step", "0.1"], "empty h range"),
+    (["--n", "10", "--gamma", "0.5", "--h", "0.5"], "--mode is required"),
+    (["--mode", "field-sweep", "--gamma", "0.5", "--h", "0.5"], "at least one --n is required"),
+    (["--mode", "field-sweep", "--n", "10", "--h", "0.5"], "--gamma is required"),
+    (_SWEEP + ["--h", "0.5", "--h-start", "0"], "give either --h or --h-start/--h-stop/--h-step"),
+    (_SWEEP + ["--h-start", "0", "--h-stop", "1"], "an h range needs all of --h-start, --h-stop, --h-step"),
+    (_SWEEP + ["--h", "0.5", "--jobs", "0"], "jobs must be >= 1"),
+    (_SWEEP + ["--h", "0.5"], "is not writable"),
+], ids=["step", "empty-range", "mode", "n", "gamma", "h-and-range", "part-range", "jobs", "unwritable"])
+def test_usage_errors_name_their_rule(tmp_path, monkeypatch, capsys, argv, rule):
+    # Each rule's one error line, and no file; the unwritable case fakes
+    # os.access, which a root user passes whatever the mode bits say.
+    if rule == "is not writable":
+        monkeypatch.setattr(os, "access", lambda path, mode: False)
+    assert cli.main([*argv, "--out", str(tmp_path / "x.csv")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and rule in err and err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_csv_replaced_atomically(tmp_path, monkeypatch):
@@ -522,6 +609,16 @@ def test_isotropic_mode_at_the_largest_fields(tmp_path):
     lines = read_lines(out)
     assert row_fields(data_rows(lines)[0])["status"] == "ok"
     assert lines[-1] == f"# closed_form,N=4,h={cli._fmt(1e300)},M0=2,E={cli._fmt(-4e300)}"
+
+
+def test_isotropic_summary_skips_crossings_below_two_spins(tmp_path):
+    # N = 1 has no level crossing to list; N = 4 lists its two
+    out = tmp_path / "iso.csv"
+    assert cli.main(["--mode", "isotropic", "--n", "1", "--n", "4", "--h", "0.5", "--out", str(out)]) == 0
+    lines = read_lines(out)
+    assert [row_fields(r)["status"] for r in data_rows(lines)] == ["ok", "ok"]
+    crossings = [l.split(",")[1:3] for l in summary_lines(lines) if l.startswith("# crossing")]
+    assert crossings == [["N=4", "j=0"], ["N=4", "j=1"]]
 
 
 def test_isotropic_mode_rejects_other_gamma(tmp_path):

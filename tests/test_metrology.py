@@ -62,6 +62,13 @@ def test_moments_reject_unnormalized_state():
         transverse_moments(bad)
 
 
+def test_report_rejects_nan_amplitudes():
+    # A NaN norm is not within any tolerance of 1, though it is not beyond it either.
+    gs = GroundState(ModelParams(4, 0.5, 0.5), EVEN, 0.0, np.array([math.nan, 0.0, 0.0]))
+    with pytest.raises(ValueError, match="not normalized"):
+        report(gs)
+
+
 def test_moments_reject_amplitudes_of_another_shape():
     # A unit-norm row vector holds one amplitude per row of the support but
     # not in the support's shape.

@@ -125,6 +125,25 @@ def test_fit_linear_at_huge_y():
     assert r2 == pytest.approx(1323.0 / 1324.0, rel=1e-15)
 
 
+def test_fit_linear_near_the_float_maximum():
+    # x sums past the float maximum.  Dividing x by 2^1000 is exact, so that
+    # fit has 2^1000 times the slope and the same intercept and r^2.
+    x, y = [1e308, 1.5e308, 1.7e308], [1.0, 2.0, 3.0]
+    slope, intercept, r2 = fit_linear(zip(x, y))
+    ref_slope, ref_intercept, ref_r2 = fit_linear([(a / 2.0**1000, b) for a, b in zip(x, y)])
+    assert (math.ldexp(slope, 1000), intercept, r2) == (ref_slope, ref_intercept, ref_r2)
+    assert r2 == pytest.approx(49.0 / 52.0, rel=1e-15)
+
+
+@pytest.mark.parametrize("points", [
+    [(1, -1.7e308), (2, 1.7e308)],  # the slope, 3.4e308, is not a float
+    [(-1.7e308, 1), (1.7e308, 2), (1.7e308, 3)],  # nor is the x deviation -2.3e308
+], ids=["slope", "spread"])
+def test_fit_linear_past_the_float_range_is_a_value_error(points):
+    with pytest.raises(ValueError, match="past the float range"):
+        fit_linear(points)
+
+
 _LOG2_1E600 = 600.0 * math.log(10.0) / math.log(2.0)
 
 

@@ -1,6 +1,9 @@
+import ctypes
+import importlib.util
 import math
 import pickle
 import tracemalloc
+import types
 
 import numpy as np
 import pytest
@@ -259,9 +262,12 @@ def test_lapack_failure_is_a_convergence_error(monkeypatch, tmp_path, failure):
     assert ",convergence_error" in out.read_text()
 
 
-def test_missing_lapack_symbol_is_an_import_error():
-    with pytest.raises(ImportError, match="scipy_dnosuch_64_"):
-        solver._lapack("dnosuch", 1)
+def test_missing_lapack_symbol_is_an_import_error(monkeypatch):
+    # solver.py, run against a stub library that exports no symbol at all
+    monkeypatch.setattr(ctypes, "CDLL", lambda path: types.SimpleNamespace())
+    spec = importlib.util.spec_from_file_location("lmgfisher._stub_solver", solver.__file__)
+    with pytest.raises(ImportError, match="scipy_dstevx_64_"):
+        spec.loader.exec_module(importlib.util.module_from_spec(spec))
 
 
 def test_window_eigenpair_matches_scipy_at_large_n():

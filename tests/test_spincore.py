@@ -151,6 +151,11 @@ def test_build_sector_enumeration():
     assert build_sector(p5, ODD).dtype == np.float64
 
 
+def test_sector_dimension_rejects_an_unknown_parity():
+    with pytest.raises(ValueError, match="parity must be one of"):
+        sector_dimension(ModelParams(4, 0.5, 0.0), "up")
+
+
 @pytest.mark.parametrize("n", range(1, 10))
 def test_sector_completeness_and_structure(n):
     params = ModelParams(n, 0.3, 0.7)
