@@ -48,23 +48,26 @@ def _dot(a, b) -> float:
     return math.fsum(map(mul, a, b))
 
 
-def _deviations(values: list[float]) -> tuple[float, float, list[float]]:
-    """(mean, s, d): the deviations from the mean are s * d, with s a power
-    of two and 1 <= max |d| < 2 (s = 0 and d all zero when the values are equal)."""
-    # summed in units of a power of two near the largest |value| (exact), so
-    # that no sum of finite values overflows; the rounded quotient can leave
-    # [min, max]: 3 x 0.1 would not be constant
-    unit = math.ldexp(1.0, math.frexp(max(map(abs, values)))[1] - 1)
+def _deviations(values: list[float]) -> tuple[float, int, list[float]]:
+    """(mean, k, d): the deviations from the mean are 2^k d, with
+    1 <= max |d| < 2 (k = 0 and d all zero when the values are equal)."""
+    # summed and taken in units of a power of two near the largest |value|
+    # (exact), so that no sum of finite values overflows and no subnormal
+    # spread underflows; the rounded quotient can leave [min, max]: 3 x 0.1
+    # would not be constant
+    e = math.frexp(max(map(abs, values)))[1] - 1
+    unit = math.ldexp(1.0, e)
     scaled = [v / unit for v in values]
-    mean = min(max(math.fsum(scaled) / len(scaled), min(scaled)), max(scaled)) * unit
-    d = [v - mean for v in values]
+    centre = min(max(math.fsum(scaled) / len(scaled), min(scaled)), max(scaled))
+    d = [v - centre for v in scaled]
     top = max(map(abs, d))
-    if top == math.inf:  # finite values further apart than the float maximum
+    if top * unit == math.inf:  # finite values further apart than the float maximum
         raise ValueError("the fit is past the float range")
     if not top:
-        return mean, 0.0, d
-    s = math.ldexp(1.0, math.frexp(top)[1] - 1)  # dividing by it is exact
-    return mean, s, [e / s for e in d]
+        return centre * unit, 0, d
+    k = math.frexp(top)[1] - 1
+    s = math.ldexp(1.0, k)  # dividing by it is exact
+    return centre * unit, e + k, [x / s for x in d]
 
 
 def fit_linear(points) -> tuple[float, float, float]:
@@ -77,15 +80,18 @@ def fit_linear(points) -> tuple[float, float, float]:
     x, y = _split(points)
     if len(x) < 2:
         raise ValueError(f"need at least 2 points, got {len(x)}")
-    x_mean, sx, u = _deviations(x)
-    if sx == 0.0:
+    x_mean, kx, u = _deviations(x)
+    if not any(u):
         raise ValueError("x values are degenerate (zero variance)")
-    y_mean, sy, w = _deviations(y)
+    y_mean, ky, w = _deviations(y)
     b = _dot(u, w) / _dot(u, u)
-    slope = b * (sy / sx)
+    try:
+        slope = math.ldexp(b, ky - kx)
+    except OverflowError:
+        raise ValueError("the fit is past the float range") from None
     intercept = y_mean - slope * x_mean
     resid = [q - b * p for p, q in zip(u, w)]
-    r_squared = 1.0 if sy == 0.0 else 1.0 - _dot(resid, resid) / _dot(w, w)
+    r_squared = 1.0 if not any(w) else 1.0 - _dot(resid, resid) / _dot(w, w)
     if not all(map(math.isfinite, (slope, intercept, r_squared))):
         raise ValueError("the fit is past the float range")
     return slope, intercept, r_squared

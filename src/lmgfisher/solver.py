@@ -9,9 +9,10 @@ solved on a window of rows around the mean-field magnetization, sized
 from the Bogoliubov ground state (near h = 1, from the critical
 quartic-oscillator width), bordered by the row beside each inner edge,
 and widened until the zero-padded result is certified as the ground
-state of the whole block.  Only the rows of a window and a few rows
-beside it are ever built, so a ground state's memory follows the state,
-not N.
+state of the whole block by spincore's `row_sum_floor`.  Only the rows
+of a window and a few rows beside it are ever built, so a ground state's
+memory follows the state, not N.  LAPACK, the residual gate, the window
+search and the parity choice are here, the model's formulas in spincore.
 """
 
 from __future__ import annotations
@@ -27,12 +28,11 @@ from .spincore import (
     ODD,
     ModelParams,
     TridiagonalMatrix,
-    block_top,
     build_sector,
     build_sector_matrix,
+    row_sum_floor,
     sector_dimension,
     sector_row,
-    tridiagonal_matvec,
 )
 
 # numpy's wheel links the scipy-openblas64 build of OpenBLAS, whose Fortran
@@ -140,7 +140,10 @@ def ground_eigenpair(t: TridiagonalMatrix) -> tuple[float, np.ndarray]:
         energy = math.ldexp(float(w[0]), -shift)
     except OverflowError:
         raise ConvergenceError("the eigenvalue is past the float range", math.inf) from None
-    r = (tridiagonal_matvec(t.diagonal, t.offdiagonal, v) - energy * v) / scale
+    tv = t.diagonal * v
+    tv[:-1] += t.offdiagonal * v[1:]
+    tv[1:] += t.offdiagonal * v[:-1]
+    r = (tv - energy * v) / scale
     units = math.sqrt(float(np.sum(r * r)))
     if info.value != 0:
         raise ConvergenceError(f"dstevx returned info {info.value}", units * scale)
@@ -162,34 +165,14 @@ class _Block:
         self.parity = parity
         self.dimension = sector_dimension(params, parity)
         self.centre = sector_row(params, parity, params.h * params.total_spin)
-        self._top = block_top(params, parity)
 
     def rows(self, lo: int, hi: int) -> TridiagonalMatrix:
         """Rows [lo, hi) of the block in fresh arrays, bit-identical to the whole block's."""
         return build_sector_matrix(self.params, self.parity, lo, hi)
 
     def slack_floor(self, lo: int, hi: int) -> float:
-        """A closed-form lower bound on the row sums d_i - |e_(i-1)| - |e_i|
-        over the rows outside [lo, hi); inf when there are none.
-
-        AM-GM gives b <= C - (M'+1)^2 on the pair (M'+2, M'), C = S(S+1),
-        so row M sums to at least M^2/N - h M - C/N + (1-gamma)/(2N).  The
-        even block's end rows M = +-S lack a coupling, 0 rather than the
-        bound's -(1-gamma)(S+1)/(4N); taking that off every row gives
-        P(M) = M^2/N - h M - C/N + (1-gamma)(1-S)/(4N), convex with its
-        minimum at M = h S, so least on each run of outside rows at the
-        run's row nearest `centre`.  Against the row sums of blocks built
-        in floats (N from 2 to 1e9, gamma and h in [0, 3]) P is at most
-        0.5 below them and at most 2.2e-16 of the block's scale
-        h S + (S+1)/2 above.
-        """
-        p = self.params
-        s, n = p.total_spin, float(p.n_spins)
-        floor = math.inf
-        rows = [min(self.centre, lo - 1)] * (lo > 0) + [max(self.centre, hi)] * (hi < self.dimension)
-        for m in (self._top - 2.0 * row for row in rows):
-            floor = min(floor, (m * m - s * (s + 1)) / n - p.h * m + (1 - p.gamma) * (1 - s) / (4 * n))
-        return floor
+        """The block's `row_sum_floor` over the rows outside [lo, hi)."""
+        return row_sum_floor(self.params, self.parity, lo, hi)
 
 
 def _window_eigenpair(block, centre: int, half: int = _WINDOW_HALF_WIDTH) -> tuple[int, float, np.ndarray]:

@@ -135,6 +135,12 @@ def test_fit_linear_near_the_float_maximum():
     assert r2 == pytest.approx(49.0 / 52.0, rel=1e-15)
 
 
+def test_fit_linear_at_subnormal_y():
+    # y = 2^-1074 x is an exact line.  Its mean 1.5 x 2^-1074 is no float,
+    # so deviations taken from the rounded mean would be (-2^-1074, 0).
+    assert fit_linear([(1, 5e-324), (2, 1e-323)]) == (5e-324, 0.0, 1.0)
+
+
 @pytest.mark.parametrize("points", [
     [(1, -1.7e308), (2, 1.7e308)],  # the slope, 3.4e308, is not a float
     [(-1.7e308, 1), (1.7e308, 2), (1.7e308, 3)],  # nor is the x deviation -2.3e308
