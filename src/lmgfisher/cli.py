@@ -380,10 +380,12 @@ def build_config(args) -> tuple[str, list[tuple], int, str]:
 
 
 def _check_output_path(path: str) -> None:
-    """Usage error unless `path` names a file in an existing, writable directory."""
+    """Usage error unless `path` names a new or regular file in an existing,
+    writable directory.  The CSV is renamed over `path`, which would
+    replace a FIFO or a device node."""
     directory = os.path.dirname(os.path.abspath(path))
-    if os.path.isdir(path):
-        raise UsageError(f"output path {path} is a directory")
+    if os.path.exists(path) and not os.path.isfile(path):
+        raise UsageError(f"output path {path} is not a regular file")
     if not os.path.isdir(directory):
         raise UsageError(f"output directory {directory} does not exist")
     if not os.access(directory, os.W_OK | os.X_OK):

@@ -17,7 +17,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .solver import GroundState
-from .spincore import double_raising_element, model_fields, spin_flip_count
+from .spincore import model_fields, spin_flip_count
 
 MEAN_SPIN_FLOOR = 1e-12  # |<S_z>| <= this times N (rounding noise grows with N) reports xi2^2 = inf
 _NORM_TOL = 1e-12
@@ -45,34 +45,34 @@ class MetrologyReport(NamedTuple):
 
 
 def transverse_moments(gs: GroundState) -> ObservableSet:
-    """<S_z>, <S_z^2>, <S_x^2> and <S_y^2> of a sector eigenstate.
+    """<S_z>, <S_z^2>, <S_x^2> and <S_y^2> of a real state on one block's support.
 
-    S+S- + S-S+ contributes the diagonal part (S(S+1) - M^2)/2 to both
-    transverse moments; S+^2 + S-^2 couples M to M+2 and splits them.
-    Within one parity block the amplitudes are real and <{S_x,S_y}>,
-    proportional to Im<S+^2>, vanishes identically.  The sums run over the
-    state's support, whose k-th amplitude sits at M = top - 2 (offset + k);
-    every other row of the block contributes 0.
+    The k-th amplitude c_k sits at M = top - 2 (offset + k).  S+ sends it to
+    up_k = sqrt((S-M)(S+M+1)) c_k at M+1 and S- to down_k = sqrt((S+M)(S-M+1)) c_k
+    at M-1, both on the other parity's lattice, whose entries are up_0,
+    up_(k+1) +- down_k and down_last.  <S_x^2> and <S_y^2> are the squared
+    norms ||(S+ +- S-) psi||^2 / 4: sums of squares, with no cancellation.
     """
-    c = np.asarray(gs.amplitudes, dtype=float)
+    c = np.asarray(gs.amplitudes)
+    if c.dtype.kind not in "iuf":
+        raise ValueError(f"amplitudes must be real numbers, got dtype {c.dtype}")
+    if c.ndim != 1:
+        raise ValueError(f"amplitude vector does not match the sector dimension: shape {c.shape} is not 1-D")
+    c = c.astype(float, copy=False)
     weights = c * c
     norm = math.sqrt(float(np.sum(weights)))
     if not abs(norm - 1.0) <= _NORM_TOL:  # a NaN norm fails too
         raise ValueError(f"state is not normalized (||amplitudes|| = {norm!r})")
     m = gs.sector()
-    if c.shape != m.shape:
-        raise ValueError("amplitude vector does not match the sector dimension")
     s = gs.params.total_spin
-    casimir = s * (s + 1.0)
-    sz_mean = float(np.sum(weights * m))
-    sz2 = float(np.sum(weights * m * m))
-    diag_part = 0.5 * float(np.sum(weights * (casimir - m * m)))
-    coupling = 0.5 * float(np.sum(c[:-1] * c[1:] * double_raising_element(s, m[1:])))
+    up = np.sqrt((s - m) * (s + m + 1.0)) * c
+    down = np.sqrt((s + m) * (s - m + 1.0)) * c
+    ends = up[0] * up[0] + down[-1] * down[-1]
     return ObservableSet(
-        sz_mean=sz_mean,
-        sz2=sz2,
-        sx2=diag_part + coupling,
-        sy2=diag_part - coupling,
+        sz_mean=float(np.sum(weights * m)),
+        sz2=float(np.sum(weights * m * m)),
+        sx2=0.25 * float(np.sum((up[1:] + down[:-1]) ** 2) + ends),
+        sy2=0.25 * float(np.sum((up[1:] - down[:-1]) ** 2) + ends),
     )
 
 

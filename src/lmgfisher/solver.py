@@ -93,7 +93,7 @@ class GroundState(NamedTuple):
 
     def sector(self) -> np.ndarray:
         """The M values of the support's rows, one per amplitude."""
-        return build_sector(self.params, self.parity, self.offset, self.offset + self.amplitudes.size)
+        return build_sector(self.params, self.parity, self.offset, self.offset + np.size(self.amplitudes))
 
 
 def _scaling(t: TridiagonalMatrix) -> tuple[int, float]:

@@ -12,8 +12,9 @@ each parity block is real symmetric tridiagonal in the Dicke basis.
 M values are stored strictly descending, so the field-polarized state
 |S, S> is always the first coordinate of the even block.  Rows [lo, hi)
 of a block are named by (params, parity, lo, hi): `build_sector` gives
-their M values, `build_sector_matrix` their entries and `row_sum_floor`
-a floor under the row sums of the rows outside them.
+their M values, `build_sector_matrix` their entries, the S+^2 element
+among them, and `row_sum_floor` a floor under the row sums of the rows
+outside them.
 """
 
 from __future__ import annotations
@@ -112,12 +113,6 @@ def spin_flip_count(total_spin: float, m: float) -> int:
     return ki
 
 
-def double_raising_element(total_spin: float, m: np.ndarray) -> np.ndarray:
-    """<S,M+2| S+^2 |S,M> = sqrt((S(S+1) - M(M+1)) (S(S+1) - (M+1)(M+2))), elementwise in M."""
-    casimir = total_spin * (total_spin + 1.0)
-    return np.sqrt((casimir - m * (m + 1.0)) * (casimir - (m + 1.0) * (m + 2.0)))
-
-
 def sector_dimension(params: ModelParams, parity: str) -> int:
     """Number of rows of one parity block: N//2 + 1 even and (N+1)//2 odd
     rows (M = S, S-2, ... and M = S-1, S-3, ... down to -S)."""
@@ -172,7 +167,8 @@ def build_sector_matrix(params: ModelParams, parity: str, lo: int = 0, hi: int |
     m = build_sector(params, parity, lo, hi)
     casimir = s * (s + 1.0)
     diagonal = -((1.0 + params.gamma) / (2.0 * n)) * (casimir - m * m) - params.h * m
-    b = double_raising_element(s, m[1:])  # m[1:] is the smaller M of each pair (M, M+2)
+    lower = m[1:]  # the smaller M of each pair (M, M+2)
+    b = np.sqrt((casimir - lower * (lower + 1.0)) * (casimir - (lower + 1.0) * (lower + 2.0)))
     offdiagonal = -((1.0 - params.gamma) / (4.0 * n)) * b
     return TridiagonalMatrix._trusted(diagonal, offdiagonal)
 

@@ -361,16 +361,20 @@ def test_h_range_point_limit():
     assert len(cli._expand_range(0.0, 1.0, 1.0 / (cli.MAX_H_POINTS - 1))) == cli.MAX_H_POINTS
 
 
-@pytest.mark.parametrize("target", ["missing/x.csv", "."])
+@pytest.mark.parametrize("target", ["missing/x.csv", ".", "fifo"])
 def test_unwritable_out_is_usage_error_before_solving(tmp_path, monkeypatch, target):
     def never(params):
         raise AssertionError("solved before the output path was checked")
 
     monkeypatch.setattr(cli.solver, "lmg_ground_state", never)
     out = tmp_path / target
+    if target == "fifo":
+        os.mkfifo(out)  # not a regular file: the CSV must not be renamed over it
+    before = sorted(p.name for p in tmp_path.iterdir())
     assert cli.main(["--mode", "field-sweep", "--n", "10", "--gamma", "0.5",
                      "--h", "0.5", "--out", str(out)]) == 1
-    assert sorted(p.name for p in tmp_path.iterdir()) == []
+    assert sorted(p.name for p in tmp_path.iterdir()) == before
+    assert target != "fifo" or out.is_fifo()
 
 
 _SWEEP = ["--mode", "field-sweep", "--n", "10", "--gamma", "0.5"]

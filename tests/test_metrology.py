@@ -12,7 +12,7 @@ from lmgfisher.metrology import (
     transverse_moments,
 )
 from lmgfisher.solver import GroundState, lmg_ground_state
-from lmgfisher.spincore import EVEN, ODD, ModelParams, build_sector, spin_flip_count
+from lmgfisher.spincore import EVEN, ODD, ModelParams, build_sector, sector_dimension, spin_flip_count
 
 
 def dicke_ground_state(n, m):
@@ -26,9 +26,10 @@ def dicke_ground_state(n, m):
 
 
 def test_moments_of_top_dicke_state():
+    # sqrt(2)^2 need not round to 2: one ulp of the exact value
     obs = transverse_moments(dicke_ground_state(2, 1))
-    assert obs.sx2 == pytest.approx(0.5, abs=0.0)
-    assert obs.sy2 == pytest.approx(0.5, abs=0.0)
+    assert obs.sx2 == pytest.approx(0.5, abs=math.ulp(0.5))
+    assert obs.sy2 == pytest.approx(0.5, abs=math.ulp(0.5))
     assert obs.sz_mean == 1.0
     assert obs.sz2 == 1.0
 
@@ -79,6 +80,68 @@ def test_moments_reject_amplitudes_of_another_shape():
         transverse_moments(bad)
 
 
+def test_report_takes_a_list_as_it_takes_the_array():
+    gs = dicke_ground_state(6, 1)
+    assert report(gs._replace(amplitudes=gs.amplitudes.tolist())) == report(gs)
+
+
+@pytest.mark.parametrize("amplitudes,rule", [
+    (np.array([1.0j, 0.0, 0.0]), "must be real"),
+    (np.array([1.0, 0.0, 0.0], dtype=complex), "must be real"),  # a complex dtype, though its parts are 0
+    (["1", "0", "0"], "must be real"),
+    (np.float64(1.0), "is not 1-D"),
+], ids=["complex", "complex-dtype", "strings", "scalar"])
+def test_moments_reject_amplitudes_that_are_not_a_real_vector(amplitudes, rule):
+    gs = GroundState(ModelParams(4, 0.5, 0.5), EVEN, 0.0, amplitudes)
+    with pytest.raises(ValueError, match=rule):
+        report(gs)
+
+
+@pytest.mark.parametrize("parity", [EVEN, ODD])
+@pytest.mark.parametrize("n", [1, 2, 7, 12, 33, 40])
+def test_moments_match_dense_spin_matrices_on_random_supports(n, parity):
+    # Seeded random real vectors, of both signs, on rows [offset, offset + size)
+    # of one block: the whole block, window-like supports with offset > 0 and
+    # the last row alone, against <psi|A|psi> for the dense spin matrices.
+    params = ModelParams(n, 0.5, 0.5)
+    rows = sector_dimension(params, parity)
+    _, sx, sy, sz = oracles.spin_matrices(n)
+    operators = {"sz_mean": sz, "sz2": sz @ sz, "sx2": sx @ sx, "sy2": sy @ sy}
+    rng = np.random.default_rng([n, parity == ODD])
+    first = 0 if parity == EVEN else 1  # the block's row i is row first + 2i of the dense basis
+    for offset in (0, rows // 3, rows // 2, rows - 1):
+        for size in (rows - offset, int(rng.integers(1, rows - offset + 1))):
+            c = rng.standard_normal(size)
+            c /= np.linalg.norm(c)
+            psi = np.zeros(n + 1)
+            psi[first + 2 * offset:first + 2 * (offset + size):2] = c
+            obs = transverse_moments(GroundState(params, parity, 0.0, c, offset))
+            for name, op in operators.items():
+                expected = float((psi @ op @ psi).real)
+                assert getattr(obs, name) == pytest.approx(expected, rel=1e-13, abs=1e-13 * (n * n + 1))
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(float).eps,
+                    reason="np.longdouble is no wider than float64 here")
+def test_sy2_at_n_1e9_matches_long_double_sums():
+    # In the broken phase at N = 1e9, <S_y^2> ~ 1e9 is the diagonal part
+    # (S(S+1) - <S_z^2>)/2 minus the S+^2 coupling, each about 1e17.  That
+    # algebra, summed in long double on the same amplitudes, is an
+    # independent check: measured 9.4e-13 from the ladder-image norms on
+    # x86-64 (80-bit long double), where float64 sums of it were 7.2e-8 off.
+    n = 10**9
+    gs = lmg_ground_state(ModelParams(n, 0.5, 0.5))
+    c = gs.amplitudes.astype(np.longdouble)
+    m = gs.sector().astype(np.longdouble)
+    s = np.longdouble(n) / 2
+    casimir = s * (s + 1)
+    lower = m[1:]
+    diagonal_part = np.sum(c * c * (casimir - m * m)) / 2
+    coupling = np.sum(c[:-1] * c[1:] * np.sqrt((casimir - lower * (lower + 1))
+                                               * (casimir - (lower + 1) * (lower + 2)))) / 2
+    assert transverse_moments(gs).sy2 == pytest.approx(float(diagonal_part - coupling), rel=1e-10)
+
+
 def test_report_takes_the_larger_transverse_moment():
     # N = 4 even block (M = 2, 0, -2) with alternating signs: the S+^2
     # coupling is negative, so sx2 = (5 - 2 sqrt6)/3 < sy2 = (5 + 2 sqrt6)/3
@@ -96,9 +159,9 @@ def test_report_takes_the_larger_transverse_moment():
 @pytest.mark.parametrize("n", [2, 6, 12])
 def test_report_top_dicke_state_is_shot_noise_limited(n):
     rep = report(dicke_ground_state(n, n / 2))
-    assert rep.chi2 == pytest.approx(1.0, abs=0.0)
-    assert rep.xi1_2 == pytest.approx(1.0, abs=0.0)
-    assert rep.fisher == pytest.approx(float(n), abs=0.0)
+    assert rep.chi2 == pytest.approx(1.0, abs=math.ulp(1.0))
+    assert rep.xi1_2 == pytest.approx(1.0, abs=math.ulp(1.0))
+    assert rep.fisher == pytest.approx(float(n), abs=math.ulp(float(n)))
     assert rep.qcr == pytest.approx(1.0 / math.sqrt(n), rel=1e-15)
     assert rep.shot_noise == rep.qcr
 
