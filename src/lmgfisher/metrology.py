@@ -103,7 +103,7 @@ def report(gs: GroundState) -> MetrologyReport:
 def dicke_metrics(n_spins: int, m: float) -> MetrologyReport:
     """Closed-form report for the Dicke state |S = N/2, M>.
 
-    Both transverse moments equal (S^2 + S - M^2)/2, so
+    Both transverse moments equal ((S - M)(S + M) + S)/2 = (S^2 + S - M^2)/2, so
 
         chi2 = N / (2 (S^2 + S - M^2)),    xi1^2 = 1/chi2,
 
@@ -113,7 +113,7 @@ def dicke_metrics(n_spins: int, m: float) -> MetrologyReport:
     n_spins = model_fields(n_spins)[0]
     s = n_spins / 2.0
     m = s - spin_flip_count(s, m)
-    variance = 0.5 * (s * s + s - m * m)
+    variance = 0.5 * ((s - m) * (s + m) + s)  # no cancellation at M near +-S
     return _report_from_variances(n_spins, variance, variance, m)
 
 

@@ -1,16 +1,15 @@
 """Finite-size scaling fits: ordinary least squares in linear and log-log coordinates.
 
-The fits run on Python floats: a CLI fit has a few points, and numpy here
+The fits run on Python numbers: a CLI fit has a few points, and numpy here
 would page in vector code that nothing else in a size-scaling process
-runs after its last solve.  Every sum is an exactly rounded `math.fsum`
-over deviations scaled by a power of two near their largest size, so no
-product overflows or underflows whatever the scale of the points.
+runs after its last solve.  Every float is an integer over a power of two,
+so the least-squares sums are exact integers, and each fitted value is one
+correctly rounded integer quotient, whatever the scale of the points.
 """
 
 from __future__ import annotations
 
 import math
-from operator import mul
 from typing import NamedTuple
 
 
@@ -44,56 +43,41 @@ def _validate_scaling_points(x: list[float], v: list[float], minimum: int) -> No
         raise ValueError("sizes must be strictly increasing")
 
 
-def _dot(a, b) -> float:
-    return math.fsum(map(mul, a, b))
-
-
-def _deviations(values: list[float]) -> tuple[float, int, list[float]]:
-    """(mean, k, d): the deviations from the mean are 2^k d, with
-    1 <= max |d| < 2 (k = 0 and d all zero when the values are equal)."""
-    # summed and taken in units of a power of two near the largest |value|
-    # (exact), so that no sum of finite values overflows and no subnormal
-    # spread underflows; the rounded quotient can leave [min, max]: 3 x 0.1
-    # would not be constant
-    e = math.frexp(max(map(abs, values)))[1] - 1
-    unit = math.ldexp(1.0, e)
-    scaled = [v / unit for v in values]
-    centre = min(max(math.fsum(scaled) / len(scaled), min(scaled)), max(scaled))
-    d = [v - centre for v in scaled]
-    top = max(map(abs, d))
-    if top * unit == math.inf:  # finite values further apart than the float maximum
-        raise ValueError("the fit is past the float range")
-    if not top:
-        return centre * unit, 0, d
-    k = math.frexp(top)[1] - 1
-    s = math.ldexp(1.0, k)  # dividing by it is exact
-    return centre * unit, e + k, [x / s for x in d]
+def _over_a_power_of_two(values: list[float]) -> tuple[int, list[int]]:
+    """(k, u) with values[i] = u[i] / 2^k exactly, 2^k the largest denominator."""
+    ratios = [v.as_integer_ratio() for v in values]
+    unit = max(q for _, q in ratios)
+    return unit.bit_length() - 1, [p * (unit // q) for p, q in ratios]
 
 
 def fit_linear(points) -> tuple[float, float, float]:
     """Ordinary least squares y = slope x + intercept; returns (slope, intercept, r_squared).
 
-    Constant y fits perfectly with slope 0 (r_squared = 1 by convention);
-    degenerate x variance, and a spread, slope or intercept past the float
-    range, raise ValueError.
+    With x = u / 2^kx and y = w / 2^ky, the centred sums S_uu = n sum u^2 -
+    (sum u)^2, S_uw and S_ww are exact integers, and each output is one
+    correctly rounded quotient of integers: the exact least-squares value
+    rounded once.  Constant y fits perfectly with slope 0 (r_squared = 1 by
+    convention); degenerate x variance, and a slope or intercept past the
+    float range, raise ValueError.
     """
     x, y = _split(points)
-    if len(x) < 2:
-        raise ValueError(f"need at least 2 points, got {len(x)}")
-    x_mean, kx, u = _deviations(x)
-    if not any(u):
+    n = len(x)
+    if n < 2:
+        raise ValueError(f"need at least 2 points, got {n}")
+    kx, u = _over_a_power_of_two(x)
+    ky, w = _over_a_power_of_two(y)
+    su, sw = sum(u), sum(w)
+    suu = n * sum(a * a for a in u) - su * su
+    if not suu:
         raise ValueError("x values are degenerate (zero variance)")
-    y_mean, ky, w = _deviations(y)
-    b = _dot(u, w) / _dot(u, u)
+    suw = n * sum(a * b for a, b in zip(u, w)) - su * sw
+    sww = n * sum(b * b for b in w) - sw * sw
     try:
-        slope = math.ldexp(b, ky - kx)
+        slope = (suw << kx) / (suu << ky)
+        intercept = (sw * suu - suw * su) / ((n * suu) << ky)
     except OverflowError:
         raise ValueError("the fit is past the float range") from None
-    intercept = y_mean - slope * x_mean
-    resid = [q - b * p for p, q in zip(u, w)]
-    r_squared = 1.0 if not any(w) else 1.0 - _dot(resid, resid) / _dot(w, w)
-    if not all(map(math.isfinite, (slope, intercept, r_squared))):
-        raise ValueError("the fit is past the float range")
+    r_squared = suw * suw / (suu * sww) if sww else 1.0
     return slope, intercept, r_squared
 
 

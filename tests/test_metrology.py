@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -199,13 +200,25 @@ def test_report_matches_dense_oracle():
 
 
 def test_dicke_metrics_values():
-    for n in (4, 10, 100):
+    for n in (4, 10, 100, 2**60, 10**300):
         assert dicke_metrics(n, n / 2).chi2 == 1.0
     rep = dicke_metrics(100, 25)
     s = 50.0
     assert rep.chi2 == pytest.approx(100.0 / (2.0 * (s * s + s - 625.0)), rel=1e-15)
     assert rep.xi1_2 * rep.chi2 == pytest.approx(1.0, rel=1e-14)
     assert rep.xi2_2 == pytest.approx(100.0 * (s * s + s - 625.0) / 2.0 / 625.0, rel=1e-14)
+
+
+@pytest.mark.parametrize("n", [999999999, 10**9])
+@pytest.mark.parametrize("flips", [1, 2, 3, 50])
+def test_dicke_metrics_near_the_top_state_at_large_n(n, flips):
+    # S^2 + S - M^2 cancels to O(flips N) at M = S - flips; against exact rationals
+    s = Fraction(n, 2)
+    m = s - flips
+    chi2 = n / (2 * (s * s + s - m * m))
+    rep = dicke_metrics(n, float(m))
+    assert rep.chi2 == pytest.approx(float(chi2), rel=0.0, abs=2 * math.ulp(float(chi2)))
+    assert rep.xi1_2 == pytest.approx(float(1 / chi2), rel=0.0, abs=2 * math.ulp(float(1 / chi2)))
 
 
 def test_dicke_metrics_m0_band():

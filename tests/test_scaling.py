@@ -1,6 +1,8 @@
 import math
+import random
 import subprocess
 import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -141,13 +143,77 @@ def test_fit_linear_at_subnormal_y():
     assert fit_linear([(1, 5e-324), (2, 1e-323)]) == (5e-324, 0.0, 1.0)
 
 
+def test_fit_linear_across_the_whole_float_range():
+    # x = -a, a, a with a = 1.7e308: the deviations (-4a/3, 2a/3, 2a/3) are
+    # past the float range, but the fit (3 / (4a), 7/4, 3/4) is not
+    assert fit_linear([(-1.7e308, 1), (1.7e308, 2), (1.7e308, 3)]) == (4.411764705882354e-309, 1.75, 0.75)
+
+
 @pytest.mark.parametrize("points", [
     [(1, -1.7e308), (2, 1.7e308)],  # the slope, 3.4e308, is not a float
-    [(-1.7e308, 1), (1.7e308, 2), (1.7e308, 3)],  # nor is the x deviation -2.3e308
-], ids=["slope", "spread"])
+    [(1e154, 0.0), (1e154 + 1e138, 1e300)],  # the slope is 6.7e161, the intercept -6.7e315
+], ids=["slope", "intercept"])
 def test_fit_linear_past_the_float_range_is_a_value_error(points):
     with pytest.raises(ValueError, match="past the float range"):
         fit_linear(points)
+
+
+def _exact_fit(points):
+    """The least-squares (slope, intercept, r_squared) as exact rationals."""
+    x, y = ([Fraction(v) for v in c] for c in zip(*points))
+    x_mean, y_mean = sum(x) / len(x), sum(y) / len(y)
+    sxx = sum((a - x_mean) ** 2 for a in x)
+    sxy = sum((a - x_mean) * (b - y_mean) for a, b in zip(x, y))
+    syy = sum((b - y_mean) ** 2 for b in y)
+    slope = sxy / sxx
+    return slope, y_mean - slope * x_mean, sxy * sxy / (sxx * syy) if syy else Fraction(1)
+
+
+def _cli_like_points(rng):
+    # a log-log ladder, or the (N, 1/chi2) pairs of a --mode size-scaling run
+    ns = sorted(rng.sample(range(100, 100_001), rng.randint(2, 8)))
+    exponent, amplitude = rng.uniform(-1.5, 0.5), rng.uniform(0.1, 10.0)
+    values = [amplitude * n ** exponent * math.exp(rng.gauss(0.0, 0.05)) for n in ns]
+    if rng.random() < 0.5:
+        return [(math.log(n), math.log(v)) for n, v in zip(ns, values)]
+    return [(n, 1.0 / v) for n, v in zip(ns, values)]
+
+
+_EDGES = (0.0, 5e-324, 2.2250738585072014e-308, 1.0, 1.7e308, 1.7976931348623157e308)
+
+
+def _extreme_float(rng, lowest, highest):
+    sign = rng.choice((-1.0, 1.0))
+    if rng.random() < 0.15:
+        return sign * rng.choice(_EDGES)
+    return sign * math.ldexp(rng.random(), rng.randint(lowest, highest))
+
+
+def _extreme_points(rng):
+    # each coordinate spans its own random range of binary exponents, from
+    # subnormals to the float maximum
+    spans = [sorted(rng.randint(-1074, 1024) for _ in range(2)) for _ in range(2)]
+    return [(_extreme_float(rng, *spans[0]), _extreme_float(rng, *spans[1]))
+            for _ in range(rng.randint(2, 8))]
+
+
+def test_fit_linear_is_the_exact_fit_rounded_once():
+    rng = random.Random(32)
+    for k in range(1000):
+        points = (_cli_like_points if k % 2 else _extreme_points)(rng)
+        x = [p[0] for p in points]
+        if min(x) == max(x):
+            with pytest.raises(ValueError, match="degenerate"):
+                fit_linear(points)
+            continue
+        slope, intercept, r_squared = _exact_fit(points)
+        try:
+            expected = float(slope), float(intercept), float(r_squared)
+        except OverflowError:  # only the slope or the intercept can leave the float range
+            with pytest.raises(ValueError, match="past the float range"):
+                fit_linear(points)
+            continue
+        assert fit_linear(points) == expected, points
 
 
 _LOG2_1E600 = 600.0 * math.log(10.0) / math.log(2.0)

@@ -10,6 +10,7 @@ import pytest
 
 import oracles
 from lmgfisher import cli, metrology, solver
+from lmgfisher.analytic import isotropic_ground_m
 from lmgfisher.solver import (
     ConvergenceError,
     GroundState,
@@ -728,6 +729,22 @@ def test_isotropic_large_n_accepts_the_first_window(monkeypatch, h):
     lmg_ground_state(ModelParams(10**8, 1.0, h))
     inner_edges = 2 if h < 1.0 else 1
     assert rows == [33 + inner_edges] * 2
+
+
+_M2_OVER_N_ROUNDS = pytest.mark.xfail(
+    strict=True, reason="the O(N) diagonal rounds M^2/N below one ulp (ROADMAP item 1, centred diagonal)")
+
+
+@pytest.mark.parametrize("n, h", [
+    *((n, h) for n in (10**5, 2 * 10**8) for h in (0.0, 1.0, 1.5)),
+    *(pytest.param(n, h, marks=_M2_OVER_N_ROUNDS)
+      for n, h in ((5 * 10**8, 0.0), (10**9, 0.0), (3 * 10**8, 1.0), (10**9, 1.0))),
+])
+def test_isotropic_ground_state_is_the_closed_form_dicke_state(n, h):
+    # At gamma = 1 the ground state is the one Dicke row M0 of
+    # isotropic_ground_m; the peak amplitude must sit on it.
+    gs = lmg_ground_state(ModelParams(n, 1.0, h))
+    assert gs.sector()[np.argmax(np.abs(gs.amplitudes))] == isotropic_ground_m(n, h)
 
 
 def test_broken_phase_first_window_holds_the_state(monkeypatch):
