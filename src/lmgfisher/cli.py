@@ -19,11 +19,8 @@ eigensolver missed its residual gate, error for any other exception).
 The CSV is renamed into place from a temporary file in the same
 directory.
 
---jobs J computes the grid's points in W = min(J, points) processes:
-this one and W - 1 children forked from it, each taking every W-th point
-(serially where os.fork does not exist, and here for each child that gets
-no pipe or process).  A child that dies gives each of its rows status
-error, with only mode, N, gamma, h and phase, and one line on stderr.
+--jobs J computes the grid's points in W = min(J, points) threads of
+this process, each taking every W-th point; the rows do not depend on J.
 """
 
 from __future__ import annotations
@@ -34,9 +31,9 @@ import gc
 import itertools
 import math
 import os
-import pickle
 import sys
 import tempfile
+import threading
 from collections.abc import Iterable, Iterator
 
 from . import analytic, metrology, scaling, solver
@@ -52,8 +49,8 @@ MAX_H_POINTS = 10**6  # points in one --h-start/--h-stop/--h-step range
 # Interpreter shutdown runs full garbage collections over every object
 # still alive, about 21k after this import: 25-45 ms of each process on a
 # 2-vCPU Xeon.  Freezing the heap at exit lets them skip all of it.
-# Nothing changes while main runs, and forked --jobs children leave by
-# os._exit.
+# Nothing changes while main runs, and the --jobs threads are joined
+# before main returns.
 atexit.register(gc.freeze)
 
 
@@ -112,95 +109,54 @@ def _row_task(task) -> tuple[str, str, float | None]:
         status = STATUS_CONVERGENCE
     except Exception as exc:  # one point's failure must not abort the sweep
         status = STATUS_ERROR
-        print(f"error: N={n}, h={_fmt(h)}: {type(exc).__name__}: {exc}", file=sys.stderr)
+        # one write per line, so that lines of concurrent shares do not splice
+        sys.stderr.write(f"error: N={n}, h={_fmt(h)}: {type(exc).__name__}: {exc}\n")
     return _row(task, status, (parity, energy, chi2, xi1, xi2, fisher, qcr, tl_chi2, tl_xi1))
 
 
-def _worker(tasks: list[tuple], write_fd: int) -> None:
-    """A forked child's whole life: its rows, as one pickle, into the pipe.
-
-    It never returns into the stack it shares with the parent: it leaves by
-    os._exit, 0 once the pickle is written and 1 otherwise, so that none
-    of the parent's exception handlers, atexit hooks or buffers run twice.
-    """
-    code = 1
-    try:
-        rows = [_row_task(t) for t in tasks]
-        with open(write_fd, "wb") as pipe:
-            pipe.write(pickle.dumps(rows, pickle.HIGHEST_PROTOCOL))
-        code = 0
-    finally:
-        sys.stderr.flush()
-        os._exit(code)
-
-
-def _reap(pid: int) -> str:
-    """Wait for child `pid` to end: "" when it exited 0 or the system reaped
-    it already (SIGCHLD ignored), else how it ended."""
-    try:
-        code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-    except ChildProcessError:  # its status is gone: its pipe alone judges its rows
-        return ""
-    return f"killed by signal {-code}" if code < 0 else f"exited with code {code}" if code else ""
-
-
 def _execute(tasks: list[tuple], jobs: int) -> list[tuple[str, str, float | None]]:
-    """The rows of `tasks`, in order, from W = min(jobs, len(tasks)) processes (1 without os.fork).
+    """The rows of `tasks`, in order, from W = min(jobs, len(tasks)) shares.
 
-    This process and W - 1 children forked from it compute (W = 1 forks
-    nothing); process k takes tasks[k::W], and a child sends its rows back
-    as one pickle through a pipe.  Each row of a child that dies, or sends
-    anything but its rows, gets status error, and the child one line on
-    stderr.  Every child is killed if still running and reaped before this
-    returns or raises; one that gets no pipe or process leaves its tasks here.
+    Share k is tasks[k::W].  This thread runs share 0, and each of the
+    others runs on a thread of its own (W = 1 starts none), or here if that
+    thread cannot be started.  The solves release the GIL in dstevx and in
+    numpy's loops.  An exception that _row_task does not catch stops every
+    share after its current point and is raised once all are joined.
     """
-    workers = min(jobs, len(tasks)) if hasattr(os, "fork") else 1
+    workers = min(jobs, len(tasks))
     results = [None] * len(tasks)
-    pids, pipes = {}, {}  # worker k -> pid until reaped, read end until read
-    sys.stdout.flush()  # a child must not inherit buffered lines and print them again
-    sys.stderr.flush()
+    stop, raised = threading.Event(), []
+
+    def run(k: int) -> None:
+        try:
+            for i in range(k, len(tasks), workers):
+                if stop.is_set():
+                    return
+                results[i] = _row_task(tasks[i])
+        except BaseException as exc:  # not one point's failure: the sweep ends
+            raised.append(exc)
+            stop.set()
+
+    threads, here = [], [0]
     try:
         for k in range(1, workers):
-            fds = []
+            thread = threading.Thread(target=run, args=(k,))
             try:
-                fds += os.pipe()
-                pid = os.fork()
-            except OSError:  # no descriptor or process to be had: this one takes the rest
-                for fd in fds:
-                    os.close(fd)
-                break
-            if pid == 0:
-                _worker(tasks[k::workers], fds[1])
-            os.close(fds[1])
-            pids[k], pipes[k] = pid, fds[0]
-        for k in range(workers):
-            if k not in pids:
-                results[k::workers] = [_row_task(t) for t in tasks[k::workers]]
-        for k in list(pids):
-            with open(pipes.pop(k), "rb") as pipe:
-                data = pipe.read()
-            failure, owned = _reap(pids.pop(k)), tasks[k::workers]
-            try:
-                rows = None if failure else pickle.loads(data)
-            except Exception:
-                rows = None
-            if not (isinstance(rows, list) and len(rows) == len(owned)):
-                failure = failure or f"sent {len(data)} bytes that are not its rows"
-                print(f"error: worker {k} ({len(owned)} rows) {failure}", file=sys.stderr)
-                rows = [_row(t, STATUS_ERROR) for t in owned]
-            results[k::workers] = rows
+                thread.start()
+            except RuntimeError:  # no thread to be had: this one runs the share
+                here.append(k)
+            else:
+                threads.append(thread)
+        for k in here:
+            run(k)
+        for thread in threads:
+            thread.join()
     finally:
-        for read_fd in pipes.values():
-            os.close(read_fd)
-        if pids:  # only after an exception; signal is not otherwise imported
-            import signal
-
-            for pid in pids.values():
-                try:
-                    os.kill(pid, signal.SIGKILL)
-                except ProcessLookupError:  # the system reaped it already
-                    pass
-                _reap(pid)
+        stop.set()  # after an exception here, the threads end after their current points
+        for thread in threads:
+            thread.join()
+    if raised:
+        raise raised[0]
     return results
 
 
@@ -290,7 +246,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--out", help="output CSV path")
     parser.add_argument("--config", help="key=value config file; flags override it")
     parser.add_argument("--jobs", type=int,
-                        help="processes computing the grid, this one included (default 1); "
+                        help="threads computing the grid, this one included (default 1); "
                              "the output does not depend on it")
     return parser
 

@@ -81,7 +81,8 @@ def _report_from_variances(n_spins: int, vmin: float, vmax: float, sz_mean: floa
     if abs(sz_mean) <= MEAN_SPIN_FLOOR * n_spins:
         xi2 = math.inf
     else:
-        xi2 = n_spins * vmin / (sz_mean * sz_mean)
+        s, k = math.frexp(sz_mean)  # <S_z> = s 2^k with 1/2 <= |s| < 1, so nothing overflows
+        xi2 = n_spins * math.ldexp(vmin, -2 * k) / (s * s)
     return MetrologyReport(
         chi2=n_spins / fisher,
         xi1_2=4.0 * vmin / n_spins,

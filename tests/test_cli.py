@@ -1,9 +1,10 @@
 import errno
+import io
 import math
 import os
-import signal
 import subprocess
 import sys
+import threading
 import time
 import tracemalloc
 from pathlib import Path
@@ -99,13 +100,21 @@ def test_determinism_byte_identical(tmp_path):
 
 
 def test_parallel_schedule_independence(tmp_path):
-    args = ["--mode", "field-sweep", "--n", "24", "--n", "12", "--gamma", "0.5",
-            "--h-start", "0", "--h-stop", "2", "--h-step", "0.4"]
-    serial = tmp_path / "serial.csv"
-    parallel = tmp_path / "parallel.csv"
-    assert cli.main(args + ["--out", str(serial), "--jobs", "1"]) == 0
-    assert cli.main(args + ["--out", str(parallel), "--jobs", "3"]) == 0
-    assert serial.read_bytes() == parallel.read_bytes()
+    # N = 1e6 and 1e7 in the broken phase take milliseconds per solve, so
+    # the threads' dstevx calls overlap; a short switch interval makes the
+    # threads' Python code interleave too.
+    args = ["--mode", "field-sweep", "--n", "24", "--n", "12", "--n", "1000000", "--n", "10000000",
+            "--gamma", "0.5", "--h-start", "0", "--h-stop", "2", "--h-step", "0.4"]
+    csvs, interval = [], sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for jobs in ("1", "2", "4"):
+            out = tmp_path / f"jobs{jobs}.csv"
+            assert cli.main(args + ["--out", str(out), "--jobs", jobs]) == 0
+            csvs.append(out.read_bytes())
+    finally:
+        sys.setswitchinterval(interval)
+    assert csvs[1] == csvs[0] and csvs[2] == csvs[0]
 
 
 def assert_no_child_left():
@@ -113,184 +122,89 @@ def assert_no_child_left():
         os.waitpid(-1, os.WNOHANG)
 
 
+def count_thread_starts(monkeypatch, fail_at=None):
+    """The threads whose start is asked for from here on, in a list that
+    grows; start number `fail_at` raises RuntimeError, as when no thread
+    is to be had."""
+    start, started = threading.Thread.start, []
+
+    def counting_start(thread):
+        started.append(thread)
+        if len(started) == fail_at:
+            raise RuntimeError("can't start new thread")
+        start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", counting_start)
+    return started
+
+
 @pytest.mark.parametrize("h_values,workers", [(["0.5", "1.0", "1.5"], [1, 2]), (["0.5"], [])])
 def test_jobs_are_capped_at_the_grid_size(tmp_path, monkeypatch, h_values, workers):
-    # --jobs 64 on a 3-point grid runs 3 processes: this one (worker 0)
-    # and children for workers 1 and 2; one point forks nothing.
-    fork, pids = os.fork, []
-
-    def counting_fork():
-        pid = fork()
-        pids.append(pid)
-        return pid
-
-    monkeypatch.setattr(os, "fork", counting_fork)
+    # --jobs 64 on a 3-point grid runs 3 shares: this thread (share 0) and
+    # threads for shares 1 and 2; one point starts no thread.
+    started = count_thread_starts(monkeypatch)
     out = tmp_path / "capped.csv"
     argv = ["--mode", "field-sweep", "--n", "10", "--gamma", "0.5", "--jobs", "64", "--out", str(out)]
     for h in h_values:
         argv += ["--h", h]
     assert cli.main(argv) == 0
-    assert len(pids) == len(workers)
+    assert len(started) == len(workers)
     assert len(data_rows(read_lines(out))) == len(h_values)
 
 
-@pytest.fixture
-def sigchld_ignored():
-    # The system then reaps each child as it exits, and os.waitpid raises
-    # ChildProcessError once none is left.
-    previous = signal.signal(signal.SIGCHLD, signal.SIG_IGN)
-    yield
-    signal.signal(signal.SIGCHLD, previous)
-
-
-def fail_second_call(monkeypatch, name, error):
-    real, calls = getattr(os, name), []
-
-    def second_fails():
-        calls.append(None)
-        if len(calls) == 2:
-            raise error
-        return real()
-
-    monkeypatch.setattr(os, name, second_fails)
-
-
-@pytest.mark.parametrize("case", ["missing", "second-fails", "second-pipe-fails", "sigchld-ignored"])
-def test_points_without_a_child_run_here(tmp_path, monkeypatch, request, case):
-    # Without os.fork the sweep runs serially; when fork fails (no process
-    # ids left) or pipe does (no descriptors left), this process computes
-    # the points of every child it could not make.  Under an ignored
-    # SIGCHLD no exit status is left to read, and each child's pipe alone
-    # judges its rows.  Either way the CSV is the serial one.
+def test_a_share_without_a_thread_runs_here(tmp_path, monkeypatch):
+    # When the second thread cannot be started, this thread computes its
+    # share after its own, and the CSV is the serial one.
     args = ["--mode", "field-sweep", "--n", "12", "--gamma", "0.5", "--h", "0.5", "--h", "1", "--h", "1.5"]
     serial, parallel = tmp_path / "serial.csv", tmp_path / "parallel.csv"
     assert cli.main(args + ["--out", str(serial)]) == 0
-    if case == "missing":
-        monkeypatch.delattr(os, "fork")
-    elif case == "second-fails":
-        fail_second_call(monkeypatch, "fork", BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable"))
-    elif case == "second-pipe-fails":
-        fail_second_call(monkeypatch, "pipe", OSError(errno.EMFILE, "Too many open files"))
-    else:
-        request.getfixturevalue("sigchld_ignored")
+    started = count_thread_starts(monkeypatch, fail_at=2)
     assert cli.main(args + ["--out", str(parallel), "--jobs", "3"]) == 0
+    assert len(started) == 2
     assert serial.read_bytes() == parallel.read_bytes()
-    assert_no_child_left()
 
 
 def test_jobs_leave_no_child_process(tmp_path):
-    out = tmp_path / "reaped.csv"
+    out = tmp_path / "joined.csv"
+    before = threading.active_count()
     assert cli.main(["--mode", "field-sweep", "--n", "10", "--gamma", "0.5",
                      "--h-start", "0", "--h-stop", "2", "--h-step", "0.5",
                      "--out", str(out), "--jobs", "3"]) == 0
+    assert threading.active_count() == before
     assert_no_child_left()
 
 
-@pytest.mark.parametrize("death,failure", [
-    ("exit", "exited with code 3"),
-    ("signal", f"killed by signal {int(signal.SIGKILL)}"),
-    ("short-pickle", "bytes that are not its rows"),
-    ("no-rows", "bytes that are not its rows"),
-])
-def test_dead_worker_gives_error_rows(tmp_path, monkeypatch, capfd, death, failure):
-    # The child of a --jobs 2 sweep owns the point h = 0.5 and dies there,
-    # or sends a truncated pickle or one of no rows: its row gets status
-    # error, the parent's rows are computed, and one line, no traceback,
-    # goes to stderr.
-    parent, solve, dumps = os.getpid(), cli.solver.lmg_ground_state, cli.pickle.dumps
-
-    def dying_at_half(params):
-        if params.h == 0.5 and os.getpid() != parent:
-            if death == "exit":
-                os._exit(3)
-            if death == "signal":
-                os.kill(os.getpid(), signal.SIGKILL)
-        return solve(params)
-
-    monkeypatch.setattr(cli.solver, "lmg_ground_state", dying_at_half)
-    if death == "short-pickle":
-        monkeypatch.setattr(cli.pickle, "dumps", lambda *args: dumps(*args)[:-4])
-    if death == "no-rows":
-        monkeypatch.setattr(cli.pickle, "dumps", lambda rows, *args: dumps(rows[:0], *args))
-    out = tmp_path / "dead.csv"
-    code = cli.main(["--mode", "field-sweep", "--n", "10", "--gamma", "0.5",
-                     "--h", "0.25", "--h", "0.5", "--h", "1.5", "--out", str(out), "--jobs", "2"])
-    assert code == 2
-    rows = [row_fields(r) for r in data_rows(read_lines(out))]
-    assert [r["status"] for r in rows] == ["ok", "error", "ok"]
-    kept = ("mode", "N", "gamma", "h", "phase", "status")
-    assert [rows[1][k] for k in kept] == ["field-sweep", "10", "0.5", "0.5", "broken", "error"]
-    assert all(v == "" for k, v in rows[1].items() if k not in kept)
-    assert all(r["chi2"] != "" for r in (rows[0], rows[2]))
-    err = capfd.readouterr().err
-    assert err.startswith("error: worker 1 (1 rows) ") and failure in err
-    assert err.count("\n") == 1 and "Traceback" not in err
-    assert_no_child_left()
-
-
-def test_parent_exception_kills_and_reaps_the_children(tmp_path, monkeypatch):
-    # An exception that ends the sweep in this process (one _row_task does
-    # not catch) must not leave a child running: here the child would
-    # otherwise sleep for a minute.
+@pytest.mark.parametrize("where", ["here", "thread"])
+def test_uncaught_exception_stops_every_share_after_its_point(tmp_path, monkeypatch, where):
+    # An exception that one _row_task does not catch, in this thread's share
+    # (h = 0.25) or in the other thread's (h = 0.5), ends the sweep: the
+    # other share finishes the point it is computing and starts no other,
+    # every thread is joined, and the exception propagates with no CSV.
     class Abort(BaseException):
         pass
 
-    parent, solve = os.getpid(), cli.solver.lmg_ground_state
+    solve, started = cli.solver.lmg_ground_state, []
+    computing, raised = threading.Event(), threading.Event()
+    aborting = 0.25 if where == "here" else 0.5
 
-    def stalling(params):
-        if os.getpid() != parent:
-            time.sleep(60)
-        elif params.h == 1.5:
+    def abort_in_one_share(params):
+        started.append(params.h)
+        if params.h == aborting:
+            assert computing.wait(30)
+            raised.set()
             raise Abort
+        computing.set()
+        assert raised.wait(30)  # the exception comes while this point is computed
         return solve(params)
 
-    monkeypatch.setattr(cli.solver, "lmg_ground_state", stalling)
-    start = time.perf_counter()
+    monkeypatch.setattr(cli.solver, "lmg_ground_state", abort_in_one_share)
+    before = threading.active_count()
     with pytest.raises(Abort):
         cli.main(["--mode", "field-sweep", "--n", "10", "--gamma", "0.5",
-                  "--h", "0.25", "--h", "0.5", "--h", "1.5", "--out", str(tmp_path / "x.csv"),
-                  "--jobs", "2"])
-    assert time.perf_counter() - start < 30
-    assert_no_child_left()
-    assert not (tmp_path / "x.csv").exists()
-
-
-def test_parent_exception_with_sigchld_ignored(tmp_path, monkeypatch, sigchld_ignored):
-    # The system reaps the killed child itself, so the kill path finds no
-    # status to wait for: the exception still propagates as itself.
-    test_parent_exception_kills_and_reaps_the_children(tmp_path, monkeypatch)
-
-
-def test_parent_exception_after_the_child_is_gone(tmp_path, monkeypatch, sigchld_ignored):
-    # Under an ignored SIGCHLD a child that has sent its rows is gone as soon
-    # as it exits, so the kill path finds no process to kill: the exception
-    # raised here after that still propagates as itself.
-    class Abort(BaseException):
-        pass
-
-    parent, solve, fork, pids = os.getpid(), cli.solver.lmg_ground_state, os.fork, []
-
-    def recording_fork():
-        pids.append(fork())
-        return pids[-1]
-
-    def abort_once_the_child_is_gone(params):
-        if os.getpid() == parent and params.h == 1.5:
-            for _ in range(3000):
-                try:
-                    os.kill(pids[0], 0)
-                except ProcessLookupError:
-                    raise Abort from None
-                time.sleep(0.01)
-        return solve(params)
-
-    monkeypatch.setattr(os, "fork", recording_fork)
-    monkeypatch.setattr(cli.solver, "lmg_ground_state", abort_once_the_child_is_gone)
-    with pytest.raises(Abort):
-        cli.main(["--mode", "field-sweep", "--n", "10", "--gamma", "0.5",
-                  "--h", "0.25", "--h", "0.5", "--h", "1.5", "--out", str(tmp_path / "x.csv"),
-                  "--jobs", "2"])
-    assert_no_child_left()
+                  "--h", "0.25", "--h", "0.5", "--h", "1.5", "--h", "1.75",
+                  "--out", str(tmp_path / "x.csv"), "--jobs", "2"])
+    assert sorted(started) == [0.25, 0.5]
+    assert threading.active_count() == before
     assert not (tmp_path / "x.csv").exists()
 
 
@@ -464,12 +378,12 @@ def test_isotropic_summary_streams_its_lines(tmp_path):
     assert crossings[-1] == f"# crossing,N=200000,j=99999,h={cli._fmt(1.0 - 199999 / 200000)}"
 
 
-def _fresh(code: str) -> subprocess.CompletedProcess:
-    """`code` run in a fresh interpreter that imports this lmgfisher."""
+def _fresh(code: str, *flags: str) -> subprocess.CompletedProcess:
+    """`code` run in a fresh interpreter, with `flags`, that imports this lmgfisher."""
     src = str(Path(cli.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     env.pop("PYTHONUNBUFFERED", None)  # stdout and stderr buffered, as by default
-    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+    return subprocess.run([sys.executable, *flags, "-c", code], env=env, capture_output=True, text=True,
                           check=True)
 
 
@@ -495,7 +409,7 @@ def test_cli_import_leaves_scipy_unloaded():
 
 
 def test_jobs_sweep_loads_no_pool_modules(tmp_path):
-    # --jobs forks its workers itself: concurrent.futures and
+    # --jobs starts its threads itself: concurrent.futures and
     # multiprocessing, 24 ms of import on the host above, stay unloaded,
     # and so do the modules the import above leaves out.
     out = tmp_path / "probe.csv"
@@ -507,14 +421,29 @@ def test_jobs_sweep_loads_no_pool_modules(tmp_path):
 
 
 def test_jobs_print_buffered_output_once(tmp_path):
-    # Text still buffered when the sweep forks is flushed before it, so a
-    # child's own flush of stderr cannot print it a second time.
+    # Text still buffered when the sweep starts its threads is printed
+    # once: the threads share this process's buffers and copy none.
     out = tmp_path / "buffered.csv"
     code = ("import sys, lmgfisher.cli; sys.stdout.write('out:'); sys.stderr.write('err:'); "
             "print(lmgfisher.cli.main(['--mode', 'field-sweep', '--n', '10', '--gamma', '0.5',"
             f" '--h', '0.5', '--h', '1.5', '--jobs', '2', '--out', {str(out)!r}]))")
     done = _fresh(code)
     assert (done.stdout, done.stderr) == ("out:0\n", "err:")
+
+
+def test_jobs_sweep_in_dev_mode_warns_of_nothing(tmp_path, monkeypatch):
+    # Under -X dev -W error a descriptor left open is a ResourceWarning that
+    # reaches stderr, and on Python 3.12+ so would a fork of this process,
+    # which numpy's OpenBLAS makes multi-threaded without OPENBLAS_NUM_THREADS.
+    args = ["--mode", "field-sweep", "--n", "10", "--n", "20", "--gamma", "0.5",
+            "--h", "0.25", "--h", "0.5", "--h", "1.5"]
+    serial, threaded = tmp_path / "serial.csv", tmp_path / "threaded.csv"
+    assert cli.main(args + ["--out", str(serial)]) == 0
+    monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+    argv = args + ["--out", str(threaded), "--jobs", "3"]
+    done = _fresh(f"import lmgfisher.cli; print(lmgfisher.cli.main({argv!r}))", "-X", "dev", "-W", "error")
+    assert (done.stdout, done.stderr) == ("0\n", "")
+    assert threaded.read_bytes() == serial.read_bytes()
 
 
 _EXIT_PROBE = "import atexit, gc; atexit.register(lambda: print('frozen at exit', gc.get_freeze_count() > 0)); "
@@ -747,11 +676,13 @@ def test_convergence_failure_sets_status_and_exit_code(tmp_path, monkeypatch):
 @pytest.mark.parametrize("jobs", ["1", "2"])
 def test_unexpected_exception_sets_error_status(tmp_path, monkeypatch, capfd, jobs):
     # Any other exception in one grid point marks that row, and only it,
-    # and the sweep still writes every row, serially or in forked workers.
-    solve = cli.solver.lmg_ground_state
+    # and the sweep still writes every row, serially or with h = 0.5 in
+    # the second share's thread.
+    solve, in_main_thread = cli.solver.lmg_ground_state, []
 
     def failing_at_half(params):
         if params.h == 0.5:
+            in_main_thread.append(threading.current_thread() is threading.main_thread())
             raise ZeroDivisionError("forced failure")
         return solve(params)
 
@@ -768,6 +699,34 @@ def test_unexpected_exception_sets_error_status(tmp_path, monkeypatch, capfd, jo
     assert rows[1]["tl_chi2"] != ""  # analytics still present
     assert all(r["chi2"] != "" for r in (rows[0], rows[2]))
     assert capfd.readouterr().err == "error: N=10, h=0.5: ZeroDivisionError: forced failure\n"
+    assert in_main_thread == [jobs == "1"]
+
+
+def test_error_lines_of_concurrent_shares_stay_whole(tmp_path, monkeypatch):
+    # Both shares of a --jobs 2 sweep fail at once, onto a stderr whose
+    # every write lets the other thread run: each line is one write, so
+    # the two lines do not splice.
+    class YieldingStream(io.StringIO):
+        def write(self, text):
+            time.sleep(0.01)
+            return super().write(text)
+
+    both = threading.Barrier(2, timeout=30)
+
+    def failing_together(params):
+        both.wait()
+        raise ZeroDivisionError(f"at {params.h}")
+
+    stream = YieldingStream()
+    monkeypatch.setattr(sys, "stderr", stream)
+    monkeypatch.setattr(cli.solver, "lmg_ground_state", failing_together)
+    code = cli.main(["--mode", "field-sweep", "--n", "10", "--gamma", "0.5",
+                     "--h", "0.25", "--h", "0.5", "--out", str(tmp_path / "both.csv"), "--jobs", "2"])
+    assert code == 2
+    assert sorted(stream.getvalue().splitlines(keepends=True)) == [
+        "error: N=10, h=0.25: ZeroDivisionError: at 0.25\n",
+        "error: N=10, h=0.5: ZeroDivisionError: at 0.5\n",
+    ]
 
 
 def test_float_formatting_17_significant_digits(tmp_path):

@@ -200,8 +200,9 @@ def test_report_matches_dense_oracle():
 
 
 def test_dicke_metrics_values():
-    for n in (4, 10, 100, 2**60, 10**300):
-        assert dicke_metrics(n, n / 2).chi2 == 1.0
+    for n in (4, 10, 100, 2**60, 10**160, 10**300):
+        top = dicke_metrics(n, n / 2)
+        assert top.chi2 == top.xi2_2 == 1.0  # n <S_z>^2 and <S_z>^2 overflow past N ~ 1e155
     rep = dicke_metrics(100, 25)
     s = 50.0
     assert rep.chi2 == pytest.approx(100.0 / (2.0 * (s * s + s - 625.0)), rel=1e-15)
