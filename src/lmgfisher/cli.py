@@ -1,5 +1,19 @@
 """Command-line sweep driver.
 
+usage: lmgfisher --mode {field-sweep,size-scaling,isotropic,analytic-only}
+                 --n N [--n N ...] --gamma G
+                 (--h H [--h H ...] | --h-start A --h-stop B --h-step S)
+                 --out FILE [--config FILE] [--jobs J]
+       lmgfisher -h | --help
+
+A flag's value follows it or an '=', and any unambiguous prefix of its
+name will do (--gam 0.5, --gamma=0.5).  --n and --h repeat; any other
+flag keeps its last value.  --gamma is 1 by default in isotropic mode.
+--config FILE reads one `key=value` flag a line (n and h take lists);
+the flags given override it, and --n or --h its list.  --jobs J (default
+1) computes the points in W = min(J, points) threads of this process,
+each taking every W-th point; the rows do not depend on J.
+
 Writes CSV with the fixed header
 
     mode,N,gamma,h,parity,energy,chi2,xi1_2,xi2_2,fisher,qcr,tl_chi2,tl_xi1_2,phase,status
@@ -18,16 +32,13 @@ point failed (its row's status field is convergence_error when the
 eigensolver missed its residual gate, error for any other exception).
 The CSV is renamed into place from a temporary file in the same
 directory.
-
---jobs J computes the grid's points in W = min(J, points) threads of
-this process, each taking every W-th point; the rows do not depend on J.
 """
 
 from __future__ import annotations
 
-import argparse
 import atexit
 import gc
+import getopt
 import itertools
 import math
 import os
@@ -228,27 +239,34 @@ def _config_argv(path: str) -> list[str]:
     return argv
 
 
-class _Parser(argparse.ArgumentParser):
-    def error(self, message):  # usage errors exit 1, not argparse's default 2
-        raise UsageError(message)
+_FLAGS = {"mode": str, "n": int, "gamma": float, "h": float, "h-start": float,
+          "h-stop": float, "h-step": float, "out": str, "config": str, "jobs": int}
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(prog="lmgfisher", description=__doc__.splitlines()[0])
-    parser.add_argument("--mode", choices=MODES)
-    parser.add_argument("--n", type=int, action="append", help="system size (repeatable)")
-    parser.add_argument("--gamma", type=float)
-    parser.add_argument("--h", type=float, action="append", dest="h",
-                        help="explicit field value (repeatable)")
-    parser.add_argument("--h-start", type=float)
-    parser.add_argument("--h-stop", type=float)
-    parser.add_argument("--h-step", type=float)
-    parser.add_argument("--out", help="output CSV path")
-    parser.add_argument("--config", help="key=value config file; flags override it")
-    parser.add_argument("--jobs", type=int,
-                        help="threads computing the grid, this one included (default 1); "
-                             "the output does not depend on it")
-    return parser
+def parse_flags(argv: list[str]) -> dict:
+    """The flags in `argv` by name: the list of values of --n and of --h,
+    the last value of any other; {"help": True} if -h or --help is given."""
+    try:
+        opts, stray = getopt.gnu_getopt(argv, "h", ["help", *(f"{name}=" for name in _FLAGS)])
+    except getopt.GetoptError as exc:
+        raise UsageError(str(exc)) from None
+    if any(flag in ("-h", "--help") for flag, _ in opts):
+        return {"help": True}
+    flags = {}
+    for flag, text in opts:
+        name, kind = flag[2:], _FLAGS[flag[2:]]
+        if text.startswith("--"):  # the next flag stands where the value should: none was given
+            raise UsageError(f"argument {flag}: expected one argument")
+        try:
+            value = kind(text)
+        except ValueError:
+            raise UsageError(f"argument {flag}: invalid {kind.__name__} value: {text!r}") from None
+        if name == "mode" and value not in MODES:
+            raise UsageError(f"argument --mode: invalid choice: {text!r} (choose from {', '.join(MODES)})")
+        flags.setdefault(name, []).append(value)
+    if stray:
+        raise UsageError(f"unrecognized arguments: {' '.join(stray)}")
+    return {name: values if name in ("n", "h") else values[-1] for name, values in flags.items()}
 
 
 def _expand_range(start: float, stop: float, step: float) -> list[float]:
@@ -265,58 +283,48 @@ def _expand_range(start: float, stop: float, step: float) -> list[float]:
     return [start + k * step for k in range(count)]
 
 
-def _over_config_file(args) -> argparse.Namespace:
-    """`args` over the values of its --config file, which build_parser() reads as flags.
-
-    Every flag given overrides the file's value; a repeated flag's list
-    replaces the file's list.
-    """
-    argv = _config_argv(args.config)
-    try:
-        merged = build_parser().parse_args(argv)
-    except UsageError as exc:
-        raise UsageError(f"{args.config}: {exc}") from exc
-    for key, value in vars(args).items():
-        if value is not None:
-            setattr(merged, key, value)
-    return merged
-
-
-def build_config(args) -> tuple[str, list[tuple], int, str]:
-    """The sweep that parsed flags ask for, over an optional --config file.
+def build_config(flags: dict) -> tuple[str, list[tuple], int, str]:
+    """The sweep that parse_flags()'s `flags` ask for, over the flags of
+    an optional --config file, which those given override.
 
     Returns the mode, the grid's (mode, N, gamma, h) tasks in canonical
     order (N ascending, then h ascending), the worker count and the
     output path.
     """
-    if args.config is not None:
-        args = _over_config_file(args)
-    if args.mode is None:
+    if "config" in flags:
+        path = flags["config"]
+        argv = _config_argv(path)  # its errors name the file already
+        try:
+            flags = {**parse_flags(argv), **flags}
+        except UsageError as exc:
+            raise UsageError(f"{path}: {exc}") from None
+    mode, ns, h_list = flags.get("mode"), flags.get("n"), flags.get("h")
+    if mode is None:
         raise UsageError("--mode is required")
-    if not args.n:
+    if not ns:
         raise UsageError("at least one --n is required")
-    gamma = 1.0 if args.gamma is None and args.mode == "isotropic" else args.gamma
+    gamma = flags.get("gamma", 1.0 if mode == "isotropic" else None)
     if gamma is None:
         raise UsageError("--gamma is required")
-    range_flags = (args.h_start, args.h_stop, args.h_step)
+    range_flags = (flags.get("h-start"), flags.get("h-stop"), flags.get("h-step"))
     range_given = any(v is not None for v in range_flags)
-    if args.h is not None and range_given:
+    if h_list is not None and range_given:
         raise UsageError("give either --h or --h-start/--h-stop/--h-step, not both")
-    if args.h is not None:
-        h_values = list(args.h)
+    if h_list is not None:
+        h_values = h_list
     elif range_given:
         if None in range_flags:
             raise UsageError("an h range needs all of --h-start, --h-stop, --h-step")
         h_values = _expand_range(*range_flags)
     else:
         raise UsageError("no field values given (--h or --h-start/--h-stop/--h-step)")
-    if not args.out:
+    if not flags.get("out"):
         raise UsageError("--out is required")
-    if args.mode == "size-scaling" and len(h_values) != 1:
+    if mode == "size-scaling" and len(h_values) != 1:
         raise UsageError("size-scaling requires exactly one field value")
-    if args.mode == "isotropic" and gamma != 1.0:
+    if mode == "isotropic" and gamma != 1.0:
         raise UsageError("isotropic mode requires gamma = 1")
-    jobs = 1 if args.jobs is None else args.jobs
+    jobs = flags.get("jobs", 1)
     if jobs < 1:
         raise UsageError("jobs must be >= 1")
     # + 0.0 turns -0.0 into 0.0, so that the CSV never reads -0 and does
@@ -324,7 +332,7 @@ def build_config(args) -> tuple[str, list[tuple], int, str]:
     # is ModelParams's.  Each N is checked at h = 0 and each h at the
     # largest N, which bounds h N.
     gamma += 0.0
-    ns, hs = sorted(set(args.n)), sorted({h + 0.0 for h in h_values})
+    ns, hs = sorted(set(ns)), sorted({h + 0.0 for h in h_values})
     try:
         for n in ns:
             ModelParams(n, gamma, 0.0)
@@ -332,7 +340,7 @@ def build_config(args) -> tuple[str, list[tuple], int, str]:
             ModelParams(ns[-1], gamma, h)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
-    return args.mode, [(args.mode, n, gamma, h) for n in ns for h in hs], jobs, args.out
+    return mode, [(mode, n, gamma, h) for n in ns for h in hs], jobs, flags["out"]
 
 
 def _check_output_path(path: str) -> None:
@@ -371,10 +379,12 @@ def _write_atomically(path: str, lines: Iterable[str]) -> None:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-        mode, tasks, jobs, out = build_config(args)
+        flags = parse_flags(sys.argv[1:] if argv is None else argv)
+        if "help" in flags:
+            print(__doc__)
+            return 0
+        mode, tasks, jobs, out = build_config(flags)
         _check_output_path(out)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -316,6 +316,70 @@ def test_usage_errors_name_their_rule(tmp_path, monkeypatch, capsys, argv, rule)
     assert list(tmp_path.iterdir()) == []
 
 
+_CONFIG = "mode=field-sweep\nn=10,20\ngamma=0.5\nh=0.5 1.5\nout=file.csv\n"
+
+
+@pytest.mark.parametrize("argv,config", [
+    (["--mo=field-sweep", "--n=10", "--gam", "0.5", "--h=0.5", "--ou", "x.csv"],
+     ("field-sweep", [("field-sweep", 10, 0.5, 0.5)], 1, "x.csv")),
+    (["--mode", "analytic-only", "--n", "4", "--gamma", "-0", "--h", "0.5", "--out", "x.csv"],
+     ("analytic-only", [("analytic-only", 4, 0.0, 0.5)], 1, "x.csv")),
+    (["--mode", "field-sweep", "--n", "4", "--gamma", "0.5", "--h-sta", "0", "--h-stop=1",
+      "--h-step", "0.5", "--out", "x.csv"],
+     ("field-sweep", [("field-sweep", 4, 0.5, h) for h in (0.0, 0.5, 1.0)], 1, "x.csv")),
+    (["--mode", "field-sweep", "--n", "30", "--n=10", "--gamma", "0.5", "--h", "1.5",
+      "--h", "0.5", "--h=1.5", "--out", "x.csv", "--jobs", "2", "--jobs", "3"],
+     ("field-sweep", [("field-sweep", n, 0.5, h) for n in (10, 30) for h in (0.5, 1.5)], 3, "x.csv")),
+    (["--mode", "size-scaling", "--mode", "field-sweep", "--n", "10", "--gamma", "0.5",
+      "--gamma", "0.25", "--h", "-0.0", "--h", "0", "--out", "x.csv", "--out", "y.csv"],
+     ("field-sweep", [("field-sweep", 10, 0.25, 0.0)], 1, "y.csv")),
+    (["--config", "{cfg}", "--n", "30", "--out", "b.csv"],
+     ("field-sweep", [("field-sweep", 30, 0.5, h) for h in (0.5, 1.5)], 1, "b.csv")),
+    (["--conf={cfg}", "--gamma", "0.25"],
+     ("field-sweep", [("field-sweep", n, 0.25, h) for n in (10, 20) for h in (0.5, 1.5)], 1, "file.csv")),
+], ids=["equals-and-prefixes", "h-beside-h-start", "h-range", "repeated", "last-wins",
+        "config-n-replaced", "config"])
+def test_flag_spellings_give_their_config(tmp_path, argv, config):
+    # Each result is what the argparse parser this one replaced gave.
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text(_CONFIG)
+    built = cli.build_config(cli.parse_flags([arg.replace("{cfg}", str(cfg)) for arg in argv]))
+    assert built == config
+    assert all(math.copysign(1.0, gamma) == math.copysign(1.0, h) == 1.0 for _, _, gamma, h in built[1])
+
+
+@pytest.mark.parametrize("flags,message", [
+    (["--h-s", "0.5"], "option --h-s not a unique prefix"),
+    (["--bogus", "1"], "option --bogus not recognized"),
+    (["--n"], "option --n requires argument"),
+    (["--out", "--help"], "argument --out: expected one argument"),
+    (["x"], "unrecognized arguments: x"),
+    (["--n", "1.5"], "argument --n: invalid int value: '1.5'"),
+    (["--gamma", "abc"], "argument --gamma: invalid float value: 'abc'"),
+    (["--mode", "bogus"], "argument --mode: invalid choice: 'bogus' (choose from field-sweep,"),
+    (["--config", "{cfg}"], "{cfg}: argument --jobs: invalid int value: 'two'"),
+], ids=["ambiguous", "unknown", "no-value", "flag-for-value", "stray", "int", "float", "mode",
+        "config-value"])
+def test_bad_flags_are_one_error_line(tmp_path, monkeypatch, capsys, flags, message):
+    monkeypatch.chdir(tmp_path)  # where an --out taken from the next flag would go
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text("jobs=two\n")
+    argv = [*_SWEEP, "--h", "0.5", "--out", str(tmp_path / "x.csv"), *flags]
+    assert cli.main([arg.replace("{cfg}", str(cfg)) for arg in argv]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: " + message.replace("{cfg}", str(cfg))) and err.count("\n") == 1, err
+    assert list(tmp_path.iterdir()) == [cfg]
+
+
+@pytest.mark.parametrize("flag", ["-h", "--help"])
+def test_help_prints_the_usage(tmp_path, capsys, flag):
+    assert cli.main([*_SWEEP, "--h", "0.5", "--out", str(tmp_path / "x.csv"), flag]) == 0
+    usage = capsys.readouterr().out
+    assert usage.startswith("Command-line sweep driver.\n\nusage: lmgfisher --mode")
+    assert all(f"--{name} " in usage for name in cli._FLAGS) and "-h | --help" in usage
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_csv_replaced_atomically(tmp_path, monkeypatch):
     out = tmp_path / "sweep.csv"
     out.write_text("old\n")
@@ -390,7 +454,7 @@ def _fresh(code: str, *flags: str) -> subprocess.CompletedProcess:
 # The modules a CLI process must not load; then whether numpy is loaded.
 _UNWANTED = ("print(sorted(m for m in sys.modules"
              " if m.split('.')[0] in ('scipy', 'concurrent', 'multiprocessing', 'dataclasses',"
-             " 'statistics', 'decimal', 'fractions')"
+             " 'statistics', 'decimal', 'fractions', 'argparse', 'locale')"
              " or m.startswith('numpy.ctypeslib')), 'numpy' in sys.modules)")
 
 
@@ -403,8 +467,11 @@ def test_cli_import_leaves_scipy_unloaded():
     # numpy.ctypeslib stay unloaded too: with the 8 dataclass definitions
     # they took about 16 ms of each start after numpy on that host.  The
     # scaling fits use math.fsum, not statistics: its decimal and fractions
-    # would add about 0.6 MB of peak RSS to each size-scaling process.  numpy
-    # itself is imported here, as the benchmark's import-time split expects.
+    # would add about 0.6 MB of peak RSS to each size-scaling process.  The
+    # flags are read with getopt: argparse, and the locale module that its
+    # first parser's gettext lookup imports, added about 0.5 MB to each CLI
+    # run.  numpy itself is imported here, as the benchmark's import-time
+    # split expects.
     assert _fresh(f"import sys, lmgfisher.cli; {_UNWANTED}").stdout == "[] True\n"
 
 
