@@ -79,50 +79,38 @@ def _fmt(value) -> str:
     return format(float(value), ".17g")
 
 
-def _tl_fields(h: float, gamma: float, n: int):
-    try:
-        tl = analytic.tl_prediction(h, gamma, n)
-    except (analytic.CriticalPointError, analytic.IsotropicBrokenError):
-        return None, None
-    return tl.chi2, tl.xi1_2
-
-
-def _row(task, status: str, values=(None,) * 9) -> tuple[str, str, float | None]:
-    """(csv_line, status, chi2 or None) of one grid point; `values` are the
-    fields from parity to tl_xi1_2, None where unavailable."""
-    mode, n, gamma, h = task
-    fields = [mode, n, gamma, h, *values, analytic.classify_phase(h).value, status]
-    return ",".join(_fmt(f) for f in fields), status, values[2]
-
-
 def _row_task(task) -> tuple[str, str, float | None]:
     """Compute one grid point; returns (csv_line, status, chi2 or None).
 
-    A ConvergenceError gives status convergence_error, and any other
-    Exception status error, with a line on stderr; the fields computed
-    before it stay, the others are left empty.
+    The row is a dict keyed by CSV_HEADER's names, and the line's fields
+    are filled in the header's order, a name the row lacks as an empty
+    field.  A ConvergenceError gives status convergence_error, and any
+    other Exception status error, with a line on stderr; the fields
+    computed before it stay, the others are left empty.
     """
     mode, n, gamma, h = task
-    parity, status = None, STATUS_OK
-    energy = chi2 = xi1 = xi2 = fisher = qcr = tl_chi2 = tl_xi1 = None
+    row = {"mode": mode, "N": n, "gamma": gamma, "h": h,
+           "phase": analytic.classify_phase(h).value, "status": STATUS_OK}
     try:
-        if mode == "isotropic":
-            closed = metrology.dicke_metrics(n, analytic.isotropic_ground_m(n, h))
-            tl_chi2, tl_xi1 = closed.chi2, closed.xi1_2
-        else:
-            tl_chi2, tl_xi1 = _tl_fields(h, gamma, n)
+        try:
+            tl = (metrology.dicke_metrics(n, analytic.isotropic_ground_m(n, h)) if mode == "isotropic"
+                  else analytic.tl_prediction(h, gamma, n))
+            row["tl_chi2"], row["tl_xi1_2"] = tl.chi2, tl.xi1_2
+        except (analytic.CriticalPointError, analytic.IsotropicBrokenError):
+            pass  # no thermodynamic-limit value here: both fields stay empty
         if mode != "analytic-only":
             gs = solver.lmg_ground_state(ModelParams(n_spins=n, gamma=gamma, h=h))
             rep = metrology.report(gs)
-            parity, energy = gs.parity, gs.energy
-            chi2, xi1, xi2, fisher, qcr = rep.chi2, rep.xi1_2, rep.xi2_2, rep.fisher, rep.qcr
+            row.update(parity=gs.parity, energy=gs.energy, chi2=rep.chi2, xi1_2=rep.xi1_2,
+                       xi2_2=rep.xi2_2, fisher=rep.fisher, qcr=rep.qcr)
     except solver.ConvergenceError:
-        status = STATUS_CONVERGENCE
+        row["status"] = STATUS_CONVERGENCE
     except Exception as exc:  # one point's failure must not abort the sweep
-        status = STATUS_ERROR
+        row["status"] = STATUS_ERROR
         # one write per line, so that lines of concurrent shares do not splice
         sys.stderr.write(f"error: N={n}, h={_fmt(h)}: {type(exc).__name__}: {exc}\n")
-    return _row(task, status, (parity, energy, chi2, xi1, xi2, fisher, qcr, tl_chi2, tl_xi1))
+    line = ",".join(_fmt(row.get(name)) for name in CSV_HEADER.split(","))
+    return line, row["status"], row.get("chi2")
 
 
 def _execute(tasks: list[tuple], jobs: int) -> list[tuple[str, str, float | None]]:

@@ -31,7 +31,7 @@ def summary_lines(lines):
 
 
 def row_fields(row):
-    return dict(zip(HEADER.split(","), row.split(",")))
+    return dict(zip(HEADER.split(","), row.split(","), strict=True))
 
 
 def test_header_and_field_sweep_schema(tmp_path):
@@ -466,12 +466,12 @@ def test_cli_import_leaves_scipy_unloaded():
     # NamedTuples and LAPACK takes raw addresses, so dataclasses and
     # numpy.ctypeslib stay unloaded too: with the 8 dataclass definitions
     # they took about 16 ms of each start after numpy on that host.  The
-    # scaling fits use math.fsum, not statistics: its decimal and fractions
-    # would add about 0.6 MB of peak RSS to each size-scaling process.  The
-    # flags are read with getopt: argparse, and the locale module that its
-    # first parser's gettext lookup imports, added about 0.5 MB to each CLI
-    # run.  numpy itself is imported here, as the benchmark's import-time
-    # split expects.
+    # scaling fits sum exact integers from float.as_integer_ratio, not
+    # statistics: its decimal and fractions would add about 0.6 MB of peak
+    # RSS to each size-scaling process.  The flags are read with getopt:
+    # argparse, and the locale module that its first parser's gettext
+    # lookup imports, added about 0.5 MB to each CLI run.  numpy itself is
+    # imported here, as the benchmark's import-time split expects.
     assert _fresh(f"import sys, lmgfisher.cli; {_UNWANTED}").stdout == "[] True\n"
 
 
@@ -738,6 +738,45 @@ def test_convergence_failure_sets_status_and_exit_code(tmp_path, monkeypatch):
     assert fields["status"] == "convergence_error"
     assert fields["chi2"] == ""
     assert fields["tl_chi2"] != ""  # analytics still present
+
+
+_SOLVED = {"parity", "energy", "chi2", "xi1_2", "xi2_2", "fisher", "qcr"}
+_MODE_ARGS = {
+    "field-sweep": ["--n", "10", "--gamma", "0.5", "--h", "0.5", "--h", "1"],
+    "size-scaling": ["--n", "10", "--n", "20", "--n", "30", "--gamma", "0.5", "--h", "1.5"],
+    "isotropic": ["--n", "10", "--h", "0.5", "--h", "1.5"],
+    "analytic-only": ["--n", "10", "--gamma", "0.5", "--h", "0.5", "--h", "1"],
+}
+_FAILURES = {"error": ZeroDivisionError("forced failure"),
+             "convergence_error": ConvergenceError("forced failure", residual=1.0)}
+
+
+@pytest.mark.parametrize("mode,status", [
+    *((mode, "ok") for mode in cli.MODES),
+    *((mode, status) for mode in cli.MODES if mode != "analytic-only" for status in _FAILURES),
+])
+def test_rows_leave_exactly_the_unavailable_fields_empty(tmp_path, monkeypatch, mode, status):
+    # Every field a row can have is filled: a misspelled field name would
+    # leave its column empty.  Empty are the thermodynamic-limit fields at
+    # h = 1, the solved fields in analytic-only mode, and the solved fields
+    # of a point whose solve failed.
+    if status in _FAILURES:
+        def fail(params):
+            raise _FAILURES[status]
+
+        monkeypatch.setattr(cli.solver, "lmg_ground_state", fail)
+    out = tmp_path / "rows.csv"
+    assert cli.main(["--mode", mode, *_MODE_ARGS[mode], "--out", str(out)]) == (0 if status == "ok" else 2)
+    rows = [row_fields(r) for r in data_rows(read_lines(out))]
+    assert len(rows) == (3 if mode == "size-scaling" else 2)
+    for fields in rows:
+        empty = set()
+        if fields["h"] == "1":
+            empty |= {"tl_chi2", "tl_xi1_2"}
+        if mode == "analytic-only" or status != "ok":
+            empty |= _SOLVED
+        assert {name for name, value in fields.items() if value == ""} == empty
+        assert fields["status"] == status
 
 
 @pytest.mark.parametrize("jobs", ["1", "2"])
