@@ -11,8 +11,8 @@ name will do (--gam 0.5, --gamma=0.5).  --n and --h repeat; any other
 flag keeps its last value.  --gamma is 1 by default in isotropic mode.
 --config FILE reads one `key=value` flag a line (n and h take lists);
 the flags given override it, and --n or --h its list.  --jobs J (default
-1) computes the points in W = min(J, points) threads of this process,
-each taking every W-th point; the rows do not depend on J.
+1) computes the points in up to J threads of this process, each taking
+the next point that none has taken; the rows do not depend on J.
 
 Writes CSV with the fixed header
 
@@ -107,51 +107,45 @@ def _row_task(task) -> tuple[str, str, float | None]:
         row["status"] = STATUS_CONVERGENCE
     except Exception as exc:  # one point's failure must not abort the sweep
         row["status"] = STATUS_ERROR
-        # one write per line, so that lines of concurrent shares do not splice
+        # one write per line, so that lines of concurrent threads do not splice
         sys.stderr.write(f"error: N={n}, h={_fmt(h)}: {type(exc).__name__}: {exc}\n")
     line = ",".join(_fmt(row.get(name)) for name in CSV_HEADER.split(","))
     return line, row["status"], row.get("chi2")
 
 
 def _execute(tasks: list[tuple], jobs: int) -> list[tuple[str, str, float | None]]:
-    """The rows of `tasks`, in order, from W = min(jobs, len(tasks)) shares.
-
-    Share k is tasks[k::W].  This thread runs share 0, and each of the
-    others runs on a thread of its own (W = 1 starts none), or here if that
-    thread cannot be started.  The solves release the GIL in dstevx and in
-    numpy's loops.  An exception that _row_task does not catch stops every
-    share after its current point and is raised once all are joined.
+    """The rows of `tasks`, in order, from this thread and up to
+    min(jobs, len(tasks)) - 1 others, each taking the next index that no
+    thread has taken from one shared iterator (CPython's GIL hands them out
+    one at a time); a thread that cannot be started is left out.  The
+    solves release the GIL in dstevx and in numpy's loops.  An exception
+    that _row_task does not catch empties the iterator, so every thread
+    ends after its current point, and is raised once all are joined.
     """
-    workers = min(jobs, len(tasks))
     results = [None] * len(tasks)
-    stop, raised = threading.Event(), []
+    pending, raised, threads = iter(range(len(tasks))), [], []
 
-    def run(k: int) -> None:
+    def run() -> None:
         try:
-            for i in range(k, len(tasks), workers):
-                if stop.is_set():
-                    return
+            for i in pending:
                 results[i] = _row_task(tasks[i])
         except BaseException as exc:  # not one point's failure: the sweep ends
             raised.append(exc)
-            stop.set()
+            for _ in pending:
+                pass
 
-    threads, here = [], [0]
     try:
-        for k in range(1, workers):
-            thread = threading.Thread(target=run, args=(k,))
+        for _ in range(min(jobs, len(tasks)) - 1):
+            thread = threading.Thread(target=run)
             try:
                 thread.start()
-            except RuntimeError:  # no thread to be had: this one runs the share
-                here.append(k)
-            else:
-                threads.append(thread)
-        for k in here:
-            run(k)
-        for thread in threads:
-            thread.join()
+            except RuntimeError:  # no thread to be had: the running ones take the rest
+                break
+            threads.append(thread)
+        run()
     finally:
-        stop.set()  # after an exception here, the threads end after their current points
+        for _ in pending:  # points are left only if starting a thread raised
+            pass
         for thread in threads:
             thread.join()
     if raised:
@@ -222,6 +216,8 @@ def _config_argv(path: str) -> list[str]:
         key, sep, value = (part.strip() for part in line.partition("="))
         if not sep:
             raise UsageError(f"{path}:{lineno}: expected key=value, got {line!r}")
+        if key == "config":
+            raise UsageError(f"{path}:{lineno}: a config file cannot name another one")
         values = value.replace(",", " ").split() if key in ("n", "h") else [value]
         argv += [f"--{key.replace('_', '-')}={v}" for v in values]
     return argv

@@ -87,7 +87,10 @@ class TridiagonalMatrix(NamedTuple("TridiagonalMatrix",
     _trusted = classmethod(lambda cls, d, e: tuple.__new__(cls, (d, e)))  # unchecked: see build_sector_matrix
 
     def __new__(cls, diagonal, offdiagonal):
-        d, e = np.asarray(diagonal, dtype=float), np.asarray(offdiagonal, dtype=float)
+        d, e = np.asarray(diagonal), np.asarray(offdiagonal)
+        if d.dtype.kind not in "iuf" or e.dtype.kind not in "iuf":
+            raise ValueError(f"matrix entries must be real numbers, got dtypes {d.dtype} and {e.dtype}")
+        d, e = d.astype(float, copy=False), e.astype(float, copy=False)
         if d.ndim != 1 or d.size < 1:
             raise ValueError("diagonal must be a vector of length >= 1")
         if e.shape != (d.size - 1,):

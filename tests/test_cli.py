@@ -140,8 +140,8 @@ def count_thread_starts(monkeypatch, fail_at=None):
 
 @pytest.mark.parametrize("h_values,workers", [(["0.5", "1.0", "1.5"], [1, 2]), (["0.5"], [])])
 def test_jobs_are_capped_at_the_grid_size(tmp_path, monkeypatch, h_values, workers):
-    # --jobs 64 on a 3-point grid runs 3 shares: this thread (share 0) and
-    # threads for shares 1 and 2; one point starts no thread.
+    # --jobs 64 on a 3-point grid runs the points in 3 threads: this one
+    # and 2 started; one point starts no thread.
     started = count_thread_starts(monkeypatch)
     out = tmp_path / "capped.csv"
     argv = ["--mode", "field-sweep", "--n", "10", "--gamma", "0.5", "--jobs", "64", "--out", str(out)]
@@ -152,15 +152,17 @@ def test_jobs_are_capped_at_the_grid_size(tmp_path, monkeypatch, h_values, worke
     assert len(data_rows(read_lines(out))) == len(h_values)
 
 
-def test_a_share_without_a_thread_runs_here(tmp_path, monkeypatch):
-    # When the second thread cannot be started, this thread computes its
-    # share after its own, and the CSV is the serial one.
+@pytest.mark.parametrize("fail_at", [1, 2])
+def test_a_share_without_a_thread_runs_here(tmp_path, monkeypatch, fail_at):
+    # When the first or the second thread cannot be started, no further
+    # start is tried, the threads running take every point, and the CSV is
+    # the serial one.
     args = ["--mode", "field-sweep", "--n", "12", "--gamma", "0.5", "--h", "0.5", "--h", "1", "--h", "1.5"]
     serial, parallel = tmp_path / "serial.csv", tmp_path / "parallel.csv"
     assert cli.main(args + ["--out", str(serial)]) == 0
-    started = count_thread_starts(monkeypatch, fail_at=2)
+    started = count_thread_starts(monkeypatch, fail_at=fail_at)
     assert cli.main(args + ["--out", str(parallel), "--jobs", "3"]) == 0
-    assert len(started) == 2
+    assert len(started) == fail_at
     assert serial.read_bytes() == parallel.read_bytes()
 
 
@@ -176,10 +178,11 @@ def test_jobs_leave_no_child_process(tmp_path):
 
 @pytest.mark.parametrize("where", ["here", "thread"])
 def test_uncaught_exception_stops_every_share_after_its_point(tmp_path, monkeypatch, where):
-    # An exception that one _row_task does not catch, in this thread's share
-    # (h = 0.25) or in the other thread's (h = 0.5), ends the sweep: the
-    # other share finishes the point it is computing and starts no other,
-    # every thread is joined, and the exception propagates with no CSV.
+    # An exception that one _row_task does not catch, at the first point
+    # (h = 0.25) or at the second (h = 0.5), which two threads compute at
+    # once, ends the sweep: the other thread finishes the point it is
+    # computing and takes no other, every thread is joined, and the
+    # exception propagates with no CSV.
     class Abort(BaseException):
         pass
 
@@ -187,7 +190,7 @@ def test_uncaught_exception_stops_every_share_after_its_point(tmp_path, monkeypa
     computing, raised = threading.Event(), threading.Event()
     aborting = 0.25 if where == "here" else 0.5
 
-    def abort_in_one_share(params):
+    def abort_at_one_point(params):
         started.append(params.h)
         if params.h == aborting:
             assert computing.wait(30)
@@ -197,7 +200,7 @@ def test_uncaught_exception_stops_every_share_after_its_point(tmp_path, monkeypa
         assert raised.wait(30)  # the exception comes while this point is computed
         return solve(params)
 
-    monkeypatch.setattr(cli.solver, "lmg_ground_state", abort_in_one_share)
+    monkeypatch.setattr(cli.solver, "lmg_ground_state", abort_at_one_point)
     before = threading.active_count()
     with pytest.raises(Abort):
         cli.main(["--mode", "field-sweep", "--n", "10", "--gamma", "0.5",
@@ -706,6 +709,18 @@ def test_config_file_bad_line(tmp_path, capsys, text):
     assert err.startswith("error: ") and err.count("\n") == 1, err
 
 
+def test_config_file_naming_another_is_a_usage_error(tmp_path, capsys):
+    # Each line of a config file is read as its flag, and a --config inside
+    # one would be dropped, the command line's --config winning the merge.
+    other, cfg = tmp_path / "other.cfg", tmp_path / "a.cfg"
+    other.write_text("gamma=0.25\n")
+    cfg.write_text(f"mode=field-sweep\nn=10\nconfig={other}\ngamma=0.5\nh=0.5\n")
+    out = tmp_path / "x.csv"
+    assert cli.main(["--config", str(cfg), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {cfg}:3: a config file cannot name another one\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("step", ["mkstemp", "replace"])
 def test_failed_csv_write_is_one_error_line(tmp_path, monkeypatch, capsys, step):
     # A full disk, or an --out that passes the directory check but cannot
@@ -782,14 +797,18 @@ def test_rows_leave_exactly_the_unavailable_fields_empty(tmp_path, monkeypatch, 
 @pytest.mark.parametrize("jobs", ["1", "2"])
 def test_unexpected_exception_sets_error_status(tmp_path, monkeypatch, capfd, jobs):
     # Any other exception in one grid point marks that row, and only it,
-    # and the sweep still writes every row, serially or with h = 0.5 in
-    # the second share's thread.
-    solve, in_main_thread = cli.solver.lmg_ground_state, []
+    # and the sweep still writes every row, serially in this thread or, at
+    # --jobs 2, with h = 0.5 failing on another thread than h = 0.25, whose
+    # solve waits until the failing one has started.
+    solve, threads, half_started = cli.solver.lmg_ground_state, {}, threading.Event()
 
     def failing_at_half(params):
+        threads[params.h] = threading.current_thread()
         if params.h == 0.5:
-            in_main_thread.append(threading.current_thread() is threading.main_thread())
+            half_started.set()
             raise ZeroDivisionError("forced failure")
+        if params.h == 0.25 and jobs == "2":
+            assert half_started.wait(30)
         return solve(params)
 
     monkeypatch.setattr(cli.solver, "lmg_ground_state", failing_at_half)
@@ -805,11 +824,14 @@ def test_unexpected_exception_sets_error_status(tmp_path, monkeypatch, capfd, jo
     assert rows[1]["tl_chi2"] != ""  # analytics still present
     assert all(r["chi2"] != "" for r in (rows[0], rows[2]))
     assert capfd.readouterr().err == "error: N=10, h=0.5: ZeroDivisionError: forced failure\n"
-    assert in_main_thread == [jobs == "1"]
+    if jobs == "1":
+        assert set(threads.values()) == {threading.main_thread()}
+    else:
+        assert threads[0.25] is not threads[0.5]
 
 
 def test_error_lines_of_concurrent_shares_stay_whole(tmp_path, monkeypatch):
-    # Both shares of a --jobs 2 sweep fail at once, onto a stderr whose
+    # Both threads of a --jobs 2 sweep fail at once, onto a stderr whose
     # every write lets the other thread run: each line is one write, so
     # the two lines do not splice.
     class YieldingStream(io.StringIO):

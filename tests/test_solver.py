@@ -37,6 +37,21 @@ def test_tridiagonal_validation():
         TridiagonalMatrix(diagonal=np.array([np.inf]), offdiagonal=np.array([]))
 
 
+@pytest.mark.parametrize("diagonal,offdiagonal", [
+    (np.array([1 + 2j, 3 + 0j]), np.array([0.5j])),
+    ([1 + 2j, 3.0], [0.5]),
+    ([1.0, 3.0], [0.5j]),
+    (np.array([True, False]), np.array([True])),
+    (["1", "3"], ["0.5"]),
+    (np.array([1.0, 3.0], dtype=object), [0.5]),
+], ids=["complex-array", "complex-list", "complex-offdiagonal", "bool", "str", "object"])
+def test_tridiagonal_rejects_entries_that_are_not_real_numbers(diagonal, offdiagonal):
+    # Converting complex entries to float would drop their imaginary parts
+    # and solve another matrix; only integer and float entries are taken.
+    with pytest.raises(ValueError, match="matrix entries must be real numbers"):
+        TridiagonalMatrix(diagonal, offdiagonal)
+
+
 def test_tridiagonal_validation_covers_make_and_replace():
     t = TridiagonalMatrix(np.array([1.0, 2.0]), np.array([0.5]))
     for bad, message in (({"offdiagonal": np.array([])}, "offdiagonal must have length"),
