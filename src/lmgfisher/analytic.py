@@ -7,8 +7,6 @@ chi^2 / xi1^2 parameters, and the advertised finite-size scaling
 exponents at the critical field h = 1.
 """
 
-from __future__ import annotations
-
 import enum
 import math
 from collections.abc import Iterator

@@ -11,8 +11,9 @@ name will do (--gam 0.5, --gamma=0.5).  --n and --h repeat; any other
 flag keeps its last value.  --gamma is 1 by default in isotropic mode.
 --config FILE reads one `key=value` flag a line (n and h take lists);
 the flags given override it, and --n or --h its list.  --jobs J (default
-1) computes the points in up to J threads of this process, each taking
-the next point that none has taken; the rows do not depend on J.
+1) computes the G grid points in this thread and up to min(J, G, C) - 1
+others, C being the CPUs this process may run on, each taking the next
+point that none has taken; the rows do not depend on J.
 
 Writes CSV with the fixed header
 
@@ -33,8 +34,6 @@ eigensolver missed its residual gate, error for any other exception).
 The CSV is renamed into place from a temporary file in the same
 directory.
 """
-
-from __future__ import annotations
 
 import atexit
 import gc
@@ -115,12 +114,13 @@ def _row_task(task) -> tuple[str, str, float | None]:
 
 def _execute(tasks: list[tuple], jobs: int) -> list[tuple[str, str, float | None]]:
     """The rows of `tasks`, in order, from this thread and up to
-    min(jobs, len(tasks)) - 1 others, each taking the next index that no
-    thread has taken from one shared iterator (CPython's GIL hands them out
-    one at a time); a thread that cannot be started is left out.  The
-    solves release the GIL in dstevx and in numpy's loops.  An exception
-    that _row_task does not catch empties the iterator, so every thread
-    ends after its current point, and is raised once all are joined.
+    min(jobs, len(tasks), cpus) - 1 others, cpus being the CPUs this
+    process may run on.  Each takes the next index that no thread has
+    taken from one shared iterator (CPython's GIL hands them out one at a
+    time); a thread that cannot be started is left out.  The solves
+    release the GIL in dstevx and in numpy's loops.  An exception that
+    _row_task does not catch empties the iterator, so every thread ends
+    after its current point, and is raised once all are joined.
     """
     results = [None] * len(tasks)
     pending, raised, threads = iter(range(len(tasks))), [], []
@@ -135,7 +135,8 @@ def _execute(tasks: list[tuple], jobs: int) -> list[tuple[str, str, float | None
                 pass
 
     try:
-        for _ in range(min(jobs, len(tasks)) - 1):
+        cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+        for _ in range(min(jobs, len(tasks), cpus) - 1):
             thread = threading.Thread(target=run)
             try:
                 thread.start()

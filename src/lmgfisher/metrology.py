@@ -9,8 +9,6 @@ has real amplitudes, so <{S_x,S_y}> vanishes and the extremal transverse
 variances are min and max of (<S_x^2>, <S_y^2>), along x and y.
 """
 
-from __future__ import annotations
-
 import math
 from typing import NamedTuple
 

@@ -7,8 +7,6 @@ so the least-squares sums are exact integers, and each fitted value is one
 correctly rounded integer quotient, whatever the scale of the points.
 """
 
-from __future__ import annotations
-
 import math
 from typing import NamedTuple
 
@@ -32,7 +30,10 @@ def _split(points) -> tuple[list[float], list[float]]:
     return x, y
 
 
-def _validate_scaling_points(x: list[float], v: list[float], minimum: int) -> None:
+def _log_points(points, minimum: int) -> list[tuple[float, float]]:
+    """The (ln N, ln value) pairs of at least `minimum` points with
+    positive, strictly increasing sizes and positive values."""
+    x, v = _split(points)
     if len(x) < minimum:
         raise ValueError(f"need at least {minimum} points, got {len(x)}")
     if any(a <= 0.0 for a in v):
@@ -41,6 +42,7 @@ def _validate_scaling_points(x: list[float], v: list[float], minimum: int) -> No
         raise ValueError("sizes must be positive")
     if any(b <= a for a, b in zip(x, x[1:])):
         raise ValueError("sizes must be strictly increasing")
+    return list(zip(map(math.log, x), map(math.log, v)))
 
 
 def _over_a_power_of_two(values: list[float]) -> tuple[int, list[int]]:
@@ -83,24 +85,17 @@ def fit_linear(points) -> tuple[float, float, float]:
 
 def fit_power_law(points) -> ScalingFit:
     """Least-squares power law through (ln N, ln value); needs >= 3 points."""
-    x, v = _split(points)
-    _validate_scaling_points(x, v, 3)
-    slope, intercept, r_squared = fit_linear(zip(map(math.log, x), map(math.log, v)))
+    logs = _log_points(points, 3)
+    slope, intercept, r_squared = fit_linear(logs)
     return ScalingFit(
         exponent=slope,
         amplitude=math.exp(intercept),
         r_squared=r_squared,
-        points_used=len(x),
+        points_used=len(logs),
     )
 
 
 def local_exponents(points) -> list[float]:
-    """Pairwise slopes ln(v_{k+1}/v_k) / ln(N_{k+1}/N_k) for consecutive points.
-
-    Each ratio is a difference of logs, so it neither overflows nor
-    underflows however far apart the two points are.
-    """
-    x, v = _split(points)
-    _validate_scaling_points(x, v, 2)
-    lx, lv = list(map(math.log, x)), list(map(math.log, v))
-    return [(lv[k + 1] - lv[k]) / (lx[k + 1] - lx[k]) for k in range(len(x) - 1)]
+    """fit_linear's slope through each consecutive pair of (ln N, ln value)."""
+    logs = _log_points(points, 2)
+    return [fit_linear(pair)[0] for pair in zip(logs, logs[1:])]

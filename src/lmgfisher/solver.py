@@ -15,8 +15,6 @@ memory follows the state, not N.  LAPACK, the residual gate, the window
 search and the parity choice are here, the model's formulas in spincore.
 """
 
-from __future__ import annotations
-
 import ctypes
 import math
 from typing import NamedTuple

@@ -17,8 +17,6 @@ among them, and `row_sum_floor` a floor under the row sums of the rows
 outside them.
 """
 
-from __future__ import annotations
-
 import math
 import numbers
 import sys

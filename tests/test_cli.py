@@ -138,10 +138,29 @@ def count_thread_starts(monkeypatch, fail_at=None):
     return started
 
 
+def pin_cpus(monkeypatch, count):
+    """Make this process look as if it may run on `count` CPUs."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: count)
+
+
+def test_jobs_are_capped_at_the_cpus(tmp_path, monkeypatch):
+    # --jobs 64 on 5 points with 2 CPUs runs the points in 2 threads: this
+    # one and 1 started.
+    pin_cpus(monkeypatch, 2)
+    started = count_thread_starts(monkeypatch)
+    out = tmp_path / "cpus.csv"
+    assert cli.main(["--mode", "field-sweep", "--n", "10", "--gamma", "0.5", "--h-start", "0",
+                     "--h-stop", "2", "--h-step", "0.5", "--jobs", "64", "--out", str(out)]) == 0
+    assert len(started) == 1
+    assert len(data_rows(read_lines(out))) == 5
+
+
 @pytest.mark.parametrize("h_values,workers", [(["0.5", "1.0", "1.5"], [1, 2]), (["0.5"], [])])
 def test_jobs_are_capped_at_the_grid_size(tmp_path, monkeypatch, h_values, workers):
     # --jobs 64 on a 3-point grid runs the points in 3 threads: this one
     # and 2 started; one point starts no thread.
+    pin_cpus(monkeypatch, 3)
     started = count_thread_starts(monkeypatch)
     out = tmp_path / "capped.csv"
     argv = ["--mode", "field-sweep", "--n", "10", "--gamma", "0.5", "--jobs", "64", "--out", str(out)]
@@ -160,6 +179,7 @@ def test_a_share_without_a_thread_runs_here(tmp_path, monkeypatch, fail_at):
     args = ["--mode", "field-sweep", "--n", "12", "--gamma", "0.5", "--h", "0.5", "--h", "1", "--h", "1.5"]
     serial, parallel = tmp_path / "serial.csv", tmp_path / "parallel.csv"
     assert cli.main(args + ["--out", str(serial)]) == 0
+    pin_cpus(monkeypatch, 3)
     started = count_thread_starts(monkeypatch, fail_at=fail_at)
     assert cli.main(args + ["--out", str(parallel), "--jobs", "3"]) == 0
     assert len(started) == fail_at
@@ -201,6 +221,7 @@ def test_uncaught_exception_stops_every_share_after_its_point(tmp_path, monkeypa
         return solve(params)
 
     monkeypatch.setattr(cli.solver, "lmg_ground_state", abort_at_one_point)
+    pin_cpus(monkeypatch, 3)
     before = threading.active_count()
     with pytest.raises(Abort):
         cli.main(["--mode", "field-sweep", "--n", "10", "--gamma", "0.5",
@@ -457,7 +478,7 @@ def _fresh(code: str, *flags: str) -> subprocess.CompletedProcess:
 # The modules a CLI process must not load; then whether numpy is loaded.
 _UNWANTED = ("print(sorted(m for m in sys.modules"
              " if m.split('.')[0] in ('scipy', 'concurrent', 'multiprocessing', 'dataclasses',"
-             " 'statistics', 'decimal', 'fractions', 'argparse', 'locale')"
+             " 'statistics', 'decimal', 'fractions', 'argparse', 'locale', '__future__')"
              " or m.startswith('numpy.ctypeslib')), 'numpy' in sys.modules)")
 
 
@@ -473,8 +494,10 @@ def test_cli_import_leaves_scipy_unloaded():
     # statistics: its decimal and fractions would add about 0.6 MB of peak
     # RSS to each size-scaling process.  The flags are read with getopt:
     # argparse, and the locale module that its first parser's gettext
-    # lookup imports, added about 0.5 MB to each CLI run.  numpy itself is
-    # imported here, as the benchmark's import-time split expects.
+    # lookup imports, added about 0.5 MB to each CLI run.  The annotations
+    # evaluate at definition on Python 3.10+, so no module imports
+    # __future__, which a CLI start loaded for that import alone.  numpy
+    # itself is imported here, as the benchmark's import-time split expects.
     assert _fresh(f"import sys, lmgfisher.cli; {_UNWANTED}").stdout == "[] True\n"
 
 
@@ -812,6 +835,7 @@ def test_unexpected_exception_sets_error_status(tmp_path, monkeypatch, capfd, jo
         return solve(params)
 
     monkeypatch.setattr(cli.solver, "lmg_ground_state", failing_at_half)
+    pin_cpus(monkeypatch, 3)
     out = tmp_path / "partial.csv"
     code = cli.main([
         "--mode", "field-sweep", "--n", "10", "--gamma", "0.5",
@@ -848,6 +872,7 @@ def test_error_lines_of_concurrent_shares_stay_whole(tmp_path, monkeypatch):
     stream = YieldingStream()
     monkeypatch.setattr(sys, "stderr", stream)
     monkeypatch.setattr(cli.solver, "lmg_ground_state", failing_together)
+    pin_cpus(monkeypatch, 3)
     code = cli.main(["--mode", "field-sweep", "--n", "10", "--gamma", "0.5",
                      "--h", "0.25", "--h", "0.5", "--out", str(tmp_path / "both.csv"), "--jobs", "2"])
     assert code == 2

@@ -228,6 +228,40 @@ def test_local_exponents_at_extreme_ratios(points, exponent):
     assert local_exponents(points) == [pytest.approx(exponent, rel=1e-14)]
 
 
+def _cli_like_pair(rng):
+    n0, n1 = sorted(rng.sample(range(2, 10**9 + 1), 2))
+    exponent, amplitude = rng.uniform(-1.5, 0.5), rng.uniform(0.1, 10.0)
+    return [(n, amplitude * n ** exponent * math.exp(rng.gauss(0.0, 0.05))) for n in (n0, n1)]
+
+
+def _wide_pair(rng):
+    # sizes and values over the whole positive float range
+    def positive():
+        return math.ldexp(0.5 + rng.random() / 2, rng.randint(-1073, 1024))
+    n0, n1 = sorted((positive(), positive()))
+    return [(n0, positive()), (n1, positive())]
+
+
+def test_local_exponents_are_the_exact_slopes_rounded_once():
+    # The slope through two (ln N, ln value) points, computed in rationals
+    # from the two float logs and rounded once; a quotient of float
+    # differences of the logs is 1-2 ulps off on 0.2% of the CLI-like
+    # pairs and 30% of the wide ones.
+    rng = random.Random(37)
+    for k in range(20000):
+        points = (_wide_pair if k % 2 else _cli_like_pair)(rng)
+        (lx0, ly0), (lx1, ly1) = [(math.log(n), math.log(v)) for n, v in points]
+        exact = (Fraction(ly1) - Fraction(ly0)) / (Fraction(lx1) - Fraction(lx0))
+        assert local_exponents(points) == [float(exact)], points
+
+
+def test_local_exponents_of_sizes_with_equal_logs_are_degenerate():
+    # 1e300 and the next float have the same log: no slope, and a
+    # ValueError rather than a ZeroDivisionError
+    with pytest.raises(ValueError, match="x values are degenerate"):
+        local_exponents([(1e300, 1.0), (math.nextafter(1e300, math.inf), 2.0)])
+
+
 def _polyfit_reference(points):
     """(slope, intercept, r_squared) from numpy.polyfit's least squares."""
     x, y = (np.array(c, dtype=float) for c in zip(*points))
