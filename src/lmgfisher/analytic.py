@@ -75,8 +75,6 @@ def isotropic_level_crossings(n_spins: int) -> Iterator[float]:
     """Fields h_j = 1 - (2j+1)/N > 0 where |S, S-j> and |S, S-j-1> cross,
     for j = 0 ... N//2 - 1, made one at a time; N is checked at the call."""
     n_spins = model_fields(n_spins)[0]
-    if n_spins < 2:
-        raise ValueError(f"n_spins must be >= 2, got {n_spins}")
     return (1.0 - (2 * j + 1) / n_spins for j in range(n_spins // 2))
 
 

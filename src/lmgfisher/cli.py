@@ -180,8 +180,6 @@ def _isotropic_summary(tasks, results) -> Iterator[str]:
     line at a time: there are N/2 crossings per N."""
     yield "# summary"
     for n in dict.fromkeys(task[1] for task in tasks):
-        if n < 2:
-            continue
         for j, hj in enumerate(analytic.isotropic_level_crossings(n)):
             yield f"# crossing,N={n},j={j},h={_fmt(hj)}"
     for _, n, _, h in tasks:

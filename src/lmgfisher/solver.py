@@ -292,12 +292,10 @@ def _first_window(params: ModelParams) -> int:
 def lmg_ground_state(params: ModelParams) -> GroundState:
     """Ground state over both parity blocks; exact ties resolve to even parity."""
     half = _first_window(params)
-    solved = {}
+    best = None
     for parity in (EVEN, ODD):
         block = _Block(params, parity)
-        solved[parity] = _window_eigenpair(block, block.centre, half)
-    (o_even, e_even, v_even), (o_odd, e_odd, v_odd) = solved[EVEN], solved[ODD]
-    tie = _DEGENERACY_RELTOL * max(1.0, abs(e_even), abs(e_odd))
-    if e_odd < e_even - tie:
-        return GroundState(params=params, parity=ODD, energy=e_odd, amplitudes=v_odd, offset=o_odd)
-    return GroundState(params=params, parity=EVEN, energy=e_even, amplitudes=v_even, offset=o_even)
+        offset, energy, v = _window_eigenpair(block, block.centre, half)
+        if best is None or energy < best.energy - _DEGENERACY_RELTOL * max(1.0, abs(best.energy), abs(energy)):
+            best = GroundState(params=params, parity=parity, energy=energy, amplitudes=v, offset=offset)
+    return best

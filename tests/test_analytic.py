@@ -144,8 +144,7 @@ def test_isotropic_ground_m_values():
 def test_level_crossings():
     assert list(isotropic_level_crossings(100))[0] == pytest.approx(0.99, rel=1e-15)
     assert list(isotropic_level_crossings(4)) == [0.75, 0.25]
-    with pytest.raises(ValueError):
-        isotropic_level_crossings(1)  # at the call, before any value is asked for
+    assert list(isotropic_level_crossings(1)) == []  # its one crossing, h = 0, is not h > 0
 
 
 def test_level_crossing_degeneracy_property():

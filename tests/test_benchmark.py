@@ -49,9 +49,10 @@ def test_tracer_targets_resolve_and_count_rows():
 
 
 @pytest.mark.parametrize("workload,counts", [
+    ("readme-figures", (904, 52159, 52217)),
     ("critical-ladder", (14, 2224, 2238)),
     ("phase-grid-j2", (36, 7724, 7772)),
-], ids=["critical-ladder", "phase-grid-j2"])
+], ids=["readme-figures", "critical-ladder", "phase-grid-j2"])
 def test_traced_work_of_the_seed_0_workloads(tmp_path, workload, counts):
     # The harness's traced pass in miniature: the seed-0 commands, run
     # serially through cli.main in this process.  The blocks solved, their

@@ -232,6 +232,46 @@ def test_uncaught_exception_stops_every_share_after_its_point(tmp_path, monkeypa
     assert not (tmp_path / "x.csv").exists()
 
 
+def test_exception_starting_a_thread_stops_the_running_ones_after_their_point(tmp_path, monkeypatch):
+    # A BaseException from the second thread's start, raised while the
+    # first thread computes its point (h = 0.25), ends the sweep: the
+    # points no thread has taken are dropped, the running thread takes no
+    # other, it is joined, and the exception propagates with no CSV and
+    # no temporary file.
+    class Abort(BaseException):
+        pass
+
+    solve, start, started, threads = cli.solver.lmg_ground_state, threading.Thread.start, [], []
+    computing, raised = threading.Event(), threading.Event()
+
+    def hold_the_point(params):
+        started.append(params.h)
+        computing.set()
+        assert raised.wait(30)  # the exception comes while this point is computed
+        return solve(params)
+
+    def fail_the_second_start(thread):
+        threads.append(thread)
+        if len(threads) == 2:
+            assert computing.wait(30)
+            raised.set()
+            raise Abort
+        start(thread)
+
+    monkeypatch.setattr(cli.solver, "lmg_ground_state", hold_the_point)
+    monkeypatch.setattr(threading.Thread, "start", fail_the_second_start)
+    pin_cpus(monkeypatch, 4)
+    before = threading.active_count()
+    with pytest.raises(Abort):
+        cli.main(["--mode", "field-sweep", "--n", "10", "--gamma", "0.5",
+                  "--h", "0.25", "--h", "0.5", "--h", "1.5", "--h", "1.75",
+                  "--out", str(tmp_path / "x.csv"), "--jobs", "3"])
+    assert started == [0.25]
+    assert len(threads) == 2 and not any(thread.is_alive() for thread in threads)
+    assert threading.active_count() == before
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_rows_ordered_by_n_then_h(tmp_path):
     out = tmp_path / "order.csv"
     assert cli.main([

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import lmgfisher
-from lmgfisher import analytic, metrology, scaling, solver
+from lmgfisher import analytic, cli, metrology, scaling, solver
 
 
 def test_star_import_matches_public_names():
@@ -27,6 +27,17 @@ def test_readme_lists_the_lapack_symbols_solver_binds():
     listed = set(re.findall(r"scipy_\w+_64_", text[start:text.index("\n\n", start)]))
     bound = {value.__name__ for value in vars(solver).values() if isinstance(value, ctypes._CFuncPtr)}
     assert listed == bound
+
+
+def test_readme_cli_usage_is_the_help_usage():
+    # The README's "## CLI" block is the usage block of cli.__doc__, which
+    # --help prints: from "usage:" to the line before the first blank one.
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    start = text.index("```\n", text.index("## CLI")) + len("```\n")
+    readme = text[start:text.index("```", start)]
+    doc = cli.__doc__[cli.__doc__.index("usage:"):]
+    assert readme.startswith("usage: lmgfisher ")
+    assert readme == doc[:doc.index("\n\n") + 1]
 
 
 def test_readme_quick_start_prints_its_documented_values():
