@@ -42,7 +42,6 @@ import itertools
 import math
 import os
 import sys
-import tempfile
 import threading
 from collections.abc import Iterable, Iterator
 
@@ -344,17 +343,15 @@ def _write_atomically(path: str, lines: Iterable[str]) -> None:
     then rename it over `path`.
 
     Readers see either the old file or the complete new one, and a
-    write that fails leaves no partial CSV behind.  The file gets the
-    mode that open() would give it, not mkstemp's 0600.
+    write that fails leaves no partial CSV behind.  The temporary file,
+    `path`.<12 random hex digits>.tmp, is created with O_EXCL, so it is
+    never a file already there, and gets mode 0o666 less the umask.
     """
-    fd, temporary = tempfile.mkstemp(prefix=os.path.basename(path) + ".", suffix=".tmp",
-                                     dir=os.path.dirname(os.path.abspath(path)))
+    temporary = f"{os.path.abspath(path)}.{os.urandom(6).hex()}.tmp"
+    fd = os.open(temporary, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with open(fd, "w", encoding="utf-8", newline="") as fh:
             fh.writelines(lines)
-        umask = os.umask(0)
-        os.umask(umask)
-        os.chmod(temporary, 0o666 & ~umask)
         os.replace(temporary, path)
     except BaseException:
         os.remove(temporary)

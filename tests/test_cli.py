@@ -99,22 +99,41 @@ def test_determinism_byte_identical(tmp_path):
     assert out1.read_bytes() == out2.read_bytes()
 
 
-def test_parallel_schedule_independence(tmp_path):
+# A field sweep, then an isotropic grid and a size-scaling grid, whose
+# summary lines (crossings and closed forms; the two fits) follow the rows.
+_PARALLEL_GRIDS = [
+    (["--mode", "field-sweep", "--n", "24", "--n", "12", "--n", "1000000", "--n", "10000000",
+      "--gamma", "0.5", "--h-start", "0", "--h-stop", "2", "--h-step", "0.4"], []),
+    (["--mode", "isotropic", "--n", "24", "--n", "12", "--n", "1001",
+      "--h-start", "0", "--h-stop", "2", "--h-step", "0.4"], ["# crossing", "# closed_form"]),
+    (["--mode", "size-scaling", "--n", "24", "--n", "12", "--n", "1000000", "--n", "10000000",
+      "--gamma", "0.5", "--h", "0.5"], ["# power_law_fit", "# linear_fit"]),
+]
+
+
+def test_parallel_schedule_independence(tmp_path, monkeypatch):
     # N = 1e6 and 1e7 in the broken phase take milliseconds per solve, so
     # the threads' dstevx calls overlap; a short switch interval makes the
-    # threads' Python code interleave too.
-    args = ["--mode", "field-sweep", "--n", "24", "--n", "12", "--n", "1000000", "--n", "10000000",
-            "--gamma", "0.5", "--h-start", "0", "--h-stop", "2", "--h-step", "0.4"]
-    csvs, interval = [], sys.getswitchinterval()
+    # threads' Python code interleave too.  With 4 CPUs pinned, --jobs 1, 2
+    # and 4 start 0, 1 and 3 threads on any host.
+    pin_cpus(monkeypatch, 4)
+    started = count_thread_starts(monkeypatch)
+    interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
     try:
-        for jobs in ("1", "2", "4"):
-            out = tmp_path / f"jobs{jobs}.csv"
-            assert cli.main(args + ["--out", str(out), "--jobs", jobs]) == 0
-            csvs.append(out.read_bytes())
+        for k, (args, summaries) in enumerate(_PARALLEL_GRIDS):
+            csvs = []
+            for jobs, threads in (("1", 0), ("2", 1), ("4", 3)):
+                out = tmp_path / f"grid{k}-jobs{jobs}.csv"
+                del started[:]
+                assert cli.main(args + ["--out", str(out), "--jobs", jobs]) == 0
+                assert len(started) == threads
+                csvs.append(out.read_bytes())
+            assert csvs[1] == csvs[0] and csvs[2] == csvs[0]
+            written = summary_lines(read_lines(out))
+            assert all(any(line.startswith(kind) for line in written) for kind in summaries)
     finally:
         sys.setswitchinterval(interval)
-    assert csvs[1] == csvs[0] and csvs[2] == csvs[0]
 
 
 def assert_no_child_left():
@@ -186,12 +205,15 @@ def test_a_share_without_a_thread_runs_here(tmp_path, monkeypatch, fail_at):
     assert serial.read_bytes() == parallel.read_bytes()
 
 
-def test_jobs_leave_no_child_process(tmp_path):
+def test_jobs_leave_no_child_process(tmp_path, monkeypatch):
     out = tmp_path / "joined.csv"
+    pin_cpus(monkeypatch, 3)
+    started = count_thread_starts(monkeypatch)
     before = threading.active_count()
     assert cli.main(["--mode", "field-sweep", "--n", "10", "--gamma", "0.5",
                      "--h-start", "0", "--h-stop", "2", "--h-step", "0.5",
                      "--out", str(out), "--jobs", "3"]) == 0
+    assert len(started) == 2
     assert threading.active_count() == before
     assert_no_child_left()
 
@@ -478,15 +500,44 @@ def test_csv_writer_leaves_a_file_it_did_not_make(tmp_path):
     assert sorted(p.name for p in tmp_path.iterdir()) == sorted([out.name, stranger.name])
 
 
+def test_csv_writer_never_opens_a_file_under_its_temporary_name(tmp_path, monkeypatch, capsys):
+    # A file already under the random name is not written over: the write
+    # fails as on a full disk, and that file is left as it was.
+    out = tmp_path / "sweep.csv"
+    stranger = tmp_path / "sweep.csv.000000000000.tmp"
+    stranger.write_text("not ours\n")
+    monkeypatch.setattr(cli.os, "urandom", lambda size: bytes(size))
+    assert cli.main(["--mode", "field-sweep", "--n", "10", "--gamma", "0.5",
+                     "--h", "0.5", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (f"error: cannot write {out}: [Errno {errno.EEXIST}] "
+                                       f"File exists: {str(stranger)!r}\n")
+    assert stranger.read_text() == "not ours\n"
+    assert [p.name for p in tmp_path.iterdir()] == [stranger.name]
+
+
 def test_csv_gets_the_default_file_mode(tmp_path):
-    out = tmp_path / "mode.csv"
-    umask = os.umask(0o022)
-    try:
-        assert cli.main(["--mode", "analytic-only", "--n", "10", "--gamma", "0.5",
-                         "--h", "0.5", "--out", str(out)]) == 0
-    finally:
-        os.umask(umask)
-    assert out.stat().st_mode & 0o777 == 0o644
+    for mask, mode in ((0o022, 0o644), (0o077, 0o600)):
+        out = tmp_path / f"mode{mask:o}.csv"
+        umask = os.umask(mask)
+        try:
+            assert cli.main(["--mode", "analytic-only", "--n", "10", "--gamma", "0.5",
+                             "--h", "0.5", "--out", str(out)]) == 0
+        finally:
+            os.umask(umask)
+        assert out.stat().st_mode & 0o777 == mode
+
+
+def test_csv_write_leaves_the_umask_alone(tmp_path, monkeypatch):
+    # The umask belongs to the process: setting it, even to read it back,
+    # changes it for every thread of a program that calls main in process.
+    def umask(mask):
+        raise AssertionError(f"os.umask({mask:#o}) called")
+
+    monkeypatch.setattr(cli.os, "umask", umask)
+    out = tmp_path / "umask.csv"
+    assert cli.main(["--mode", "field-sweep", "--n", "10", "--gamma", "0.5",
+                     "--h", "0.5", "--out", str(out)]) == 0
+    assert read_lines(out)[0] == HEADER
 
 
 def test_isotropic_summary_streams_its_lines(tmp_path):
@@ -506,10 +557,12 @@ def test_isotropic_summary_streams_its_lines(tmp_path):
     assert crossings[-1] == f"# crossing,N=200000,j=99999,h={cli._fmt(1.0 - 199999 / 200000)}"
 
 
-def _fresh(code: str, *flags: str) -> subprocess.CompletedProcess:
-    """`code` run in a fresh interpreter, with `flags`, that imports this lmgfisher."""
+def _fresh(code: str, *flags: str, path: tuple[str, ...] = ()) -> subprocess.CompletedProcess:
+    """`code` run in a fresh interpreter, with `flags`, that imports this
+    lmgfisher and finds modules in `path` too."""
     src = str(Path(cli.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    entries = [src, *path, os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, entries))}
     env.pop("PYTHONUNBUFFERED", None)  # stdout and stderr buffered, as by default
     return subprocess.run([sys.executable, *flags, "-c", code], env=env, capture_output=True, text=True,
                           check=True)
@@ -520,6 +573,15 @@ _UNWANTED = ("print(sorted(m for m in sys.modules"
              " if m.split('.')[0] in ('scipy', 'concurrent', 'multiprocessing', 'dataclasses',"
              " 'statistics', 'decimal', 'fractions', 'argparse', 'locale', '__future__')"
              " or m.startswith('numpy.ctypeslib')), 'numpy' in sys.modules)")
+
+
+def _pinned(cpus: int) -> str:
+    """Code that, run first in a fresh interpreter, makes it look as if it
+    may run on `cpus` CPUs and keeps the threads it starts from then on in
+    a list named `started`, as pin_cpus and count_thread_starts do here."""
+    return (f"import os, threading; os.sched_getaffinity = lambda pid: set(range({cpus})); "
+            f"os.cpu_count = lambda: {cpus}; started, start = [], threading.Thread.start; "
+            "threading.Thread.start = lambda thread: (started.append(thread), start(thread))[1]; ")
 
 
 def test_cli_import_leaves_scipy_unloaded():
@@ -546,22 +608,39 @@ def test_jobs_sweep_loads_no_pool_modules(tmp_path):
     # multiprocessing, 24 ms of import on the host above, stay unloaded,
     # and so do the modules the import above leaves out.
     out = tmp_path / "probe.csv"
-    code = ("import sys, lmgfisher.cli; assert lmgfisher.cli.main(['--mode', 'field-sweep', '--n', '10',"
-            f" '--gamma', '0.5', '--h', '0.5', '--h', '1.5', '--jobs', '2', '--out', {str(out)!r}]) == 0; "
-            + _UNWANTED)
+    code = (_pinned(2) + "import sys, lmgfisher.cli; assert lmgfisher.cli.main(['--mode', 'field-sweep',"
+            f" '--n', '10', '--gamma', '0.5', '--h', '0.5', '--h', '1.5', '--jobs', '2', '--out', {str(out)!r}]) == 0; "
+            "assert len(started) == 1; " + _UNWANTED)
     assert _fresh(code).stdout == "[] True\n"
     assert len(data_rows(read_lines(out))) == 2
+
+
+def test_jobs_sweep_without_site_loads_no_tempfile(tmp_path):
+    # The CSV's temporary file is made with one os.open: tempfile, and the
+    # modules it imports, stay unloaded.  Under -S no site hook can load
+    # them first, as on an install whose site-packages has no .pth file
+    # that imports them; numpy's site-packages is then on PYTHONPATH.
+    out = tmp_path / "probe.csv"
+    site_packages = str(Path(np.__file__).resolve().parents[1])
+    code = (_pinned(2) + "import sys, lmgfisher.cli; assert lmgfisher.cli.main(['--mode', 'size-scaling',"
+            " '--n', '10', '--n', '20', '--n', '30', '--gamma', '0.5', '--h', '1.5', '--jobs', '2',"
+            f" '--out', {str(out)!r}]) == 0; assert len(started) == 1; "
+            "print(sorted(m for m in ('tempfile', 'shutil', 'random', 'bz2', 'lzma', 'fnmatch', 'zlib')"
+            " if m in sys.modules))")
+    assert _fresh(code, "-S", path=(site_packages,)).stdout == "[]\n"
+    assert len(data_rows(read_lines(out))) == 3
+    assert any(line.startswith("# power_law_fit") for line in summary_lines(read_lines(out)))
 
 
 def test_jobs_print_buffered_output_once(tmp_path):
     # Text still buffered when the sweep starts its threads is printed
     # once: the threads share this process's buffers and copy none.
     out = tmp_path / "buffered.csv"
-    code = ("import sys, lmgfisher.cli; sys.stdout.write('out:'); sys.stderr.write('err:'); "
+    code = (_pinned(2) + "import sys, lmgfisher.cli; sys.stdout.write('out:'); sys.stderr.write('err:'); "
             "print(lmgfisher.cli.main(['--mode', 'field-sweep', '--n', '10', '--gamma', '0.5',"
-            f" '--h', '0.5', '--h', '1.5', '--jobs', '2', '--out', {str(out)!r}]))")
+            f" '--h', '0.5', '--h', '1.5', '--jobs', '2', '--out', {str(out)!r}]), len(started))")
     done = _fresh(code)
-    assert (done.stdout, done.stderr) == ("out:0\n", "err:")
+    assert (done.stdout, done.stderr) == ("out:0 1\n", "err:")
 
 
 def test_jobs_sweep_in_dev_mode_warns_of_nothing(tmp_path, monkeypatch):
@@ -574,8 +653,9 @@ def test_jobs_sweep_in_dev_mode_warns_of_nothing(tmp_path, monkeypatch):
     assert cli.main(args + ["--out", str(serial)]) == 0
     monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
     argv = args + ["--out", str(threaded), "--jobs", "3"]
-    done = _fresh(f"import lmgfisher.cli; print(lmgfisher.cli.main({argv!r}))", "-X", "dev", "-W", "error")
-    assert (done.stdout, done.stderr) == ("0\n", "")
+    code = _pinned(3) + f"import lmgfisher.cli; print(lmgfisher.cli.main({argv!r}), len(started))"
+    done = _fresh(code, "-X", "dev", "-W", "error")
+    assert (done.stdout, done.stderr) == ("0 2\n", "")
     assert threaded.read_bytes() == serial.read_bytes()
 
 
@@ -784,7 +864,7 @@ def test_config_file_naming_another_is_a_usage_error(tmp_path, capsys):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("step", ["mkstemp", "replace"])
+@pytest.mark.parametrize("step", ["open", "replace"])
 def test_failed_csv_write_is_one_error_line(tmp_path, monkeypatch, capsys, step):
     # A full disk, or an --out that passes the directory check but cannot
     # be created (in a pseudo-filesystem that root may "write"): exit 1,
@@ -792,7 +872,7 @@ def test_failed_csv_write_is_one_error_line(tmp_path, monkeypatch, capsys, step)
     def full(*args, **kwargs):
         raise OSError(errno.ENOSPC, "No space left on device")
 
-    monkeypatch.setattr(cli.tempfile if step == "mkstemp" else cli.os, step, full)
+    monkeypatch.setattr(cli.os, step, full)
     out = tmp_path / "x.csv"
     assert cli.main(["--mode", "field-sweep", "--n", "10", "--gamma", "0.5",
                      "--h", "0.5", "--out", str(out)]) == 1
